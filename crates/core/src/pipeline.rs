@@ -339,35 +339,6 @@ impl ExperimentEnv {
         evaluate(net, &self.test, batch)
     }
 
-    /// Accuracy of the stored quantized model evaluated through the
-    /// compiled graph executor, plus the executor's plan-cache stats.
-    ///
-    /// Compilation folds any remaining batch norm into the stored model
-    /// (an inference-equivalent transform; a later interpreter run uses
-    /// the same folded weights, so the two paths stay bit-identical).
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowering failure when the model cannot be compiled
-    /// (e.g. an executor without a fused backend); the interpreter path
-    /// is unaffected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the quantization stage has not run.
-    pub fn quant_accuracy_compiled(
-        &mut self,
-        batch: usize,
-    ) -> Result<(f32, axnn_nn::PlanCacheStats), axnn_nn::Unsupported> {
-        let net = self
-            .quant_net
-            .as_mut()
-            .expect("run quantization_stage first");
-        let mut exec = axnn_nn::GraphExecutor::compile(net)?;
-        let acc = axnn_nn::train::evaluate_with(|x| exec.forward(x), &self.test, batch);
-        Ok((acc, exec.cache_stats()))
-    }
-
     /// Public architecture-matched copy of the (possibly BN-folded) FP
     /// network, with exact executors — callers quantize as needed.
     ///
@@ -704,14 +675,25 @@ mod tests {
     }
 
     #[test]
-    fn compiled_quant_accuracy_matches_interpreter() {
+    fn compiled_quant_copy_matches_interpreter() {
         let mut env = tiny_env();
         env.train_fp(&tiny_stage(2));
         env.quantization_stage(&tiny_stage(1), true);
-        // 40 test samples at batch 20: two same-shape batches, so the
-        // second must hit the plan cache.
-        let (compiled_acc, stats) = env.quant_accuracy_compiled(20).expect("quant model lowers");
-        let interp_acc = env.quant_accuracy(20);
+        // Score a re-quantized copy, so compiling (which folds any BN in
+        // place) never touches the env's own model. 40 test samples at
+        // batch 20: two same-shape batches, so the second must hit the
+        // plan cache.
+        let mut net = env.quantized_copy();
+        quantize_network(
+            &mut net,
+            QuantSpec::activations_8bit(),
+            QuantSpec::weights_4bit(),
+        );
+        calibrate(&mut net, &env.train, 20, 2);
+        let mut exec = axnn_nn::GraphExecutor::compile(&mut net).expect("quant model lowers");
+        let compiled_acc = axnn_nn::train::evaluate_with(|x| exec.forward(x), &env.test, 20);
+        let stats = exec.cache_stats();
+        let interp_acc = evaluate(&mut net, &env.test, 20);
         assert_eq!(
             compiled_acc, interp_acc,
             "compiled and interpreter evaluation must agree"

@@ -24,6 +24,16 @@ impl ActivationKind {
         }
     }
 
+    /// Applies the activation elementwise from `x` into the same-shape
+    /// `out` — the one kernel behind [`Activation`] and the compiled
+    /// graph's standalone activation op.
+    pub(crate) fn apply_into(self, x: &Tensor, out: &mut Tensor) {
+        assert_eq!(x.shape(), out.shape(), "activation output shape");
+        for (d, &v) in out.as_mut_slice().iter_mut().zip(x.as_slice()) {
+            *d = self.apply(v);
+        }
+    }
+
     /// Derivative of the activation at input `x`.
     pub fn derivative(self, x: f32) -> f32 {
         match self {
@@ -76,7 +86,8 @@ impl Activation {
 
 impl Layer for Activation {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let out = input.map(|x| self.kind.apply(x));
+        let mut out = Tensor::zeros(input.shape());
+        self.kind.apply_into(input, &mut out);
         self.cache = (mode == Mode::Train).then(|| input.clone());
         out
     }

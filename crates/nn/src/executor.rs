@@ -77,13 +77,16 @@ pub trait LayerExecutor: fmt::Debug + Send {
     }
 
     /// Compiles this executor over the frozen weight matrix `wmat` into a
-    /// fused [`GemmBackend`](crate::GemmBackend) for the graph executor, or
-    /// `None` when the executor has no compiled equivalent (the whole model
-    /// then falls back to the [`Sequential`](crate::Sequential) interpreter).
+    /// fused [`GemmBackend`](crate::GemmBackend) for the graph executor.
     ///
-    /// A returned backend must be *bit-identical* to this executor's
-    /// [`forward`](Self::forward) in `Mode::Eval` followed by the owning
-    /// layer's separate bias/activation passes.
+    /// Every built-in family (exact, quantized, approximate) returns a
+    /// backend; the default `None` is for probes and other custom
+    /// executors, whose models then fail to compile with
+    /// [`Unsupported`](crate::Unsupported). A returned backend must be
+    /// *bit-identical* to this executor's [`forward`](Self::forward) in
+    /// `Mode::Eval` followed by the owning layer's separate bias/activation
+    /// passes; anything an executor does only for the backward pass (such
+    /// as gradient estimation) has no part in it.
     fn compile_backend(&self, wmat: &Tensor) -> Option<Box<dyn crate::GemmBackend>> {
         let _ = wmat;
         None

@@ -8,6 +8,49 @@ use crate::layer::{Layer, Mode};
 use axnn_rng::Rng;
 use axnn_tensor::Tensor;
 
+/// Non-overlapping `k`×`k` max pool of NCHW `x` into `out`
+/// (`[N, C, H/k, W/k]`) — the one kernel behind [`MaxPool2d`] and the
+/// compiled graph's pool op. When `argmax` is given it receives the flat
+/// input index of each output's maximum (first one on ties), which the
+/// layer's backward routes gradients through.
+pub(crate) fn max_pool_into(
+    x: &Tensor,
+    k: usize,
+    out: &mut Tensor,
+    mut argmax: Option<&mut [usize]>,
+) {
+    let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+    let (oh, ow) = (h / k, w / k);
+    assert_eq!(out.shape(), &[n, c, oh, ow], "max pool output shape");
+    let src = x.as_slice();
+    let dst = out.as_mut_slice();
+    for ni in 0..n {
+        for ci in 0..c {
+            let in_base = (ni * c + ci) * h * w;
+            let out_base = (ni * c + ci) * oh * ow;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best_idx = in_base + (oy * k) * w + ox * k;
+                    let mut best = src[best_idx];
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let idx = in_base + (oy * k + ky) * w + ox * k + kx;
+                            if src[idx] > best {
+                                best = src[idx];
+                                best_idx = idx;
+                            }
+                        }
+                    }
+                    dst[out_base + oy * ow + ox] = best;
+                    if let Some(a) = argmax.as_deref_mut() {
+                        a[out_base + oy * ow + ox] = best_idx;
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Non-overlapping max pooling with a square window.
 ///
 /// ```
@@ -57,35 +100,10 @@ impl Layer for MaxPool2d {
             h % k == 0 && w % k == 0,
             "input not divisible by pool kernel"
         );
-        let (oh, ow) = (h / k, w / k);
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let mut argmax = vec![0usize; n * c * oh * ow];
-        let src = input.as_slice();
-        let dst = out.as_mut_slice();
-        for ni in 0..n {
-            for ci in 0..c {
-                let in_base = (ni * c + ci) * h * w;
-                let out_base = (ni * c + ci) * oh * ow;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best_idx = in_base + (oy * k) * w + ox * k;
-                        let mut best = src[best_idx];
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let idx = in_base + (oy * k + ky) * w + ox * k + kx;
-                                if src[idx] > best {
-                                    best = src[idx];
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        dst[out_base + oy * ow + ox] = best;
-                        argmax[out_base + oy * ow + ox] = best_idx;
-                    }
-                }
-            }
-        }
-        self.cache = (mode == Mode::Train).then_some((argmax, [n, c, h, w]));
+        let mut out = Tensor::zeros(&[n, c, h / k, w / k]);
+        let mut argmax = (mode == Mode::Train).then(|| vec![0usize; out.len()]);
+        max_pool_into(input, k, &mut out, argmax.as_deref_mut());
+        self.cache = argmax.map(|a| (a, [n, c, h, w]));
         out
     }
 

@@ -10,23 +10,26 @@
 //! im2col gather and the `[OC, M] → NCHW` shuffle entirely and write
 //! epilogued NCHW output straight from the input activation
 //! ([`axnn_tensor::conv_direct`]); the rest run the fused GEMM over the
-//! planned column matrix. All scratch buffers are planned once per
-//! `(model fingerprint, input shape)` into a reused arena; steady-state
-//! calls hit the plan cache and allocate nothing but the returned output
-//! tensor.
+//! planned column matrix. All scratch buffers are planned once per input
+//! shape into a reused arena; steady-state calls hit the plan cache and
+//! allocate nothing but the returned output tensor.
 //!
 //! The arithmetic seam is [`GemmBackend`]: the exact f32 core, the
 //! fake-quant core (`axnn-quant`), and the packed-LUT approximate core
 //! (`axnn-proxsim`) all plug in behind the one trait via
 //! [`LayerExecutor::compile_backend`](crate::LayerExecutor::compile_backend).
-//! Every backend is required to be *bit-identical* to the interpreter path;
-//! executors without a compiled equivalent (e.g. gradient estimation with a
-//! non-constant error model, which needs an extra exact GEMM even at eval)
-//! return `None` and the whole model falls back to the interpreter.
+//! Every backend is required to be *bit-identical* to the interpreter path.
+//! Compilation is total for all three families (gradient estimation only
+//! changes the backward pass, so an attached error model compiles to the
+//! plain approximate core); the non-GEMM ops call the same `_into` kernels
+//! as their layers. The [`Sequential`] interpreter remains the training
+//! engine and the test oracle.
 
 use crate::act::ActivationKind;
 use crate::executor::ExecutorKind;
+use crate::extra_layers::max_pool_into;
 use crate::layer::Layer;
+use crate::pool::{avg_pool_into, flatten_into, global_avg_pool_into};
 use crate::seq::Sequential;
 use axnn_tensor::gemm::Epilogue;
 use axnn_tensor::im2col::{gemm_out_to_nchw_into, im2col_into, ConvGeometry};
@@ -36,8 +39,12 @@ use std::fmt;
 
 /// Why a model (or one of its layers/executors) could not be compiled.
 ///
-/// Not an error in the failure sense: callers fall back to the
-/// [`Sequential`] interpreter, which supports everything.
+/// A real error: every built-in executor family compiles, so this only
+/// surfaces for a layer with no lowering (e.g. a bare [`BatchNorm2d`]
+/// outside a conv block) or a custom executor without a compiled backend.
+/// Callers report it; there is no interpreter fallback.
+///
+/// [`BatchNorm2d`]: crate::BatchNorm2d
 #[derive(Debug, Clone)]
 pub struct Unsupported {
     reason: String,
@@ -191,20 +198,6 @@ impl Op {
                 shape
             }
         }
-    }
-
-    fn name(&self) -> &str {
-        let span = match self {
-            Op::Conv { span, .. }
-            | Op::Linear { span, .. }
-            | Op::Act { span, .. }
-            | Op::AvgPool { span, .. }
-            | Op::MaxPool { span, .. }
-            | Op::GlobalAvgPool { span }
-            | Op::Flatten { span }
-            | Op::Residual { span, .. } => span,
-        };
-        span.strip_prefix("graph:exec:").unwrap_or(span)
     }
 }
 
@@ -487,20 +480,6 @@ fn plan_seq(ops: &[Op], in_shape: &[usize]) -> Vec<OpPlan> {
         .collect()
 }
 
-/// Copies channels `[c0, c0 + cg)` of NCHW `x` into `dst` (`[N, cg, H, W]`).
-fn copy_channel_slice(x: &Tensor, c0: usize, dst: &mut Tensor) {
-    let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-    let cg = dst.shape()[1];
-    let hw = h * w;
-    let src = x.as_slice();
-    let out = dst.as_mut_slice();
-    for ni in 0..n {
-        let s0 = (ni * c + c0) * hw;
-        let d0 = ni * cg * hw;
-        out[d0..d0 + cg * hw].copy_from_slice(&src[s0..s0 + cg * hw]);
-    }
-}
-
 fn exec_seq(ops: &mut [Op], plans: &mut [OpPlan], input: &Tensor) {
     debug_assert_eq!(ops.len(), plans.len(), "plan shape drifted from graph");
     for (i, op) in ops.iter_mut().enumerate() {
@@ -567,7 +546,7 @@ fn exec_op(op: &mut Op, x: &Tensor, plan: &mut OpPlan) {
                 let xg: &Tensor = match in_slice {
                     None => x,
                     Some(slice) => {
-                        copy_channel_slice(x, g * cg, slice);
+                        x.slice_channels_into(g * cg, slice);
                         slice
                     }
                 };
@@ -588,111 +567,38 @@ fn exec_op(op: &mut Op, x: &Tensor, plan: &mut OpPlan) {
             Op::Linear {
                 span,
                 in_features,
-                out_features,
                 bias,
                 ep,
                 backend,
+                ..
             },
             OpPlan::Linear { col, gemm, out },
         ) => {
             let _s = axnn_obs::span(span);
-            let n = x.shape()[0];
-            assert_eq!(x.shape(), &[n, *in_features]);
-            let (inf, outf) = (*in_features, *out_features);
-            {
-                let xs = x.as_slice();
-                let cs = col.as_mut_slice();
-                for i in 0..n {
-                    for f in 0..inf {
-                        cs[f * n + i] = xs[i * inf + f];
-                    }
-                }
-            }
+            assert_eq!(x.shape(), &[x.shape()[0], *in_features]);
+            x.transpose2_into(col);
             backend.forward(col, bias.as_deref(), *ep, gemm.as_mut_slice());
-            let gs = gemm.as_slice();
-            let os = out.as_mut_slice();
-            for i in 0..n {
-                for r in 0..outf {
-                    os[i * outf + r] = gs[r * n + i];
-                }
-            }
+            gemm.transpose2_into(out);
         }
         (Op::Act { span, kind }, OpPlan::Simple { out }) => {
             let _s = axnn_obs::span(span);
-            for (d, &v) in out.as_mut_slice().iter_mut().zip(x.as_slice()) {
-                *d = kind.apply(v);
-            }
+            kind.apply_into(x, out);
         }
         (Op::AvgPool { span, kernel }, OpPlan::Simple { out }) => {
             let _s = axnn_obs::span(span);
-            let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-            let k = *kernel;
-            let (oh, ow) = (h / k, w / k);
-            let src = x.as_slice();
-            let dst = out.as_mut_slice();
-            let inv = 1.0 / (k * k) as f32;
-            for ni in 0..n {
-                for ci in 0..c {
-                    let in_base = (ni * c + ci) * h * w;
-                    let out_base = (ni * c + ci) * oh * ow;
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let mut acc = 0.0;
-                            for ky in 0..k {
-                                for kx in 0..k {
-                                    acc += src[in_base + (oy * k + ky) * w + ox * k + kx];
-                                }
-                            }
-                            dst[out_base + oy * ow + ox] = acc * inv;
-                        }
-                    }
-                }
-            }
+            avg_pool_into(x, *kernel, out);
         }
         (Op::MaxPool { span, kernel }, OpPlan::Simple { out }) => {
             let _s = axnn_obs::span(span);
-            let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-            let k = *kernel;
-            let (oh, ow) = (h / k, w / k);
-            let src = x.as_slice();
-            let dst = out.as_mut_slice();
-            for ni in 0..n {
-                for ci in 0..c {
-                    let in_base = (ni * c + ci) * h * w;
-                    let out_base = (ni * c + ci) * oh * ow;
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let mut best = src[in_base + (oy * k) * w + ox * k];
-                            for ky in 0..k {
-                                for kx in 0..k {
-                                    let v = src[in_base + (oy * k + ky) * w + ox * k + kx];
-                                    if v > best {
-                                        best = v;
-                                    }
-                                }
-                            }
-                            dst[out_base + oy * ow + ox] = best;
-                        }
-                    }
-                }
-            }
+            max_pool_into(x, *kernel, out, None);
         }
         (Op::GlobalAvgPool { span }, OpPlan::Simple { out }) => {
             let _s = axnn_obs::span(span);
-            let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-            let hw = (h * w) as f32;
-            let src = x.as_slice();
-            let dst = out.as_mut_slice();
-            for ni in 0..n {
-                for ci in 0..c {
-                    let base = (ni * c + ci) * h * w;
-                    dst[ni * c + ci] = src[base..base + h * w].iter().sum::<f32>() / hw;
-                }
-            }
+            global_avg_pool_into(x, out);
         }
         (Op::Flatten { span }, OpPlan::Simple { out }) => {
             let _s = axnn_obs::span(span);
-            out.as_mut_slice().copy_from_slice(x.as_slice());
+            flatten_into(x, out);
         }
         (
             Op::Residual {
@@ -726,99 +632,6 @@ fn exec_op(op: &mut Op, x: &Tensor, plan: &mut OpPlan) {
     }
 }
 
-fn count_gemm_ops(ops: &[Op]) -> usize {
-    ops.iter()
-        .map(|op| match op {
-            Op::Conv { .. } | Op::Linear { .. } => 1,
-            Op::Residual { main, shortcut, .. } => {
-                count_gemm_ops(main) + shortcut.as_ref().map_or(0, |s| count_gemm_ops(s))
-            }
-            _ => 0,
-        })
-        .sum()
-}
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
-/// FNV-1a over the architecture description, executor kinds, and parameter
-/// bits — two models collide only if they are the same frozen network.
-fn fingerprint(net: &mut Sequential) -> u64 {
-    let mut h = Fnv::new();
-    h.eat(net.describe().as_bytes());
-    net.visit_gemm_cores(&mut |core| {
-        h.eat(core.executor.kind().to_string().as_bytes());
-        for &d in core.weight.value.shape() {
-            h.eat(&(d as u64).to_le_bytes());
-        }
-        for &v in core.weight.value.as_slice() {
-            h.eat(&v.to_bits().to_le_bytes());
-        }
-        if let Some(b) = &core.bias {
-            for &v in b.value.as_slice() {
-                h.eat(&v.to_bits().to_le_bytes());
-            }
-        }
-    });
-    h.0
-}
-
-/// A lowered, fused model graph (architecture + frozen arithmetic cores).
-pub struct CompiledGraph {
-    ops: Vec<Op>,
-    fingerprint: u64,
-}
-
-impl CompiledGraph {
-    /// Fingerprint of the frozen model this graph was compiled from.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Number of top-level ops.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the graph has no ops.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Number of fused GEMM ops (conv + linear), including inside residuals.
-    pub fn gemm_op_count(&self) -> usize {
-        count_gemm_ops(&self.ops)
-    }
-
-    /// Top-level op names, e.g. for debug dumps.
-    pub fn op_names(&self) -> Vec<String> {
-        self.ops.iter().map(|op| op.name().to_string()).collect()
-    }
-}
-
-impl fmt::Debug for CompiledGraph {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "CompiledGraph[{} ops, fp {:016x}: {}]",
-            self.ops.len(),
-            self.fingerprint,
-            self.op_names().join(" -> ")
-        )
-    }
-}
-
 /// Cache-hit/miss statistics of a [`GraphExecutor`]'s plan cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
@@ -840,15 +653,17 @@ impl PlanCacheStats {
     }
 }
 
-/// Executes a [`CompiledGraph`] with per-shape plan caching.
+/// A lowered, fused model graph with per-shape plan caching.
 ///
-/// Plans (arena buffers) are keyed by `(model fingerprint, input shape)`;
-/// steady-state inference over repeated batch shapes hits the cache and
-/// performs no allocation beyond the returned output tensor. Eval-mode
-/// only — training still goes through the [`Sequential`] interpreter.
+/// Plans (arena buffers) are keyed by input shape alone: the backends hold
+/// weight copies frozen at compile time, so one executor's arithmetic
+/// never changes under it. Steady-state inference over repeated batch
+/// shapes hits the cache and performs no allocation beyond the returned
+/// output tensor. Eval-mode only — training still goes through the
+/// [`Sequential`] interpreter.
 pub struct GraphExecutor {
-    graph: CompiledGraph,
-    plans: HashMap<(u64, Vec<usize>), Vec<OpPlan>>,
+    ops: Vec<Op>,
+    plans: HashMap<Vec<usize>, Vec<OpPlan>>,
     stats: PlanCacheStats,
 }
 
@@ -856,8 +671,8 @@ impl fmt::Debug for GraphExecutor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "GraphExecutor[{:?}, {} plans, {:?}]",
-            self.graph,
+            "GraphExecutor[{} ops, {} plans, {:?}]",
+            self.ops.len(),
             self.plans.len(),
             self.stats
         )
@@ -868,29 +683,25 @@ impl GraphExecutor {
     /// Compiles a frozen model into a fused graph.
     ///
     /// Folds batch norm into conv weights first (mutating `net`, so the
-    /// interpreter and the compiled graph share identical folded weights),
-    /// then lowers each layer via [`Layer::lower`]. Returns `Err` when any
-    /// layer or executor has no compiled equivalent; callers then fall back
-    /// to the interpreter.
+    /// interpreter oracle and the compiled graph share identical folded
+    /// weights), then lowers each layer via [`Layer::lower`].
+    ///
+    /// # Errors
+    ///
+    /// Succeeds for every built-in executor family (exact, quantized,
+    /// approximate with or without a gradient-estimation model). Returns
+    /// [`Unsupported`] only for a layer with no lowering or a custom
+    /// executor without a compiled backend.
     pub fn compile(net: &mut Sequential) -> Result<Self, Unsupported> {
         let _s = axnn_obs::span("graph:compile");
         net.fold_batch_norm();
-        let fingerprint = fingerprint(net);
         let mut builder = GraphBuilder::new();
         net.lower(&mut builder)?;
         Ok(Self {
-            graph: CompiledGraph {
-                ops: builder.ops,
-                fingerprint,
-            },
+            ops: builder.ops,
             plans: HashMap::new(),
             stats: PlanCacheStats::default(),
         })
-    }
-
-    /// The compiled graph.
-    pub fn graph(&self) -> &CompiledGraph {
-        &self.graph
     }
 
     /// Number of cached buffer plans (distinct input shapes seen).
@@ -916,11 +727,10 @@ impl GraphExecutor {
     /// Bit-identical to `Sequential::forward(input, Mode::Eval)` on the
     /// folded source model.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let key = (self.graph.fingerprint, input.shape().to_vec());
-        if let Some(plans) = self.plans.get_mut(&key) {
+        if let Some(plans) = self.plans.get_mut(input.shape()) {
             self.stats.hits += 1;
             axnn_obs::count(axnn_obs::Counter::PlanCacheHits, 1);
-            exec_seq(&mut self.graph.ops, plans, input);
+            exec_seq(&mut self.ops, plans, input);
             return plans
                 .last()
                 .map_or_else(|| input.clone(), |p| p.out().clone());
@@ -929,13 +739,13 @@ impl GraphExecutor {
         axnn_obs::count(axnn_obs::Counter::PlanCacheMisses, 1);
         let mut plans = {
             let _s = axnn_obs::span("graph:plan");
-            plan_seq(&self.graph.ops, input.shape())
+            plan_seq(&self.ops, input.shape())
         };
-        exec_seq(&mut self.graph.ops, &mut plans, input);
+        exec_seq(&mut self.ops, &mut plans, input);
         let out = plans
             .last()
             .map_or_else(|| input.clone(), |p| p.out().clone());
-        self.plans.insert(key, plans);
+        self.plans.insert(input.shape().to_vec(), plans);
         out
     }
 }
@@ -1145,8 +955,16 @@ mod tests {
             Box::new(Activation::new(ActivationKind::Relu)),
         ]);
         let exec = GraphExecutor::compile(&mut net).expect("mlp lowers");
-        assert_eq!(exec.graph().len(), 1, "relu fused into the linear op");
-        assert_eq!(exec.graph().gemm_op_count(), 1);
+        assert!(
+            matches!(
+                exec.ops.as_slice(),
+                [Op::Linear {
+                    ep: Epilogue::Relu,
+                    ..
+                }]
+            ),
+            "relu fused into the linear op"
+        );
     }
 
     #[test]
@@ -1171,7 +989,7 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_layer_reports_fallback() {
+    fn unsupported_layer_is_an_error() {
         let mut rng = Rng::seed(47);
         let mut net = Sequential::new(vec![
             Box::new(crate::bn::BatchNorm2d::new(3)) as Box<dyn Layer>,

@@ -137,8 +137,8 @@ pub trait Layer: Send {
 
     /// Lowers this layer into compiled graph ops (see
     /// [`GraphExecutor::compile`](crate::GraphExecutor::compile)), pushing
-    /// onto `builder` in execution order. Default: unsupported — the model
-    /// containing this layer falls back to the interpreter.
+    /// onto `builder` in execution order. Default: unsupported — compiling
+    /// a model containing this layer returns the error.
     fn lower(&self, builder: &mut crate::GraphBuilder) -> Result<(), crate::Unsupported> {
         let _ = builder;
         Err(crate::Unsupported::new(format!(

@@ -69,9 +69,7 @@ pub use checkpoint::{Checkpoint, ParseCheckpointError, RestoreCheckpointError};
 pub use conv::Conv2d;
 pub use executor::{ExactExecutor, ExecOutput, ExecutorKind, LayerExecutor};
 pub use extra_layers::{Dropout, MaxPool2d};
-pub use graph::{
-    CompiledGraph, GemmBackend, GraphBuilder, GraphExecutor, PlanCacheStats, Unsupported,
-};
+pub use graph::{GemmBackend, GraphBuilder, GraphExecutor, PlanCacheStats, Unsupported};
 pub use layer::{GemmCore, Layer, Mode};
 pub use linear::Linear;
 pub use param::Param;

@@ -3,6 +3,55 @@
 use crate::layer::{Layer, Mode};
 use axnn_tensor::Tensor;
 
+/// Non-overlapping `k`×`k` average pool of NCHW `x` into `out`
+/// (`[N, C, H/k, W/k]`) — the one kernel behind [`AvgPool2d`] and the
+/// compiled graph's pool op.
+pub(crate) fn avg_pool_into(x: &Tensor, k: usize, out: &mut Tensor) {
+    let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+    let (oh, ow) = (h / k, w / k);
+    assert_eq!(out.shape(), &[n, c, oh, ow], "avg pool output shape");
+    let src = x.as_slice();
+    let dst = out.as_mut_slice();
+    let inv = 1.0 / (k * k) as f32;
+    for ni in 0..n {
+        for ci in 0..c {
+            let in_base = (ni * c + ci) * h * w;
+            let out_base = (ni * c + ci) * oh * ow;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = 0.0;
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            acc += src[in_base + (oy * k + ky) * w + ox * k + kx];
+                        }
+                    }
+                    dst[out_base + oy * ow + ox] = acc * inv;
+                }
+            }
+        }
+    }
+}
+
+/// Global average pool of NCHW `x` into `out` (`[N, C]`).
+pub(crate) fn global_avg_pool_into(x: &Tensor, out: &mut Tensor) {
+    let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+    assert_eq!(out.shape(), &[n, c], "global pool output shape");
+    let hw = (h * w) as f32;
+    let src = x.as_slice();
+    let dst = out.as_mut_slice();
+    for ni in 0..n {
+        for ci in 0..c {
+            let base = (ni * c + ci) * h * w;
+            dst[ni * c + ci] = src[base..base + h * w].iter().sum::<f32>() / hw;
+        }
+    }
+}
+
+/// Flattens `x` into `out` (`[N, prod]`, same element count).
+pub(crate) fn flatten_into(x: &Tensor, out: &mut Tensor) {
+    out.as_mut_slice().copy_from_slice(x.as_slice());
+}
+
 /// Non-overlapping average pooling with a square window.
 ///
 /// ```
@@ -48,28 +97,8 @@ impl Layer for AvgPool2d {
             h % k == 0 && w % k == 0,
             "input not divisible by pool kernel"
         );
-        let (oh, ow) = (h / k, w / k);
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let src = input.as_slice();
-        let dst = out.as_mut_slice();
-        let inv = 1.0 / (k * k) as f32;
-        for ni in 0..n {
-            for ci in 0..c {
-                let in_base = (ni * c + ci) * h * w;
-                let out_base = (ni * c + ci) * oh * ow;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = 0.0;
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                acc += src[in_base + (oy * k + ky) * w + ox * k + kx];
-                            }
-                        }
-                        dst[out_base + oy * ow + ox] = acc * inv;
-                    }
-                }
-            }
-        }
+        let mut out = Tensor::zeros(&[n, c, h / k, w / k]);
+        avg_pool_into(input, k, &mut out);
         self.cache_shape = (mode == Mode::Train).then_some([n, c, h, w]);
         out
     }
@@ -140,16 +169,8 @@ impl Layer for GlobalAvgPool {
             input.shape()[2],
             input.shape()[3],
         );
-        let hw = (h * w) as f32;
         let mut out = Tensor::zeros(&[n, c]);
-        let src = input.as_slice();
-        let dst = out.as_mut_slice();
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * h * w;
-                dst[ni * c + ci] = src[base..base + h * w].iter().sum::<f32>() / hw;
-            }
-        }
+        global_avg_pool_into(input, &mut out);
         self.cache_shape = (mode == Mode::Train).then_some([n, c, h, w]);
         out
     }
@@ -204,12 +225,10 @@ impl Flatten {
 
 impl Layer for Flatten {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let n = input.shape()[0];
-        let rest: usize = input.shape()[1..].iter().product();
+        let mut out = Tensor::zeros(&self.output_shape(input.shape()));
+        flatten_into(input, &mut out);
         self.cache_shape = (mode == Mode::Train).then(|| input.shape().to_vec());
-        input
-            .reshape(&[n, rest])
-            .expect("flatten is size-preserving")
+        out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

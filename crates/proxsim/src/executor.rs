@@ -6,7 +6,7 @@ use crate::signed_lut::SignedLut;
 use axnn_axmul::adder::Adder;
 use axnn_axmul::Multiplier;
 use axnn_nn::{ExecOutput, ExecutorKind, Layer, LayerExecutor, Mode, Sequential};
-use axnn_quant::{ActRangeCalibrator, QuantSpec, Quantizer};
+use axnn_quant::{batch_quantizer, ActRangeCalibrator, QuantSpec, Quantizer};
 use axnn_tensor::{gemm, Tensor};
 use std::sync::Arc;
 
@@ -21,6 +21,8 @@ use std::sync::Arc;
 ///   an error model is attached, the upstream gradient is scaled by
 ///   `1 + f'(y)` evaluated on the *accurate* quantized output (eq. 10/12) —
 ///   gradient estimation. A constant model degenerates to the plain STE.
+///   The scale is only computed in [`Mode::Train`]: the forward output
+///   never depends on the error model.
 #[derive(Debug)]
 pub struct ApproxExecutor {
     lut: Arc<SignedLut>,
@@ -97,16 +99,22 @@ impl ApproxExecutor {
         self.lut.name()
     }
 
-    fn batch_x_quantizer(&mut self, col: &Tensor) -> Option<Quantizer> {
-        if self.x_quantizer.is_none() {
-            if let Some(q) = self.calibrator.freeze(self.x_spec) {
-                self.x_quantizer = Some(q);
-            }
+    /// The frozen activation quantizer, freezing the calibrator's winner
+    /// when none is set yet (`None` before any calibration data).
+    fn frozen_x_quantizer(&self) -> Option<Quantizer> {
+        self.x_quantizer
+            .or_else(|| self.calibrator.freeze(self.x_spec))
+    }
+
+    /// Layer-wise weight quantizer from the current abs-max (step 1 for
+    /// all-zero weights, whose codes are all zero anyway).
+    fn weight_quantizer(&self, wmat: &Tensor) -> Quantizer {
+        let w_abs = wmat.abs_max();
+        if w_abs > 0.0 {
+            Quantizer::for_abs_max(w_abs, self.w_spec)
+        } else {
+            Quantizer::with_step(1.0, self.w_spec)
         }
-        self.x_quantizer.or_else(|| {
-            let abs_max = col.abs_max();
-            (abs_max > 0.0).then(|| Quantizer::for_abs_max(abs_max, self.x_spec))
-        })
     }
 
     /// Records the per-layer health metrics for one forward call: clip
@@ -183,42 +191,32 @@ impl LayerExecutor for ApproxExecutor {
             self.calibrator.observe(wmat, col, self.x_spec);
             self.x_quantizer = None;
         }
-        let w_abs = wmat.abs_max();
-        let wq = if w_abs > 0.0 {
-            Quantizer::for_abs_max(w_abs, self.w_spec)
-        } else {
-            Quantizer::with_step(1.0, self.w_spec)
-        };
-        let xq = self
-            .batch_x_quantizer(col)
-            .unwrap_or_else(|| Quantizer::with_step(1.0, self.x_spec));
+        let wq = self.weight_quantizer(wmat);
+        self.x_quantizer = self.frozen_x_quantizer();
+        let xq = batch_x_quantizer(self.x_quantizer, col, self.x_spec);
 
         let (w_codes, w_eff) = wq.quantize_tensor(wmat);
         let (x_codes, col_eff) = xq.quantize_tensor(col);
         let (oc, k) = (wmat.shape()[0], wmat.shape()[1]);
         let m = col.shape()[1];
         let scale = wq.step() * xq.step();
-        let y = match &self.adder {
-            Some(adder) => approx_matmul_with_adder(
-                &w_codes,
-                &x_codes,
-                oc,
-                k,
-                m,
-                &self.lut,
-                adder.as_ref(),
-                scale,
-            ),
-            None => approx_matmul(&w_codes, &x_codes, oc, k, m, &self.lut, scale),
-        };
+        let y = approx_gemm(
+            &self.lut,
+            self.adder.as_deref(),
+            &w_codes,
+            &x_codes,
+            [oc, k, m],
+            scale,
+        );
 
         // GE needs f'(y) on the accurate quantized output y_q (eq. 10);
-        // compute it only when a non-constant model is attached. The model
-        // is fitted in integer-accumulator (code-product) units, which are
-        // scale-invariant across layers, so evaluate on y_exact / scale.
+        // compute it only when training with a non-constant model. The
+        // model is fitted in integer-accumulator (code-product) units,
+        // which are scale-invariant across layers, so evaluate on
+        // y_exact / scale.
         let mut ge_codes = None;
         let grad_scale = match &self.error_model {
-            Some(model) if !model.is_constant() => {
+            Some(model) if mode == Mode::Train && !model.is_constant() => {
                 if axnn_obs::enabled() {
                     axnn_obs::count(axnn_obs::Counter::GemmMacs, (oc * k * m) as u64);
                 }
@@ -266,35 +264,46 @@ impl LayerExecutor for ApproxExecutor {
     }
 
     fn compile_backend(&self, wmat: &Tensor) -> Option<Box<dyn axnn_nn::GemmBackend>> {
-        // Gradient estimation needs the exact reference GEMM on every
-        // forward (eq. 10) — that defeats the fused inference path, so a
-        // sloped error model keeps the whole model on the interpreter.
-        if let Some(model) = &self.error_model {
-            if !model.is_constant() {
-                return None;
-            }
-        }
         // Weights are frozen at compile time: quantize them to codes once
-        // with the same abs-max chain as the interpreter forward.
-        let w_abs = wmat.abs_max();
-        let wq = if w_abs > 0.0 {
-            Quantizer::for_abs_max(w_abs, self.w_spec)
-        } else {
-            Quantizer::with_step(1.0, self.w_spec)
-        };
+        // with the same abs-max chain as the interpreter forward. The error
+        // model only shapes the training backward (eq. 12), so it has no
+        // part in the compiled core.
+        let wq = self.weight_quantizer(wmat);
         let (w_codes, _) = wq.quantize_tensor(wmat);
         Some(Box::new(ApproxBackend {
             lut: Arc::clone(&self.lut),
             adder: self.adder.clone(),
             w_codes,
             wq_step: wq.step(),
-            x_quantizer: self
-                .x_quantizer
-                .or_else(|| self.calibrator.freeze(self.x_spec)),
+            x_quantizer: self.frozen_x_quantizer(),
             x_spec: self.x_spec,
             oc: wmat.shape()[0],
             k: wmat.shape()[1],
         }))
+    }
+}
+
+/// The activation quantizer for one batch of an approximate GEMM: the
+/// shared frozen/dynamic chain, with step 1 for an all-zero batch (whose
+/// codes are all zero anyway).
+fn batch_x_quantizer(frozen: Option<Quantizer>, col: &Tensor, spec: QuantSpec) -> Quantizer {
+    batch_quantizer(frozen, col, spec).unwrap_or_else(|| Quantizer::with_step(1.0, spec))
+}
+
+/// The `[oc, k] x [k, m]` approximate GEMM over quantized codes:
+/// LUT-served products accumulated exactly, or through `adder` when one
+/// is attached, then rescaled by `scale`.
+fn approx_gemm(
+    lut: &SignedLut,
+    adder: Option<&dyn Adder>,
+    w_codes: &[i32],
+    x_codes: &[i32],
+    [oc, k, m]: [usize; 3],
+    scale: f32,
+) -> Tensor {
+    match adder {
+        Some(adder) => approx_matmul_with_adder(w_codes, x_codes, oc, k, m, lut, adder, scale),
+        None => approx_matmul(w_codes, x_codes, oc, k, m, lut, scale),
     }
 }
 
@@ -325,13 +334,7 @@ impl axnn_nn::GemmBackend for ApproxBackend {
     }
 
     fn forward(&mut self, col: &Tensor, bias: Option<&[f32]>, ep: gemm::Epilogue, out: &mut [f32]) {
-        let xq = self
-            .x_quantizer
-            .or_else(|| {
-                let abs_max = col.abs_max();
-                (abs_max > 0.0).then(|| Quantizer::for_abs_max(abs_max, self.x_spec))
-            })
-            .unwrap_or_else(|| Quantizer::with_step(1.0, self.x_spec));
+        let xq = batch_x_quantizer(self.x_quantizer, col, self.x_spec);
         let x_codes: Vec<i32> = col
             .as_slice()
             .iter()
@@ -339,27 +342,14 @@ impl axnn_nn::GemmBackend for ApproxBackend {
             .collect();
         let m = col.shape()[1];
         let scale = self.wq_step * xq.step();
-        let y = match &self.adder {
-            Some(adder) => approx_matmul_with_adder(
-                &self.w_codes,
-                &x_codes,
-                self.oc,
-                self.k,
-                m,
-                &self.lut,
-                adder.as_ref(),
-                scale,
-            ),
-            None => approx_matmul(
-                &self.w_codes,
-                &x_codes,
-                self.oc,
-                self.k,
-                m,
-                &self.lut,
-                scale,
-            ),
-        };
+        let y = approx_gemm(
+            &self.lut,
+            self.adder.as_deref(),
+            &self.w_codes,
+            &x_codes,
+            [self.oc, self.k, m],
+            scale,
+        );
         let ys = y.as_slice();
         match bias {
             Some(b) => {
@@ -665,14 +655,17 @@ mod tests {
         let col = init::uniform(&[16, 8], -1.0, 1.0, &mut rng);
         let bias: Vec<f32> = (0..4).map(|i| 0.05 * i as f32 - 0.1).collect();
         let l = lut(&TruncatedMul::new(5));
+        let sloped = PiecewiseLinearError::new(-0.05, 0.0, -10.0, 10.0);
         let variants: Vec<ApproxExecutor> = vec![
             ApproxExecutor::new(Arc::clone(&l), None),
             ApproxExecutor::new(Arc::clone(&l), Some(PiecewiseLinearError::constant(-0.3))),
+            // GE only scales the backward, so a sloped model compiles too.
+            ApproxExecutor::new(Arc::clone(&l), Some(sloped)),
             ApproxExecutor::new(Arc::clone(&l), None).with_adder(Arc::new(LoaAdder::new(5))),
         ];
         for mut ex in variants {
             let y = ex.forward(&wmat, &col, Mode::Eval).y;
-            let mut backend = ex.compile_backend(&wmat).expect("compiles without GE");
+            let mut backend = ex.compile_backend(&wmat).expect("every variant compiles");
             assert_eq!(backend.out_rows(), 4);
             assert_eq!(backend.kind(), ExecutorKind::Approximate);
             let mut out = vec![0.0f32; 4 * 8];
@@ -691,15 +684,17 @@ mod tests {
     }
 
     #[test]
-    fn sloped_error_model_blocks_compilation() {
+    fn grad_scale_is_train_only() {
         let mut rng = Rng::seed(78);
         let wmat = init::uniform(&[2, 4], -0.5, 0.5, &mut rng);
+        let col = init::uniform(&[4, 3], -1.0, 1.0, &mut rng);
         let sloped = PiecewiseLinearError::new(-0.05, 0.0, -10.0, 10.0);
-        let ge = ApproxExecutor::new(lut(&TruncatedMul::new(5)), Some(sloped));
-        assert!(
-            ge.compile_backend(&wmat).is_none(),
-            "GE needs the reference GEMM every call; must fall back"
-        );
+        let mut ge = ApproxExecutor::new(lut(&TruncatedMul::new(5)), Some(sloped));
+        let train = ge.forward(&wmat, &col, Mode::Train);
+        let eval = ge.forward(&wmat, &col, Mode::Eval);
+        assert!(train.grad_scale.is_some());
+        assert!(eval.grad_scale.is_none(), "eval needs no backward scale");
+        assert_eq!(train.y, eval.y, "the scale never touches the forward");
     }
 
     #[test]

@@ -57,6 +57,21 @@ impl ActRangeCalibrator {
     }
 }
 
+/// The activation quantizer for one batch: `frozen` when calibration
+/// produced one, else a dynamic abs-max quantizer of `col` (`None` for an
+/// all-zero batch). The interpreter forwards and the compiled backends of
+/// both quantizing executors resolve through this one chain.
+pub fn batch_quantizer(
+    frozen: Option<Quantizer>,
+    col: &Tensor,
+    spec: QuantSpec,
+) -> Option<Quantizer> {
+    frozen.or_else(|| {
+        let abs_max = col.abs_max();
+        (abs_max > 0.0).then(|| Quantizer::for_abs_max(abs_max, spec))
+    })
+}
+
 /// The 8A4W fake-quantization executor.
 ///
 /// Forward: weights are quantized layer-wise from their current abs-max
@@ -149,18 +164,26 @@ impl QuantExecutor {
         (abs_max > 0.0).then(|| Quantizer::for_abs_max(abs_max, self.w_spec))
     }
 
-    /// Activation quantizer for this batch: the frozen one, else a dynamic
-    /// abs-max fallback (used if the network was never calibrated).
-    fn batch_x_quantizer(&mut self, col: &Tensor) -> Option<Quantizer> {
-        if self.x_quantizer.is_none() {
-            if let Some(q) = self.calibrator.freeze(self.x_spec) {
-                self.x_quantizer = Some(q);
-            }
+    /// The frozen activation quantizer, freezing the calibrator's winner
+    /// when none is set yet (`None` before any calibration data).
+    fn frozen_x_quantizer(&self) -> Option<Quantizer> {
+        self.x_quantizer
+            .or_else(|| self.calibrator.freeze(self.x_spec))
+    }
+
+    /// The effective (fake-quantized) weights, plus the layer-wise weight
+    /// quantizer when one applies (not for the per-channel ablation or
+    /// all-zero weights).
+    fn quantize_weights(&self, wmat: &Tensor) -> (Tensor, Option<Quantizer>) {
+        if self.per_channel {
+            return (self.fake_quant_per_channel(wmat), None);
         }
-        self.x_quantizer.or_else(|| {
-            let abs_max = col.abs_max();
-            (abs_max > 0.0).then(|| Quantizer::for_abs_max(abs_max, self.x_spec))
-        })
+        let w_q = self.weight_quantizer(wmat);
+        let w_eff = match &w_q {
+            Some(q) => q.fake_quant_tensor(wmat),
+            None => wmat.clone(),
+        };
+        (w_eff, w_q)
     }
 }
 
@@ -170,17 +193,9 @@ impl LayerExecutor for QuantExecutor {
             self.calibrator.observe(wmat, col, self.x_spec);
             self.x_quantizer = None; // re-freeze after more data
         }
-        let mut w_q = None;
-        let w_eff = if self.per_channel {
-            self.fake_quant_per_channel(wmat)
-        } else {
-            w_q = self.weight_quantizer(wmat);
-            match &w_q {
-                Some(q) => q.fake_quant_tensor(wmat),
-                None => wmat.clone(),
-            }
-        };
-        let x_q = self.batch_x_quantizer(col);
+        let (w_eff, w_q) = self.quantize_weights(wmat);
+        self.x_quantizer = self.frozen_x_quantizer();
+        let x_q = batch_quantizer(self.x_quantizer, col, self.x_spec);
         let col_eff = match &x_q {
             Some(q) => q.fake_quant_tensor(col),
             None => col.clone(),
@@ -225,20 +240,9 @@ impl LayerExecutor for QuantExecutor {
         // same frozen/dynamic chain the interpreter resolves per call:
         // freezing the calibrator here is deterministic, so a compiled
         // forward picks the identical step.
-        let w_eff = if self.per_channel {
-            self.fake_quant_per_channel(wmat)
-        } else {
-            match self.weight_quantizer(wmat) {
-                Some(q) => q.fake_quant_tensor(wmat),
-                None => wmat.clone(),
-            }
-        };
-        let x_quantizer = self
-            .x_quantizer
-            .or_else(|| self.calibrator.freeze(self.x_spec));
         Some(Box::new(QuantBackend {
-            w_eff,
-            x_quantizer,
+            w_eff: self.quantize_weights(wmat).0,
+            x_quantizer: self.frozen_x_quantizer(),
             x_spec: self.x_spec,
             col_scratch: None,
         }))
@@ -269,11 +273,7 @@ impl axnn_nn::GemmBackend for QuantBackend {
     }
 
     fn forward(&mut self, col: &Tensor, bias: Option<&[f32]>, ep: gemm::Epilogue, out: &mut [f32]) {
-        let x_q = self.x_quantizer.or_else(|| {
-            let abs_max = col.abs_max();
-            (abs_max > 0.0).then(|| Quantizer::for_abs_max(abs_max, self.x_spec))
-        });
-        let col_eff: &Tensor = match &x_q {
+        let col_eff: &Tensor = match &batch_quantizer(self.x_quantizer, col, self.x_spec) {
             Some(q) => {
                 // Same per-element fake-quant as `fake_quant_tensor`, into
                 // a reused buffer instead of a fresh allocation per call.

@@ -34,6 +34,7 @@ mod quantizer;
 
 pub use affine::AffineQuantizer;
 pub use executor::{
-    quantize_network, quantize_network_per_channel, ActRangeCalibrator, QuantExecutor,
+    batch_quantizer, quantize_network, quantize_network_per_channel, ActRangeCalibrator,
+    QuantExecutor,
 };
 pub use quantizer::{min_prop_qe, round_step_pow2, QuantSpec, Quantizer};

@@ -9,7 +9,7 @@ use crate::strategy::{better, Candidate, CandidateEval, EvoSearch, GreedySearch,
 use approxkd::resiliency::analyze_resiliency;
 use approxkd::{ExperimentEnv, Method, StageConfig};
 use axnn_axmul::catalog::Catalog;
-use axnn_nn::train::{calibrate, evaluate, evaluate_with};
+use axnn_nn::train::{calibrate, evaluate_with};
 use axnn_nn::{gemm_mac_profile, Layer};
 use axnn_proxsim::SignedLut;
 use std::sync::Arc;
@@ -57,7 +57,7 @@ pub struct SearchConfig {
 
 /// The real [`CandidateEval`]: scores an assignment by rebuilding the
 /// quantized model with the assigned per-layer executors, calibrating, and
-/// measuring validation accuracy (compiled graph where possible) plus
+/// measuring validation accuracy through the compiled graph plus
 /// MAC-weighted modeled energy. All scores go through a shared
 /// [`EvalCache`].
 pub struct Evaluator<'a> {
@@ -115,12 +115,9 @@ impl<'a> Evaluator<'a> {
             }
         });
         calibrate(&mut net, env.train_data(), batch, 2);
-        // LUT-only approximation (no GE slope) always lowers to the fused
-        // path; the interpreter fallback covers exotic layer mixes.
-        let accuracy = match axnn_nn::GraphExecutor::compile(&mut net) {
-            Ok(mut exec) => evaluate_with(|x| exec.forward(x), env.test_data(), batch),
-            Err(_) => evaluate(&mut net, env.test_data(), batch),
-        };
+        let mut exec = axnn_nn::GraphExecutor::compile(&mut net)
+            .expect("quantized and approximate executors always compile");
+        let accuracy = evaluate_with(|x| exec.forward(x), env.test_data(), batch);
         Score { accuracy, energy }
     }
 }

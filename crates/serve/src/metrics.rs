@@ -63,7 +63,7 @@ pub struct TraceRecord {
     /// Replica worker that cut the batch.
     pub replica: usize,
     /// True when the batch ran entirely on cached execution plans (no
-    /// compile miss); false on a miss or on the interpreter fallback.
+    /// plan miss); false on a miss.
     pub plan_cache_hit: bool,
 }
 

@@ -14,7 +14,7 @@ use axnn_data::resize::PreprocessSpec;
 use axnn_data::SynthCifar;
 use axnn_models::{mobilenet_v2, resnet20, resnet32, ModelConfig};
 use axnn_nn::train::calibrate;
-use axnn_nn::{Checkpoint, GraphExecutor, Layer, Mode, PlanCacheStats, Sequential};
+use axnn_nn::{Checkpoint, GraphExecutor, PlanCacheStats, Sequential};
 use axnn_proxsim::approximate_network;
 use axnn_quant::{quantize_network, QuantSpec};
 use axnn_rng::Rng;
@@ -39,10 +39,6 @@ pub struct ModelOptions {
     pub seed: u64,
     /// Calibration samples generated for the quantizing executors.
     pub calib_samples: usize,
-    /// Serve micro-batches through the compiled graph executor (fused
-    /// kernels + per-batch-shape plan cache). Models that cannot be
-    /// lowered fall back to the interpreter automatically.
-    pub compiled: bool,
 }
 
 impl Default for ModelOptions {
@@ -55,7 +51,6 @@ impl Default for ModelOptions {
             mult: "trunc5".to_string(),
             seed: 1,
             calib_samples: 64,
-            compiled: true,
         }
     }
 }
@@ -65,6 +60,19 @@ impl Default for ModelOptions {
 /// model has no BN buffers, so the serving copy must be built without BN).
 fn folds_bn(model: &str) -> bool {
     model != "mobilenetv2"
+}
+
+/// The architecture configuration a checkpoint restores into.
+fn model_config(opts: &ModelOptions) -> ModelConfig {
+    let mut cfg = ModelConfig::paper()
+        .with_width(opts.width)
+        .with_input_hw(opts.hw);
+    if folds_bn(&opts.model) {
+        // The pipeline saves the BN-folded quantized model for the
+        // ResNets (same rule as `axnn evaluate`).
+        cfg.batch_norm = false;
+    }
+    cfg
 }
 
 fn build_net(model: &str, cfg: &ModelConfig, rng: &mut Rng) -> Result<Sequential, String> {
@@ -78,14 +86,11 @@ fn build_net(model: &str, cfg: &ModelConfig, rng: &mut Rng) -> Result<Sequential
     }
 }
 
-/// A restored, executor-swapped, calibrated network ready to serve batches.
+/// A restored, executor-swapped, calibrated network, compiled into a
+/// [`GraphExecutor`] and ready to serve batches.
 #[derive(Debug)]
 pub struct ServedModel {
-    net: Sequential,
-    /// The compiled fast path; `None` when compilation was disabled or
-    /// the model could not be lowered ([`Self::fallback_reason`]).
-    compiled: Option<GraphExecutor>,
-    fallback_reason: Option<String>,
+    exec: GraphExecutor,
     channels: usize,
     hw: usize,
     classes: usize,
@@ -110,14 +115,29 @@ impl ServedModel {
     /// core of [`Self::from_checkpoint_json`]. Borrowing the checkpoint
     /// lets replica builds share one parsed copy ([`ServeSpec`]).
     pub fn from_checkpoint(ckpt: &Checkpoint, opts: &ModelOptions) -> Result<Self, String> {
-        let mut cfg = ModelConfig::paper()
-            .with_width(opts.width)
-            .with_input_hw(opts.hw);
-        if folds_bn(&opts.model) {
-            // The pipeline saves the BN-folded quantized model for the
-            // ResNets (same rule as `axnn evaluate`).
-            cfg.batch_norm = false;
-        }
+        let cfg = model_config(opts);
+        let mut net = Self::restore_net(ckpt, opts)?;
+        // Compile after calibration so the backends bake in the frozen
+        // quantizer steps.
+        let exec = GraphExecutor::compile(&mut net).map_err(|e| e.to_string())?;
+        Ok(ServedModel {
+            exec,
+            channels: cfg.input_channels,
+            hw: opts.hw,
+            classes: cfg.classes,
+            label: format!("{}/{}", opts.model, opts.executor),
+            // Resolved at checkpoint load: raw frames of any H×W×C are
+            // resized/normalized into this model's input shape.
+            preprocess: PreprocessSpec::for_input(cfg.input_channels, opts.hw),
+        })
+    }
+
+    /// Restores `ckpt` under `opts`, swaps executors and calibrates: the
+    /// interpreter network [`Self::from_checkpoint`] compiles. Once its
+    /// batch norm is folded ([`axnn_nn::Layer::fold_batch_norm`], which
+    /// compilation applies) it is the bit-exact oracle for served logits.
+    pub fn restore_net(ckpt: &Checkpoint, opts: &ModelOptions) -> Result<Sequential, String> {
+        let cfg = model_config(opts);
         let mut rng = Rng::seed(opts.seed ^ 0xdead);
         let mut net = build_net(&opts.model, &cfg, &mut rng)?;
         ckpt.restore(&mut net).map_err(|e| e.to_string())?;
@@ -138,36 +158,14 @@ impl ServedModel {
                 approximate_network(&mut net, multiplier.as_ref(), None);
             }
         }
-        let mut model = ServedModel {
-            net,
-            compiled: None,
-            fallback_reason: None,
-            channels: cfg.input_channels,
-            hw: opts.hw,
-            classes: cfg.classes,
-            label: format!("{}/{}", opts.model, opts.executor),
-            // Resolved at checkpoint load: raw frames of any H×W×C are
-            // resized/normalized into this model's input shape.
-            preprocess: PreprocessSpec::for_input(cfg.input_channels, opts.hw),
-        };
         if opts.executor != ServeExecutor::Exact {
             // Freeze the activation quantizers on a deterministic synthetic
             // split; without this, batch-dependent abs-max fallbacks would
             // break batch invariance.
             let (calib, _) = SynthCifar::new(opts.hw).generate(opts.calib_samples, 0, opts.seed);
-            calibrate(&mut model.net, &calib, 32, 2);
+            calibrate(&mut net, &calib, 32, 2);
         }
-        if opts.compiled {
-            // Compile after calibration so the backends bake in the frozen
-            // quantizer steps. Compilation folds any live batch norm into
-            // the source network, so a later interpreter fallback runs the
-            // same folded weights — the two paths stay bit-identical.
-            match GraphExecutor::compile(&mut model.net) {
-                Ok(exec) => model.compiled = Some(exec),
-                Err(e) => model.fallback_reason = Some(e.reason().to_string()),
-            }
-        }
-        Ok(model)
+        Ok(net)
     }
 
     /// Flattened input length one request must carry (`C*H*W`).
@@ -190,25 +188,27 @@ impl ServedModel {
         &self.label
     }
 
-    /// Whether micro-batches run through the compiled graph executor.
+    /// Always `true`: every model serves through the compiled graph. Kept,
+    /// like [`Self::fallback_reason`] and the `Option` of
+    /// [`Self::plan_cache_stats`], for the benchmark harness's checks.
     pub fn is_compiled(&self) -> bool {
-        self.compiled.is_some()
+        true
     }
 
-    /// Why compilation fell back to the interpreter, if it did.
+    /// Always `None`: there is no interpreter fallback.
     pub fn fallback_reason(&self) -> Option<&str> {
-        self.fallback_reason.as_deref()
+        None
     }
 
-    /// Plan-cache hit/miss totals of the compiled executor (`None` on the
-    /// interpreter fallback). Steady-state traffic re-batches into a small
-    /// set of shapes, so after warmup this should be nearly all hits.
+    /// Plan-cache hit/miss totals of the compiled executor (always `Some`).
+    /// Steady-state traffic re-batches into a small set of shapes, so after
+    /// warmup this should be nearly all hits.
     pub fn plan_cache_stats(&self) -> Option<PlanCacheStats> {
-        self.compiled.as_ref().map(|c| c.cache_stats())
+        Some(self.exec.cache_stats())
     }
 
-    /// Runs one micro-batch in [`Mode::Eval`] and splits the logits back
-    /// per request.
+    /// Runs one micro-batch through the compiled graph (eval mode) and
+    /// splits the logits back per request.
     ///
     /// Per-sample outputs are bit-identical whether a request runs alone or
     /// inside a batch: every lowered GEMM column belongs to exactly one
@@ -233,10 +233,7 @@ impl ServedModel {
         }
         let x = Tensor::from_vec(flat, &[n, self.channels, self.hw, self.hw])
             .expect("batch tensor shape");
-        let logits = match &mut self.compiled {
-            Some(exec) => exec.forward(&x),
-            None => self.net.forward(&x, Mode::Eval),
-        };
+        let logits = self.exec.forward(&x);
         let cols = logits.shape()[1];
         logits
             .as_slice()
@@ -308,6 +305,7 @@ impl ServeSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axnn_nn::{Layer, Mode};
     use axnn_tensor::init;
 
     /// A tiny untrained checkpoint: enough to exercise restore + executor
@@ -351,39 +349,32 @@ mod tests {
 
     #[test]
     fn compiled_path_matches_interpreter_and_hits_plan_cache() {
-        let ckpt = tiny_checkpoint(8, 0.2);
+        let json = tiny_checkpoint(8, 0.2);
+        let ckpt = Checkpoint::from_json(&json).unwrap();
         for executor in [
             ServeExecutor::Exact,
             ServeExecutor::Quant,
             ServeExecutor::Approx,
         ] {
-            let mut compiled = ServedModel::from_checkpoint_json(&ckpt, &opts(executor)).unwrap();
-            assert!(
-                compiled.is_compiled(),
-                "{executor} must compile: {:?}",
-                compiled.fallback_reason()
-            );
-            let mut interp_opts = opts(executor);
-            interp_opts.compiled = false;
-            let mut interp = ServedModel::from_checkpoint_json(&ckpt, &interp_opts).unwrap();
-            assert!(!interp.is_compiled());
-            assert!(interp.plan_cache_stats().is_none());
+            let mut model = ServedModel::from_checkpoint(&ckpt, &opts(executor)).unwrap();
+            let mut interp = ServedModel::restore_net(&ckpt, &opts(executor)).unwrap();
+            interp.fold_batch_norm();
 
             let mut rng = Rng::seed(31);
-            let x = init::uniform(&[compiled.input_len()], -1.0, 1.0, &mut rng);
-            let a = compiled.forward_batch(&[x.as_slice()]);
-            let b = interp.forward_batch(&[x.as_slice()]);
+            let x = init::uniform(&[1, 3, 8, 8], -1.0, 1.0, &mut rng);
+            let a = model.forward_batch(&[x.as_slice()]);
+            let b = interp.forward(&x, Mode::Eval);
             let ab: Vec<u32> = a[0].iter().map(|v| v.to_bits()).collect();
-            let bb: Vec<u32> = b[0].iter().map(|v| v.to_bits()).collect();
+            let bb: Vec<u32> = b.as_slice().iter().map(|v| v.to_bits()).collect();
             assert_eq!(
                 ab, bb,
                 "{executor}: compiled logits differ from interpreter"
             );
 
             // A second batch of the same shape must reuse the cached plan.
-            compiled.forward_batch(&[x.as_slice()]);
+            model.forward_batch(&[x.as_slice()]);
             assert_eq!(
-                compiled.plan_cache_stats(),
+                model.plan_cache_stats(),
                 Some(PlanCacheStats { hits: 1, misses: 1 }),
                 "{executor}"
             );

@@ -383,17 +383,12 @@ fn worker_loop(mut model: ServedModel, replica: usize, shared: &Shared) {
         );
         axnn_obs::record_value("serve:compute_us", compute_spec(), compute_us);
         axnn_obs::record_value("serve:replica_batches", replica_spec(), replica as f64);
-        let (pc_hits, pc_misses) = if let Some(stats) = model.plan_cache_stats() {
-            // Per-replica plan-cache hit ratio, recorded as this batch's
-            // delta so the profile's hits/total reflect serving traffic.
-            let hits = stats.hits - pc_last.hits;
-            let misses = stats.misses - pc_last.misses;
-            axnn_obs::record_ratio(&pc_label, hits, hits + misses);
-            pc_last = stats;
-            (hits, misses)
-        } else {
-            (0, 0)
-        };
+        // Per-replica plan-cache hit ratio, recorded as this batch's delta
+        // so the profile's hits/total reflect serving traffic.
+        let stats = model.plan_cache_stats().unwrap_or_default();
+        let (pc_hits, pc_misses) = (stats.hits - pc_last.hits, stats.misses - pc_last.misses);
+        axnn_obs::record_ratio(&pc_label, pc_hits, pc_hits + pc_misses);
+        pc_last = stats;
         // One metrics-plane touch per batch: queue waits are measured here
         // (before the replies go out, so a trace never races its own
         // record), and the plane assigns the batch id the traces carry.

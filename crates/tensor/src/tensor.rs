@@ -198,14 +198,26 @@ impl Tensor {
     /// Panics if the tensor is not 2-D.
     pub fn transpose2(&self) -> Self {
         assert_eq!(self.shape.len(), 2, "transpose2 requires a 2-D tensor");
+        let mut out = Self::zeros(&[self.shape[1], self.shape[0]]);
+        self.transpose2_into(&mut out);
+        out
+    }
+
+    /// Transposes a 2-D tensor into `out` (`[cols, rows]`), overwriting
+    /// every element — the allocation-free form of [`Self::transpose2`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensor is not 2-D or `out` has the wrong shape.
+    pub fn transpose2_into(&self, out: &mut Self) {
+        assert_eq!(self.shape.len(), 2, "transpose2 requires a 2-D tensor");
         let (rows, cols) = (self.shape[0], self.shape[1]);
-        let mut out = Self::zeros(&[cols, rows]);
+        assert_eq!(out.shape, [cols, rows], "transpose2 output shape");
         for r in 0..rows {
             for c in 0..cols {
                 out.data[c * rows + r] = self.data[r * cols + c];
             }
         }
-        out
     }
 
     /// Applies `f` to every element, returning a new tensor.
@@ -331,18 +343,34 @@ impl Tensor {
     /// Panics if the tensor is not 4-D or the range is out of bounds.
     pub fn slice_channels(&self, start: usize, end: usize) -> Self {
         assert_eq!(self.shape.len(), 4, "slice_channels requires NCHW");
+        let (n, h, w) = (self.shape[0], self.shape[2], self.shape[3]);
+        assert!(start <= end, "channel range out of bounds");
+        let mut out = Self::zeros(&[n, end - start, h, w]);
+        self.slice_channels_into(start, &mut out);
+        out
+    }
+
+    /// Copies channels `[start, start + G)` of an `[N, C, H, W]` tensor into
+    /// `out` (`[N, G, H, W]`) — the allocation-free form of
+    /// [`Self::slice_channels`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if either tensor is not 4-D, the batch/spatial dims differ,
+    /// or the range is out of bounds.
+    pub fn slice_channels_into(&self, start: usize, out: &mut Self) {
+        assert_eq!(self.shape.len(), 4, "slice_channels requires NCHW");
         let (n, c, h, w) = (self.shape[0], self.shape[1], self.shape[2], self.shape[3]);
-        assert!(start <= end && end <= c, "channel range out of bounds");
+        let gc = out.shape[1];
+        assert_eq!(out.shape, [n, gc, h, w], "slice_channels output shape");
+        assert!(start + gc <= c, "channel range out of bounds");
         let hw = h * w;
-        let gc = end - start;
-        let mut out = Self::zeros(&[n, gc, h, w]);
         for ni in 0..n {
             let src_base = (ni * c + start) * hw;
             let dst_base = ni * gc * hw;
             out.data[dst_base..dst_base + gc * hw]
                 .copy_from_slice(&self.data[src_base..src_base + gc * hw]);
         }
-        out
     }
 
     /// Concatenates `[N, Cᵢ, H, W]` tensors along the channel dimension.

@@ -154,33 +154,14 @@ target/release/axnn loadgen --addr "$ADDR" --connections 1 --requests 1 \
 wait "$SERVE_PID"
 echo "tier1: observability plane smoke OK"
 
-# Compiled-graph smoke: scoring the same checkpoint through the interpreter
-# and through the fused graph executor must print the same accuracy line,
-# the compiled profile must carry graph:* spans, and `obs diff` with the
-# interpreter run as baseline and the compiled run as candidate must pass
-# clean — compilation is required to be bit-identical, so any drift in the
-# work counters or health sections fails the gate.
+# Compiled-graph smoke: `evaluate` scores the checkpoint through the fused
+# graph executor (its only inference path), and the profile must carry
+# graph:* spans. Bit-identity with the interpreter oracle is a cargo test
+# (tests/graph_invariance.rs).
 target/release/axnn evaluate --checkpoint "$OBS_TMP/ckpt.json" --width 0.2 --hw 8 \
-    --test 32 --compiled false --profile "$OBS_TMP/eval_interp.jsonl" \
-    >"$OBS_TMP/eval_interp.out" 2>/dev/null
-target/release/axnn evaluate --checkpoint "$OBS_TMP/ckpt.json" --width 0.2 --hw 8 \
-    --test 32 --compiled true --profile "$OBS_TMP/eval_compiled.jsonl" \
-    >"$OBS_TMP/eval_compiled.out" 2>"$OBS_TMP/eval_compiled.err"
-if grep -q "falling back to interpreter" "$OBS_TMP/eval_compiled.err"; then
-    echo "tier1: graph compile fell back to the interpreter" >&2
-    exit 1
-fi
-if ! cmp -s "$OBS_TMP/eval_interp.out" "$OBS_TMP/eval_compiled.out"; then
-    echo "tier1: compiled evaluation accuracy differs from the interpreter" >&2
-    exit 1
-fi
+    --test 32 --profile "$OBS_TMP/eval_compiled.jsonl" >/dev/null 2>&1
 target/release/axnn obs report "$OBS_TMP/eval_compiled.jsonl" | grep -q "graph:" || {
     echo "tier1: compiled profile carries no graph:* spans" >&2
-    exit 1
-}
-target/release/axnn obs diff "$OBS_TMP/eval_interp.jsonl" "$OBS_TMP/eval_compiled.jsonl" \
-    >/dev/null || {
-    echo "tier1: obs diff flags drift between interpreter and compiled runs" >&2
     exit 1
 }
 echo "tier1: compiled graph smoke OK"

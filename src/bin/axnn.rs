@@ -59,8 +59,6 @@
 //! --profile <file.jsonl>   append a run profile (per-layer spans,
 //!                          approx-op counters, numeric-health telemetry)
 //!                          as one JSONL line
-//! --compiled true          also score the quantized model through the
-//!                          fused graph executor (reports plan-cache stats)
 //! --loader true            stream the splits through the prefetching
 //!                          dataloader (full raw-frame pipeline) instead of
 //!                          materializing them from one sequential RNG;
@@ -98,10 +96,11 @@
 //! --queue-cap <Q>            admission-control queue depth [64]
 //! --threads <T>              axnn-par worker override    [0 = default]
 //! --profile <file.jsonl>     append the serving RunProfile on drain
-//! --compiled <true|false>    fused graph executor with a per-batch-shape
-//!                            plan cache; falls back to the interpreter
-//!                            when a model cannot be lowered      [true]
 //! ```
+//!
+//! `evaluate`, `serve`, `search` and the `--checkpoint` modes of `loadgen`
+//! and `stream` run inference through the fused graph executor (per-batch-
+//! shape plan cache); the layer interpreter only trains.
 //!
 //! The server prints `serving on <addr> ...` once ready and runs until a
 //! client sends `{"cmd": "shutdown"}` (`axnn loadgen --shutdown true`
@@ -126,7 +125,7 @@
 //!
 //! `--checkpoint` mode starts an in-process server first and accepts the
 //! `serve` flags (`--model --width --hw --executor --mult --replicas
-//! --max-batch --batch-window-us --queue-cap --threads --compiled`).
+//! --max-batch --batch-window-us --queue-cap --threads`).
 
 use approxnn::approxkd::pipeline::ModelKind;
 use approxnn::approxkd::{ExperimentEnv, Method, StageConfig};
@@ -173,7 +172,6 @@ fn model_options(flags: &Flags, executor: ServeExecutor) -> Result<ModelOptions,
         mult: flags.parsed("mult", "trunc5".to_string())?,
         seed: flags.parsed("seed", 1)?,
         calib_samples: 64,
-        compiled: flags.parsed("compiled", true)?,
     })
 }
 
@@ -267,7 +265,7 @@ fn cmd_characterize(args: &[String]) -> Result<(), String> {
 fn cmd_pipeline(args: &[String]) -> Result<(), String> {
     const USAGE: &str = "axnn pipeline [--model M --mult ID --method NAME --t2 T --epochs E \
                          --fp-epochs F --seed S --width W --hw H --train N --test N \
-                         --save FILE --profile FILE --compiled true --loader true \
+                         --save FILE --profile FILE --loader true \
                          --loader-workers W --loader-prefetch P --loader-src-hw H]";
     let flags = parse_known(
         args,
@@ -285,7 +283,6 @@ fn cmd_pipeline(args: &[String]) -> Result<(), String> {
             "test",
             "save",
             "profile",
-            "compiled",
             "loader",
             "loader-workers",
             "loader-prefetch",
@@ -386,21 +383,6 @@ fn cmd_pipeline(args: &[String]) -> Result<(), String> {
         spec.paper_savings_pct
     );
 
-    if flags.parsed("compiled", false)? {
-        // Re-score the quantized model through the fused graph executor
-        // while profiling is still enabled, so graph:* spans and the
-        // plan-cache counters land in the captured profile.
-        match env.quant_accuracy_compiled(32) {
-            Ok((acc, stats)) => println!(
-                "compiled quantized accuracy: {:.2} % (plan cache: {} hits / {} misses)",
-                acc * 100.0,
-                stats.hits,
-                stats.misses
-            ),
-            Err(e) => eprintln!("{e}; interpreter only"),
-        }
-    }
-
     if let Some(path) = &profile_path {
         approxnn::obs::set_enabled(false);
         approxnn::obs::set_health_enabled(false);
@@ -429,9 +411,8 @@ fn cmd_pipeline(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_evaluate(args: &[String]) -> Result<(), String> {
-    use approxnn::nn::Layer;
     const USAGE: &str = "axnn evaluate --checkpoint <file> [--model M --seed S --width W \
-                         --hw H --test N --compiled true --profile FILE --loader true \
+                         --hw H --test N --profile FILE --loader true \
                          --loader-workers W --loader-prefetch P --loader-src-hw H]";
     let flags = parse_known(
         args,
@@ -442,7 +423,6 @@ fn cmd_evaluate(args: &[String]) -> Result<(), String> {
             "width",
             "hw",
             "test",
-            "compiled",
             "profile",
             "loader",
             "loader-workers",
@@ -457,7 +437,6 @@ fn cmd_evaluate(args: &[String]) -> Result<(), String> {
     let width: f32 = flags.parsed("width", 0.25)?;
     let hw: usize = flags.parsed("hw", 16)?;
     let test: usize = flags.parsed("test", 160)?;
-    let compiled: bool = flags.parsed("compiled", false)?;
 
     let profile_path = flags.get("profile").cloned();
     if profile_path.is_some() {
@@ -518,33 +497,20 @@ fn cmd_evaluate(args: &[String]) -> Result<(), String> {
             (None, Some(d)) => approxnn::nn::train::evaluate_with(forward, d, 32),
             (None, None) => unreachable!("one evaluation source is always built"),
         };
-    let acc = if compiled {
-        match approxnn::nn::GraphExecutor::compile(&mut net) {
-            Ok(mut exec) => {
-                let acc = score(&mut |x| exec.forward(x));
-                let stats = exec.cache_stats();
-                eprintln!(
-                    "compiled graph: {} plans, plan cache {} hits / {} misses",
-                    exec.plan_count(),
-                    stats.hits,
-                    stats.misses
-                );
-                acc
-            }
-            Err(e) => {
-                eprintln!("{e}; falling back to interpreter");
-                score(&mut |x| net.forward(x, approxnn::nn::Mode::Eval))
-            }
-        }
-    } else {
-        score(&mut |x| net.forward(x, approxnn::nn::Mode::Eval))
-    };
+    let mut exec = approxnn::nn::GraphExecutor::compile(&mut net).map_err(|e| e.to_string())?;
+    let acc = score(&mut |x| exec.forward(x));
+    let stats = exec.cache_stats();
+    eprintln!(
+        "compiled graph: {} plans, plan cache {} hits / {} misses",
+        exec.plan_count(),
+        stats.hits,
+        stats.misses
+    );
 
     if let Some(path) = &profile_path {
         approxnn::obs::set_enabled(false);
         approxnn::obs::set_health_enabled(false);
-        let mode = if compiled { "compiled" } else { "interpreter" };
-        let label = format!("evaluate/{}/{mode}", kind.label());
+        let label = format!("evaluate/{}", kind.label());
         let profile = approxnn::obs::RunProfile::capture(&label);
         profile.append_jsonl(path).map_err(|e| e.to_string())?;
         eprintln!(
@@ -763,7 +729,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     const USAGE: &str = "axnn serve --checkpoint <file> [--host H --port P --model M --width W \
                          --hw H --executor exact|quant|approx --mult ID --seed S --max-batch N \
                          --batch-window-us U --queue-cap Q --replicas R --threads T \
-                         --profile FILE --compiled false]";
+                         --profile FILE]";
     let flags = parse_known(
         args,
         &[
@@ -782,7 +748,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "replicas",
             "threads",
             "profile",
-            "compiled",
         ],
         USAGE,
     )?;
@@ -816,11 +781,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // own replica set from the same shared checkpoint.
     let probe = spec.build()?;
     let label = probe.label().to_string();
-    if probe.is_compiled() {
-        eprintln!("graph executor compiled (fused kernels, per-shape plan cache)");
-    } else if let Some(reason) = probe.fallback_reason() {
-        eprintln!("graph compile unsupported ({reason}); serving via interpreter");
-    }
+    eprintln!("graph executor compiled (fused kernels, per-shape plan cache)");
     drop(probe);
 
     let profile_path = flags.get("profile").cloned();
@@ -896,7 +857,6 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
             "width",
             "hw",
             "mult",
-            "compiled",
         ],
         USAGE,
     )?;
@@ -1058,7 +1018,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
                          --out FILE]\n       \
                          axnn stream --checkpoint <file> [--model M --width W --hw H \
                          --executor E --mult ID --replicas R --max-batch N --batch-window-us U \
-                         --queue-cap Q --threads T --compiled B + the flags above]";
+                         --queue-cap Q --threads T + the flags above]";
     let flags = parse_known(
         args,
         &[
@@ -1086,7 +1046,6 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             "batch-window-us",
             "queue-cap",
             "threads",
-            "compiled",
         ],
         USAGE,
     )?;

@@ -5,7 +5,9 @@ use approxnn::approxkd::pipeline::ModelKind;
 use approxnn::approxkd::{ExperimentEnv, Method, StageConfig};
 use approxnn::axmul::catalog;
 use approxnn::models::ModelConfig;
-use approxnn::nn::StepDecay;
+use approxnn::nn::{Checkpoint, Layer, Mode, StepDecay};
+use approxnn::serve::{Client, ModelOptions, QueueConfig, ServeExecutor, ServeSpec, Server};
+use std::time::Duration;
 
 fn fp_cfg() -> StageConfig {
     StageConfig {
@@ -115,6 +117,69 @@ fn mobilenet_pipeline_runs_with_kept_bn() {
     let spec = catalog::by_id("trunc3").expect("catalogued");
     let r = env.approximation_stage(spec, Method::approx_kd_ge(6.0), &ft_cfg());
     assert!(r.final_acc >= 0.0 && r.final_acc <= 1.0);
+
+    // The saved quantized model (BN kept) restores into a served model for
+    // every executor family, and each serves over the wire with logits
+    // bit-identical to the interpreter on a BN-folded copy.
+    let ckpt = Checkpoint::capture(&mut env.quantized_copy());
+    let json = ckpt.to_json();
+    let ckpt = Checkpoint::from_json(&json).expect("checkpoint parses");
+    let x = approxnn::tensor::init::uniform(&[2, 3, 8, 8], -1.0, 1.0, &mut axnn_rng::Rng::seed(9));
+    for executor in [
+        ServeExecutor::Exact,
+        ServeExecutor::Quant,
+        ServeExecutor::Approx,
+    ] {
+        let opts = ModelOptions {
+            model: "mobilenetv2".to_string(),
+            width: 0.25,
+            hw: 8,
+            executor,
+            mult: "trunc3".to_string(),
+            calib_samples: 32,
+            ..ModelOptions::default()
+        };
+        let mut oracle = approxnn::serve::ServedModel::restore_net(&ckpt, &opts)
+            .expect("mobilenet checkpoint restores");
+        oracle.fold_batch_norm();
+        let want = oracle.forward(&x, Mode::Eval);
+        let want_bits = |i: usize| -> Vec<u32> {
+            want.as_slice()[i * 10..(i + 1) * 10]
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+
+        let spec = ServeSpec::from_checkpoint(ckpt.clone(), &opts);
+        let mut model = spec.build().expect("mobilenet model compiles");
+        let views: Vec<&[f32]> = x.as_slice().chunks(3 * 8 * 8).collect();
+        for (i, logits) in model.forward_batch(&views).iter().enumerate() {
+            let got: Vec<u32> = logits.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want_bits(i), "{executor} sample {i}: in-process");
+        }
+
+        let mut server = Server::start(
+            &spec,
+            "127.0.0.1:0",
+            QueueConfig {
+                capacity: 8,
+                max_batch: 2,
+                batch_window: Duration::from_micros(300),
+            },
+            1,
+        )
+        .expect("bind ephemeral port");
+        let mut client = Client::connect(server.addr()).expect("connect");
+        for (i, view) in views.iter().enumerate() {
+            let msg = client.infer(i as u64, view).expect("round trip");
+            assert_eq!(msg.status, "ok", "{executor} request {i}: {}", msg.detail);
+            let got: Vec<u32> = msg.logits.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want_bits(i), "{executor} sample {i}: served");
+        }
+        assert_eq!(client.command("shutdown").expect("ack").status, "draining");
+        drop(client);
+        server.join();
+    }
 }
 
 #[test]

@@ -1,12 +1,14 @@
 //! Property tests for the compiled graph executor's central guarantee:
 //! [`GraphExecutor::forward`] is **bit-identical** to the `Sequential`
 //! interpreter in eval mode — for every executor family (exact, quantized,
-//! approximate), every batch shape, and every worker count.
+//! approximate, approximate with a gradient-estimation model), every batch
+//! shape, and every worker count.
 //!
 //! `GraphExecutor::compile` folds batch norm into the source network, so
 //! each case compiles first and then runs the interpreter on the same
-//! (folded) weights — exactly the contract the serve worker and the
-//! tier-1 zero-drift gate rely on.
+//! (folded) weights — exactly the contract every inference path (evaluate,
+//! serve, search scoring) relies on, since none keeps an interpreter
+//! fallback.
 //!
 //! `set_threads` is process-global, so every case body takes [`serial`]
 //! (same pattern as tests/thread_invariance.rs).
@@ -14,12 +16,16 @@
 //! [`GraphExecutor::forward`]: approxnn::nn::GraphExecutor::forward
 
 use approxnn::axmul::TruncatedMul;
+use approxnn::data::SynthCifar;
+use approxnn::models::{resnet20, ModelConfig};
+use approxnn::nn::train::evaluate_with;
 use approxnn::nn::{
-    ActivationKind, ConvBlock, Flatten, GlobalAvgPool, GraphExecutor, Layer, Linear, Mode,
-    Residual, Sequential,
+    ActivationKind, Checkpoint, ConvBlock, Flatten, GlobalAvgPool, GraphExecutor, Layer, Linear,
+    Mode, Residual, Sequential,
 };
+use approxnn::obs::{self, Counter};
 use approxnn::par;
-use approxnn::proxsim::approximate_network;
+use approxnn::proxsim::{approximate_network, PiecewiseLinearError};
 use approxnn::quant::{quantize_network, QuantSpec};
 use approxnn::tensor::{init, Tensor};
 use axnn_rng::{cases, Rng};
@@ -80,7 +86,8 @@ fn model(rng: &mut Rng) -> Sequential {
     ])
 }
 
-/// Installs one of the three executor families on a fresh model.
+/// Installs one of the four executor families on a fresh model: exact,
+/// quantized, approximate, and approximate with a sloped GE error model.
 fn build(seed: u64, family: usize) -> Sequential {
     let mut net = model(&mut Rng::seed(seed));
     match family {
@@ -90,6 +97,11 @@ fn build(seed: u64, family: usize) -> Sequential {
             QuantSpec::weights_4bit(),
         ),
         2 => approximate_network(&mut net, &TruncatedMul::new(5), None),
+        3 => approximate_network(
+            &mut net,
+            &TruncatedMul::new(5),
+            Some(PiecewiseLinearError::new(-0.05, 0.0, -10.0, 10.0)),
+        ),
         _ => {}
     }
     net
@@ -102,7 +114,7 @@ fn build(seed: u64, family: usize) -> Sequential {
 fn compiled_is_bit_identical_to_interpreter() {
     cases(24, |mut rng| {
         let seed = rng.gen_range(0u64..60);
-        let family = rng.gen_range(0usize..3);
+        let family = rng.gen_range(0usize..4);
         let batches = (0..rng.gen_range(1..4))
             .map(|_| rng.gen_range(1usize..5))
             .collect::<Vec<_>>();
@@ -163,4 +175,52 @@ fn compile_keeps_interpreter_equivalent() {
             assert!((a - b).abs() <= 1e-4 * (1.0 + a.abs()), "{} vs {}", a, b);
         }
     });
+}
+
+/// A saved checkpoint scores the same through both engines: a seeded
+/// BN-free ResNet-20 (w0.2, 8x8) survives a JSON round trip, is restored
+/// the way `axnn evaluate` restores it, and 32 SynthCIFAR test images give
+/// bit-identical logits, equal accuracy and an equal GEMM MAC count
+/// through the interpreter and through the compiled graph.
+#[test]
+fn restored_checkpoint_scores_identically_on_both_engines() {
+    let _g = serial();
+    let mut cfg = ModelConfig::paper().with_width(0.2).with_input_hw(8);
+    cfg.batch_norm = false;
+    let json = Checkpoint::capture(&mut resnet20(&cfg, &mut Rng::seed(3))).to_json();
+    let seed = 1u64;
+    let mut net = resnet20(&cfg, &mut Rng::seed(seed ^ 0xdead));
+    Checkpoint::from_json(&json)
+        .expect("checkpoint parses")
+        .restore(&mut net)
+        .expect("architecture matches");
+    let test = SynthCifar::new(8).generate(0, 32, seed).1;
+    let mut exec = GraphExecutor::compile(&mut net).expect("resnet20 lowers");
+
+    // Scores `test` through `forward` with counters on: (logit bits,
+    // accuracy, GEMM MACs).
+    let score = |forward: &mut dyn FnMut(&Tensor) -> Tensor| {
+        let mut logits = Vec::new();
+        obs::reset();
+        obs::set_enabled(true);
+        let acc = evaluate_with(
+            |x| {
+                let y = forward(x);
+                logits.extend(bits(&y));
+                y
+            },
+            &test,
+            32,
+        );
+        obs::set_enabled(false);
+        (logits, acc, obs::counter(Counter::GemmMacs))
+    };
+    let interp = score(&mut |x| net.forward(x, Mode::Eval));
+    let compiled = score(&mut |x| exec.forward(x));
+    obs::reset();
+    assert_eq!(interp.0.len(), 32 * 10);
+    assert_eq!(interp.0, compiled.0, "logit bits differ");
+    assert_eq!(interp.1, compiled.1, "accuracy differs");
+    assert!(interp.2 > 0, "the interpreter counted no GEMM work");
+    assert_eq!(interp.2, compiled.2, "GEMM MAC counts differ");
 }
