@@ -68,11 +68,6 @@ impl LoaAdder {
             name: format!("loa{k}"),
         }
     }
-
-    /// Number of approximated low bits.
-    pub fn low_bits(&self) -> u32 {
-        self.k
-    }
 }
 
 impl Adder for LoaAdder {

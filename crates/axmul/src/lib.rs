@@ -37,7 +37,6 @@
 
 mod architectures;
 mod evo_like;
-mod kulkarni;
 mod mult;
 mod truncated;
 
@@ -49,7 +48,6 @@ pub mod stats;
 
 pub use architectures::{DrumMul, MitchellLogMul, ProductTruncMul};
 pub use evo_like::EvoLikeMul;
-pub use kulkarni::KulkarniMul;
 pub use mult::{
     ExactMul, Multiplier, MAX_W_CODE, MAX_W_MAG, MAX_X_CODE, MAX_X_MAG, W_BITS, X_BITS,
 };

@@ -1,7 +1,7 @@
 //! Wall-clock timing for the `benches/` mains (`harness = false`, run by
 //! `cargo bench -p axnn-bench --bench <name>`).
 //!
-//! Two shapes of measurement cover every bench: [`bench`] reports the
+//! Two shapes of measurement cover every bench: [`bench`](fn@bench) reports the
 //! per-call cost of one closure, and [`interleaved`] compares several
 //! configurations round-robin so host drift hits them all alike.
 

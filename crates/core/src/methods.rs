@@ -184,9 +184,8 @@ pub struct FineTuneResult {
     pub per_epoch_acc: Vec<f32>,
     /// Wall-clock seconds spent in the optimization loop.
     pub seconds: f64,
-    /// `eps_drift` events emitted by the run's
-    /// [`DriftMonitor`](crate::drift::DriftMonitor) (zero when no monitor
-    /// was attached; see [`fine_tune_monitored`]).
+    /// `eps_drift` events emitted by the run's [`DriftMonitor`] (zero when
+    /// no monitor was attached; see [`fine_tune_monitored`]).
     pub drift_events: usize,
 }
 

@@ -23,7 +23,6 @@
 //! assert!(test.labels.iter().all(|&l| l < 10));
 //! ```
 
-pub mod augment;
 pub mod loader;
 mod patterns;
 pub mod resize;

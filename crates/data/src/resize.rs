@@ -100,7 +100,8 @@ pub struct RawFrame {
 }
 
 impl RawFrame {
-    /// Checks the dimensions are non-zero and consistent with the payload.
+    /// Checks the dimensions are non-zero and consistent with the payload,
+    /// and that every `f32` sample is finite.
     pub fn validate(&self) -> Result<(), String> {
         if self.height == 0 || self.width == 0 || self.channels == 0 {
             return Err(format!(
@@ -108,7 +109,16 @@ impl RawFrame {
                 self.height, self.width, self.channels
             ));
         }
-        let want = self.height * self.width * self.channels;
+        let want = self
+            .height
+            .checked_mul(self.width)
+            .and_then(|hw| hw.checked_mul(self.channels))
+            .ok_or_else(|| {
+                format!(
+                    "raw frame dimensions {}x{}x{} overflow",
+                    self.height, self.width, self.channels
+                )
+            })?;
         if self.data.len() != want {
             return Err(format!(
                 "raw frame carries {} samples, expected {}x{}x{} = {want}",
@@ -117,6 +127,11 @@ impl RawFrame {
                 self.width,
                 self.channels
             ));
+        }
+        if let FrameData::F32(v) = &self.data {
+            if v.iter().any(|s| !s.is_finite()) {
+                return Err("raw frame holds a non-finite f32 sample".to_string());
+            }
         }
         Ok(())
     }
@@ -644,6 +659,53 @@ mod tests {
             .apply(&ok_frame)
             .unwrap_err()
             .contains("zero dimension"));
+    }
+
+    #[test]
+    fn hostile_frames_error_or_yield_finite_inputs() {
+        let spec = PreprocessSpec::for_input(3, 8);
+        axnn_rng::cases(256, |mut rng| {
+            // Mostly small dims; some powers of two whose product with the
+            // others overflows `usize` (and may wrap to the payload length).
+            let dim = |rng: &mut Rng| {
+                if rng.gen_bool(0.3) {
+                    1usize << rng.gen_range(30..64usize)
+                } else {
+                    rng.gen_range(0..=12usize)
+                }
+            };
+            let (height, width) = (dim(&mut rng), dim(&mut rng));
+            let channels = *rng.choose(&[1usize, 3, 3, 3]);
+            let wrapped = height.wrapping_mul(width).wrapping_mul(channels);
+            let len = if wrapped <= 512 && rng.gen_bool(0.8) {
+                wrapped
+            } else {
+                rng.gen_range(0..=64usize)
+            };
+            let data = if rng.gen_bool(0.3) {
+                FrameData::U8((0..len).map(|_| rng.gen::<u8>()).collect())
+            } else {
+                let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+                FrameData::F32(
+                    (0..len)
+                        .map(|_| match rng.gen_bool(0.02) {
+                            true => *rng.choose(&bad),
+                            false => rng.gen_range(-4.0f32..4.0),
+                        })
+                        .collect(),
+                )
+            };
+            let frame = RawFrame {
+                height,
+                width,
+                channels,
+                data,
+            };
+            if let Ok(out) = spec.apply(&frame) {
+                assert_eq!(out.len(), spec.input_len(), "{height}x{width}x{channels}");
+                assert!(out.iter().all(|v| v.is_finite()), "non-finite output");
+            }
+        });
     }
 
     #[test]

@@ -67,11 +67,6 @@ impl ConvBlock {
         &self.conv
     }
 
-    /// Mutable access to the inner convolution.
-    pub fn conv_mut(&mut self) -> &mut Conv2d {
-        &mut self.conv
-    }
-
     /// Folds the batch-norm inference affine into the convolution:
     /// `w'ₒ = w·γ/√(σ²+ε)`, `b' = β + (b − μ)·γ/√(σ²+ε)` (paper ref. \[9\]).
     ///

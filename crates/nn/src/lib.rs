@@ -40,7 +40,6 @@
 //! ```
 
 mod act;
-mod adam;
 mod block;
 mod bn;
 mod checkpoint;
@@ -57,12 +56,9 @@ mod seq;
 mod sgd;
 
 pub mod loss;
-pub mod metrics;
-pub mod trace;
 pub mod train;
 
 pub use act::{Activation, ActivationKind};
-pub use adam::{Adam, CosineSchedule, Optimizer};
 pub use block::{ConvBlock, Residual};
 pub use bn::BatchNorm2d;
 pub use checkpoint::{Checkpoint, ParseCheckpointError, RestoreCheckpointError};

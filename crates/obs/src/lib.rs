@@ -288,7 +288,7 @@ pub fn record_ratio(label: &str, hits: u64, total: u64) {
 const MAX_EVENTS: usize = 1024;
 
 /// Appends a discrete event (e.g. an ε-drift trip) to the event log.
-/// A no-op unless [`health_enabled`]; events past [`MAX_EVENTS`] are
+/// A no-op unless [`health_enabled`]; events past `MAX_EVENTS` are
 /// dropped.
 pub fn event(kind: &str, label: &str, value: f64, detail: &str) {
     if !health_enabled() {

@@ -94,11 +94,6 @@ impl ApproxExecutor {
         self.error_model
     }
 
-    /// The multiplier name served by the LUT.
-    pub fn multiplier_name(&self) -> &str {
-        self.lut.name()
-    }
-
     /// The frozen activation quantizer, freezing the calibrator's winner
     /// when none is set yet (`None` before any calibration data).
     fn frozen_x_quantizer(&self) -> Option<Quantizer> {

@@ -6,9 +6,10 @@
 //! contiguous 1 KiB LUT row while a whole activation stripe streams past
 //! it. Work is partitioned across threads by output row, so every output
 //! element is produced by exactly one thread with the same k-ascending
-//! accumulation order as the serial [`reference`] kernels — results are
-//! bit-identical for any thread count (and, since the accumulator is exact
-//! `i64`, for [`approx_matmul`] the order could not matter anyway).
+//! accumulation order as the serial [`reference`](mod@reference) kernels —
+//! results are bit-identical for any thread count (and, since the
+//! accumulator is exact `i64`, for [`approx_matmul`] the order could not
+//! matter anyway).
 
 use crate::signed_lut::SignedLut;
 use axnn_tensor::Tensor;
@@ -204,7 +205,7 @@ fn approx_rows(
 ///
 /// Each output element folds its taps through the adder in ascending-`k`
 /// order (zero weight codes skipped), exactly as the serial reference
-/// kernel does; columns are processed in blocks of [`JB`] so the partial
+/// kernel does; columns are processed in blocks of `JB` so the partial
 /// sums and code segment stay cache-resident instead of striding the whole
 /// `[K, M]` code matrix per output element.
 ///

@@ -23,11 +23,6 @@ impl ActRangeCalibrator {
         Self::default()
     }
 
-    /// Whether any batch has been observed.
-    pub fn has_data(&self) -> bool {
-        !self.scores.is_empty() || self.abs_max > 0.0
-    }
-
     /// Scores candidate steps on one calibration batch.
     pub fn observe(&mut self, wmat: &Tensor, col: &Tensor, spec: QuantSpec) {
         let abs_max = col.abs_max();

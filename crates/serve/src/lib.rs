@@ -40,7 +40,7 @@
 //! open-loop [`loadgen::sweep`] that locates the saturation knee;
 //! [`stream`] reports a raw-frame sweep with per-stage
 //! preprocess/queue/compute breakdowns (`results/BENCH_stream.json`);
-//! [`bench`] sweeps the executor × batch-config matrix plus the
+//! [`bench`](mod@bench) sweeps the executor × batch-config matrix plus the
 //! replicas-vs-throughput knee into `results/BENCH_serve.json`.
 //!
 //! ## Minimal session
@@ -185,10 +185,8 @@ mod tests {
         assert_eq!(last.get("request_id").unwrap().as_u64(), Some(6));
         assert!(last.get("compute_us").unwrap().as_f64().unwrap() > 0.0);
 
-        // Prometheus exposition rides the same framing.
-        let prom = client.metrics(Some("prometheus")).unwrap();
-        assert!(prom.contains("axnn_serve_requests_ok_total"));
         // An unknown format is a per-request error, not a hangup.
+        assert!(client.metrics(Some("prometheus")).is_err());
         assert!(client.metrics(Some("xml")).is_err());
         assert_eq!(client.command("ping").unwrap().status, "pong");
         server.shutdown();
@@ -432,6 +430,55 @@ mod tests {
         let doc = axnn_obs::json::JsonValue::parse(snap.as_bytes()).unwrap();
         let pp = doc.get("window").unwrap().get("preprocess_us").unwrap();
         assert!(pp.get("count").unwrap().as_u64().unwrap() >= 2);
+        server.shutdown();
+    }
+
+    #[test]
+    fn hostile_requests_get_errors_and_the_connection_keeps_serving() {
+        // Regressions: `1e39` parses to an infinite f32 and was served as
+        // all-zero logits; raw-frame dimensions whose product wraps to the
+        // payload length panicked the connection thread, and the client got
+        // neither a reply nor EOF. The read timeout turns a hang into a
+        // failure.
+        let mut server = tiny_server(QueueConfig::default());
+        let stream = std::net::TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        let mut reader = stream.try_clone().unwrap();
+        let mut writer = stream;
+        let mut ask = |payload: &str| {
+            protocol::write_frame(&mut writer, payload.as_bytes()).unwrap();
+            let frame = protocol::read_frame(&mut reader)
+                .expect("no reply within the timeout")
+                .expect("server closed the connection");
+            ResponseMsg::parse(&frame).unwrap()
+        };
+        let clean = Request::inference_json(1, &vec![0.25f32; server.input_len()]);
+        let before = ask(&clean);
+        assert_eq!(before.status, "ok", "{}", before.detail);
+
+        let flat_frame = RawFrame {
+            height: 4,
+            width: 4,
+            channels: 3,
+            data: FrameData::F32(vec![0.5; 48]),
+        };
+        let hostile = [
+            clean.replacen("0.25", "1e39", 1),
+            Request::raw_frame_json(2, &flat_frame).replacen("0.5", "-1e39", 1),
+            "{\"id\": 3, \"raw_frame\": {\"height\": 4611686018427387904, \"width\": 4, \
+             \"channels\": 3, \"dtype\": \"u8\", \"data\": []}}"
+                .to_string(),
+        ];
+        for payload in &hostile {
+            let msg = ask(payload);
+            assert_eq!(msg.status, "error", "{payload}: {msg:?}");
+            assert_eq!(ask(&Request::command_json("ping")).status, "pong");
+        }
+        let after = ask(&clean);
+        let bits = |m: &ResponseMsg| m.logits.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&after), bits(&before));
         server.shutdown();
     }
 

@@ -82,8 +82,8 @@ impl Client {
     }
 
     /// Fetches the live metrics snapshot (`{"cmd": "metrics"}`) as a JSON
-    /// string. `format` of `Some("prometheus")` asks for the text
-    /// exposition envelope instead.
+    /// string. JSON (`format` of `None` or `Some("json")`) is the only
+    /// format; the server answers any other with a per-request error.
     pub fn metrics(&mut self, format: Option<&str>) -> io::Result<String> {
         let frame = self.raw_round_trip(&Request::metrics_json(format))?;
         snapshot_body(frame, "metrics")

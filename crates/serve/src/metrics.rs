@@ -415,104 +415,6 @@ impl MetricsPlane {
             hist_summary_json(&batch_size),
         )
     }
-
-    /// The `format=prometheus` variant: the text exposition wrapped in a
-    /// JSON envelope (`{"status": "metrics", "format": "prometheus",
-    /// "text": ...}`) so the wire framing stays uniform; scrapers unwrap
-    /// one string field.
-    pub fn prometheus_json(&self, ctx: &SnapshotContext) -> String {
-        let now = self.now_ms();
-        let uptime = now.max(1);
-        let (queue_wait, compute, preprocess, ok_w, rej_w, covered, per_replica) = {
-            let w = lock(&self.windows);
-            let covered = w.ok.window().covered_millis(uptime);
-            let per: Vec<(u64, u64, u64)> = w
-                .per_replica
-                .iter()
-                .map(|(b, h, m)| (b.total(now), h.total(now), m.total(now)))
-                .collect();
-            (
-                w.queue_wait_us.merged(now),
-                w.compute_us.merged(now),
-                w.preprocess_us.merged(now),
-                w.ok.total(now),
-                w.rejected.total(now),
-                covered,
-                per,
-            )
-        };
-        let mut text = String::new();
-        let gauge = |t: &mut String, name: &str, help: &str, v: &dyn std::fmt::Display| {
-            t.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n"
-            ));
-        };
-        gauge(
-            &mut text,
-            "axnn_serve_uptime_ms",
-            "Milliseconds since server start.",
-            &now,
-        );
-        gauge(
-            &mut text,
-            "axnn_serve_requests_ok_total",
-            "Requests served since start.",
-            &self.ok_total.load(Ordering::Relaxed),
-        );
-        gauge(
-            &mut text,
-            "axnn_serve_requests_rejected_total",
-            "Requests rejected by admission control since start.",
-            &self.rejected_total.load(Ordering::Relaxed),
-        );
-        gauge(
-            &mut text,
-            "axnn_serve_generation",
-            "Completed hot-swap count.",
-            &ctx.generation,
-        );
-        gauge(
-            &mut text,
-            "axnn_serve_window_rps",
-            "Served requests per second over the sliding window.",
-            &num(ok_w as f64 * 1e3 / covered as f64),
-        );
-        gauge(
-            &mut text,
-            "axnn_serve_window_reject_rps",
-            "Rejections per second over the sliding window.",
-            &num(rej_w as f64 * 1e3 / covered as f64),
-        );
-        for (q, label) in [(0.5, "0.5"), (0.99, "0.99")] {
-            text.push_str(&format!(
-                "axnn_serve_window_queue_wait_us{{quantile=\"{label}\"}} {}\n",
-                num(queue_wait.quantile(q)),
-            ));
-            text.push_str(&format!(
-                "axnn_serve_window_compute_us{{quantile=\"{label}\"}} {}\n",
-                num(compute.quantile(q)),
-            ));
-            text.push_str(&format!(
-                "axnn_serve_window_preprocess_us{{quantile=\"{label}\"}} {}\n",
-                num(preprocess.quantile(q)),
-            ));
-        }
-        for (i, (batches, hits, misses)) in per_replica.iter().enumerate() {
-            text.push_str(&format!(
-                "axnn_serve_window_replica_batches{{replica=\"{i}\"}} {batches}\n"
-            ));
-            text.push_str(&format!(
-                "axnn_serve_window_plan_cache_hits{{replica=\"{i}\"}} {hits}\n"
-            ));
-            text.push_str(&format!(
-                "axnn_serve_window_plan_cache_misses{{replica=\"{i}\"}} {misses}\n"
-            ));
-        }
-        format!(
-            "{{\"status\": \"metrics\", \"format\": \"prometheus\", \"text\": {}}}",
-            string(&text),
-        )
-    }
 }
 
 /// Server-level facts the snapshot reports but the plane does not own.
@@ -693,31 +595,5 @@ mod tests {
         assert_eq!(t.get("batch_size").unwrap().as_u64(), Some(2));
         assert_eq!(t.get("plan_cache_hit").unwrap().as_bool(), Some(false));
         assert_eq!(t.get("compute_us").unwrap().as_f64(), Some(800.0));
-    }
-
-    #[test]
-    fn prometheus_text_exposes_core_series() {
-        let plane = MetricsPlane::new(1, WindowSpec::serve());
-        let (jobs, _) = obs(1, 0, 4);
-        plane.note_batch(&BatchObservation {
-            replica: 0,
-            compute_us: 700.0,
-            plan_cache_hits: 1,
-            plan_cache_misses: 0,
-            jobs: &jobs,
-        });
-        let ctx = SnapshotContext {
-            replicas: 1,
-            generation: 0,
-            draining: false,
-        };
-        let doc = JsonValue::parse(plane.prometheus_json(&ctx).as_bytes()).unwrap();
-        assert_eq!(doc.get("format").unwrap().as_str(), Some("prometheus"));
-        let text = doc.get("text").unwrap().as_str().unwrap().to_string();
-        assert!(text.contains("axnn_serve_requests_ok_total 4"));
-        assert!(text.contains("axnn_serve_window_rps "));
-        assert!(text.contains("axnn_serve_window_queue_wait_us{quantile=\"0.99\"}"));
-        assert!(text.contains("axnn_serve_window_preprocess_us{quantile=\"0.5\"}"));
-        assert!(text.contains("axnn_serve_window_replica_batches{replica=\"0\"} 1"));
     }
 }

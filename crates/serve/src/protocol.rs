@@ -20,8 +20,6 @@
 //! {"cmd": "shutdown"}                      // begin graceful drain
 //! {"cmd": "reload", "path": "ckpt.json"}   // hot-swap checkpoint
 //! {"cmd": "metrics"}                       // live metrics snapshot (JSON)
-//! {"cmd": "metrics", "format": "prometheus"}   // text exposition wrapped
-//!                                              // in a JSON envelope
 //! {"cmd": "trace", "n": 16}                // last n request trace records
 //! ```
 //!
@@ -124,8 +122,8 @@ pub struct Request {
     pub path: Option<String>,
     /// Record count for `{"cmd": "trace"}` (server default when absent).
     pub n: Option<usize>,
-    /// Output format for `{"cmd": "metrics"}`: `"json"` (default) or
-    /// `"prometheus"`.
+    /// Output format for `{"cmd": "metrics"}`: only `"json"`, the default,
+    /// is served.
     pub format: Option<String>,
 }
 
@@ -149,6 +147,9 @@ impl Request {
                 .f32_array()
                 .ok_or_else(|| "malformed request: 'input' is not a number array".to_string())?,
         };
+        if input.iter().any(|v| !v.is_finite()) {
+            return Err("malformed request: 'input' holds a non-finite value".to_string());
+        }
         let raw_frame = match doc.get("raw_frame") {
             None | Some(JsonValue::Null) => None,
             Some(v) => Some(parse_raw_frame(v)?),
@@ -230,8 +231,7 @@ impl Request {
     }
 
     /// Serializes a metrics-snapshot request. `format` of `None` or
-    /// `Some("json")` asks for the JSON snapshot, `Some("prometheus")` for
-    /// the text exposition.
+    /// `Some("json")` asks for the JSON snapshot.
     pub fn metrics_json(format: Option<&str>) -> String {
         match format {
             None => "{\"cmd\": \"metrics\"}".to_string(),
@@ -720,9 +720,9 @@ mod tests {
         let req = Request::parse(Request::metrics_json(None).as_bytes()).unwrap();
         assert_eq!(req.cmd.as_deref(), Some("metrics"));
         assert!(req.format.is_none());
-        let req = Request::parse(Request::metrics_json(Some("prometheus")).as_bytes()).unwrap();
+        let req = Request::parse(Request::metrics_json(Some("json")).as_bytes()).unwrap();
         assert_eq!(req.cmd.as_deref(), Some("metrics"));
-        assert_eq!(req.format.as_deref(), Some("prometheus"));
+        assert_eq!(req.format.as_deref(), Some("json"));
         let req = Request::parse(Request::trace_json(16).as_bytes()).unwrap();
         assert_eq!(req.cmd.as_deref(), Some("trace"));
         assert_eq!(req.n, Some(16));

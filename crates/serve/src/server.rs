@@ -554,9 +554,6 @@ fn dispatch(payload: &[u8], shared: &Shared, input_len: usize, classes: usize) -
                 None | Some("json") => Response::Snapshot {
                     json: shared.metrics.snapshot_json(&shared.snapshot_ctx()),
                 },
-                Some("prometheus") => Response::Snapshot {
-                    json: shared.metrics.prometheus_json(&shared.snapshot_ctx()),
-                },
                 Some(other) => Response::Error {
                     id: req.id,
                     detail: format!("unknown metrics format '{other}'"),

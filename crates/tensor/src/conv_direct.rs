@@ -18,7 +18,7 @@
 //! KB, L1-resident — roughly `K·K` times less data movement than the
 //! column gather). With the borders materialised, every kernel tap reads a
 //! plain contiguous row segment, so the inner tiles have no bounds logic
-//! at all: [`CR`]`×{16,8,4}` accumulator blocks stay in registers across
+//! at all: `CR×{16,8,4}` accumulator blocks stay in registers across
 //! the whole tap loop, exactly like the GEMM micro-kernels.
 //!
 //! # Bit-identity to the im2col lowering

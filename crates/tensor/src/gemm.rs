@@ -7,14 +7,14 @@
 //!
 //! # Kernels, parallelism, determinism
 //!
-//! All three products run register-blocked micro-kernels ([`MR`]×[`NR`]
+//! All three products run register-blocked micro-kernels (`MR×NR`
 //! output tiles held in registers across the whole `k` loop) and are
 //! row-parallel: `axnn-par` partitions the rows of `C` into contiguous
 //! blocks, so each output element is written by exactly one thread.
 //!
 //! Every kernel accumulates each output element in **ascending `k` order
 //! from a `+0.0` start** — the same floating-point fold as the scalar
-//! reference kernels in [`reference`]. Blocking only changes *which* element
+//! reference kernels in [`reference`](mod@reference). Blocking only changes *which* element
 //! is computed when, never the per-element operation sequence, so results
 //! are bit-identical to the reference and to themselves under any
 //! `AXNN_THREADS` setting.

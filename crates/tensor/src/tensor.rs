@@ -119,11 +119,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-dimensional index.
     ///
     /// # Panics
@@ -172,23 +167,6 @@ impl Tensor {
             data: self.data.clone(),
             shape: shape.to_vec(),
         })
-    }
-
-    /// In-place variant of [`reshape`](Self::reshape): only the metadata
-    /// changes, the buffer is reused.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if the new shape has a different element count.
-    pub fn reshape_in_place(&mut self, shape: &[usize]) -> Result<(), ShapeError> {
-        if numel(shape) != self.data.len() {
-            return Err(ShapeError::new(format!(
-                "cannot reshape {:?} to {:?}",
-                self.shape, shape
-            )));
-        }
-        self.shape = shape.to_vec();
-        Ok(())
     }
 
     /// Transposes a 2-D tensor.

@@ -1,14 +1,29 @@
 #!/bin/sh
-# Tier-1 gate: release build, full test suite, canonical formatting, and a
-# warning-free clippy pass. Run from the repository root before merging.
+# Tier-1 gate: release build, full test suite, canonical formatting, a
+# warning-free clippy and rustdoc pass, and the benchmark harness build.
+# Run from the repository root before merging.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# Scratch space for the smokes below. The harness build rewrites
+# perfbench/Cargo.lock, so the committed lockfile is saved first and put
+# back on exit, whether the gate passes or fails.
+OBS_TMP=$(mktemp -d)
+cp perfbench/Cargo.lock "$OBS_TMP/perfbench.lock"
+trap 'cp "$OBS_TMP/perfbench.lock" perfbench/Cargo.lock; rm -rf "$OBS_TMP"' EXIT
 
 cargo build --release
 cargo test --workspace -q
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
+# perfbench/ links the workspace crates by path: a deleted or renamed entry
+# point it calls fails here, not in the benchmark run. Same build as
+# perfbench/run.py.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline \
+    --manifest-path perfbench/Cargo.toml
 
 # serve_up LABEL OUT [FLAG...]: starts `axnn serve` on the pipeline's
 # checkpoint on an ephemeral port with FLAG..., stdout to OUT, and waits for
@@ -35,8 +50,6 @@ serve_up() {
 # Observability smoke: a tiny profiled pipeline run must produce a JSONL
 # profile that `axnn obs report` can render and `axnn obs diff` can gate on,
 # with a nonzero exit once a counter regression is injected.
-OBS_TMP=$(mktemp -d)
-trap 'rm -rf "$OBS_TMP"' EXIT
 target/release/axnn pipeline --fp-epochs 1 --epochs 1 --train 64 --test 32 \
     --hw 8 --width 0.2 --profile "$OBS_TMP/run.jsonl" \
     --save "$OBS_TMP/ckpt.json" >/dev/null

@@ -1,17 +1,13 @@
 //! Integration of the supporting toolkit with the approximate pipeline:
-//! metrics, augmentation, traces, Adam, and the approximate accumulator.
+//! the approximate accumulator and the `train_epoch` loop helper.
 
 use approxnn::approxkd::pipeline::ModelKind;
 use approxnn::approxkd::{ExperimentEnv, StageConfig};
 use approxnn::axmul::adder::{ExactAdder, LoaAdder};
-use approxnn::axmul::TruncatedMul;
-use approxnn::data::augment::Augment;
 use approxnn::data::SynthCifar;
 use approxnn::models::{lenet, ModelConfig};
-use approxnn::nn::metrics::{top_k_accuracy, ConfusionMatrix};
-use approxnn::nn::trace::{EpochRecord, TrainTrace};
 use approxnn::nn::train::{evaluate, hard_loss, train_epoch, Dataset};
-use approxnn::nn::{Adam, Layer, Mode, Optimizer, Sequential, StepDecay};
+use approxnn::nn::{Layer, Mode, Sequential, StepDecay};
 use approxnn::proxsim::{ApproxExecutor, SignedLut};
 use axnn_rng::Rng;
 use std::sync::Arc;
@@ -25,74 +21,6 @@ fn fp_stage() -> StageConfig {
         track_epochs: false,
         clip_norm: Some(10.0),
     }
-}
-
-#[test]
-fn confusion_matrix_diagnoses_an_approximate_network() {
-    let cfg = ModelConfig::mini().with_width(0.2).with_input_hw(8);
-    let mut env = ExperimentEnv::new(ModelKind::ResNet20, cfg, 120, 60, 31);
-    env.train_fp(&fp_stage());
-    env.quantization_stage(&StageConfig::quick().with_epochs(1), true);
-
-    let mut net = env.quantized_copy();
-    let lut = Arc::new(SignedLut::build(&TruncatedMul::new(5)));
-    net.visit_gemm_cores(&mut |core| {
-        core.set_executor(Box::new(ApproxExecutor::new(Arc::clone(&lut), None)));
-    });
-    approxnn::nn::train::calibrate(&mut net, env.train_data(), 16, 2);
-
-    let mut cm = ConfusionMatrix::new(10);
-    let mut top3 = 0.0f32;
-    let mut batches = 0;
-    for (x, y) in env.test_data().batches(16) {
-        let logits = net.forward(&x, Mode::Eval);
-        cm.update(&logits, y);
-        top3 += top_k_accuracy(&logits, y, 3);
-        batches += 1;
-    }
-    assert_eq!(cm.total() as usize, env.test_data().len());
-    let top1 = cm.accuracy();
-    let top3 = top3 / batches as f32;
-    assert!(top3 >= top1, "top-3 can only help: {top1} vs {top3}");
-    // trunc5 on an uncalibrated-to-it network: some confusion must exist.
-    assert!(cm.worst_confusion().is_some());
-}
-
-#[test]
-fn augmented_training_with_adam_learns_lenet() {
-    let gen = SynthCifar::new(8);
-    let (train, test) = gen.generate(160, 60, 33);
-    let mut rng = Rng::seed(33);
-    let cfg = ModelConfig::mini().with_width(0.5).with_input_hw(8);
-    let mut net = lenet(&cfg, &mut rng);
-    let mut opt = Adam::new(2e-3);
-    let mut trace = TrainTrace::new("lenet/adam/augmented");
-    let mut aug_rng = Rng::seed(34);
-    for epoch in 0..12 {
-        let augmented = Augment::standard().apply_dataset(&train, &mut aug_rng);
-        // Adapt the Adam optimizer to the SGD-typed train loop via a shim.
-        let mut loss_sum = 0.0;
-        let mut batches = 0;
-        for (x, y) in augmented.batches(16) {
-            net.zero_grad();
-            let logits = net.forward(&x, Mode::Train);
-            let (loss, d) = approxnn::nn::loss::softmax_cross_entropy(&logits, y);
-            net.backward(&d);
-            opt.step(&mut net);
-            loss_sum += loss;
-            batches += 1;
-        }
-        trace.push(EpochRecord {
-            epoch: epoch + 1,
-            train_loss: loss_sum / batches as f32,
-            test_accuracy: Some(evaluate(&mut net, &test, 16)),
-            learning_rate: opt.learning_rate(),
-        });
-    }
-    let acc = trace.best_accuracy().expect("evaluated every epoch");
-    assert!(acc > 0.5, "Adam+augmentation failed to learn: {acc}");
-    assert_eq!(trace.len(), 12);
-    assert!(trace.to_csv().lines().count() == 13);
 }
 
 #[test]
@@ -153,7 +81,7 @@ fn sgd_training_loop_helper_matches_manual_loop() {
             let logits = net.forward(&x, Mode::Train);
             let (_, d) = approxnn::nn::loss::softmax_cross_entropy(&logits, y);
             net.backward(&d);
-            approxnn::nn::Optimizer::step(&mut opt, &mut net);
+            opt.step(&mut net);
         }
         let mut params = Vec::new();
         net.visit_params(&mut |p| params.push(p.value.clone()));
