@@ -1,6 +1,6 @@
 //! The serving benchmark matrix behind `axnn loadgen --bench`.
 //!
-//! For every requested executor × batch configuration the harness boots an
+//! For every requested executor × max-batch size the harness boots an
 //! in-process server on an ephemeral port, probes it with a closed-loop
 //! phase (throughput under a fixed caller population) and an open-loop
 //! phase (latency at 80% of the measured closed-loop throughput), then
@@ -56,8 +56,8 @@ use std::time::Duration;
 pub struct BenchConfig {
     /// Executor families to measure.
     pub executors: Vec<ServeExecutor>,
-    /// `(max_batch, batch_window_us)` pairs to measure each executor under.
-    pub batch_configs: Vec<(usize, u64)>,
+    /// `max_batch` sizes to measure each executor under.
+    pub max_batches: Vec<usize>,
     /// Queue capacity for the throughput/latency phases.
     pub queue_cap: usize,
     /// Concurrent loadgen connections.
@@ -91,7 +91,7 @@ impl Default for BenchConfig {
                 ServeExecutor::Quant,
                 ServeExecutor::Approx,
             ],
-            batch_configs: vec![(1, 0), (8, 2000)],
+            max_batches: vec![1, 8],
             queue_cap: 64,
             connections: 4,
             requests: 24,
@@ -211,14 +211,13 @@ pub fn run_bench(
 ) -> Result<String, String> {
     let mut config_objs = Vec::new();
     for &executor in &cfg.executors {
-        for &(max_batch, window_us) in &cfg.batch_configs {
+        for &max_batch in &cfg.max_batches {
             let queue = QueueConfig {
                 capacity: cfg.queue_cap,
                 max_batch,
-                batch_window: Duration::from_micros(window_us),
             };
             let mut server = start_server(checkpoint_json, base, executor, queue, 1)?;
-            eprintln!("bench: {executor} max_batch {max_batch} window {window_us} us ...");
+            eprintln!("bench: {executor} max_batch {max_batch} ...");
             let closed = drive(
                 &server,
                 &LoadConfig {
@@ -240,8 +239,7 @@ pub fn run_bench(
             server.shutdown();
             config_objs.push(format!(
                 "{{\"executor\": \"{executor}\", \"max_batch\": {max_batch}, \
-                 \"batch_window_us\": {window_us}, \"queue_cap\": {}, \
-                 \"closed\": {}, \"open\": {}}}",
+                 \"queue_cap\": {}, \"closed\": {}, \"open\": {}}}",
                 cfg.queue_cap,
                 closed.to_json(),
                 open.to_json(),
@@ -260,7 +258,6 @@ pub fn run_bench(
         QueueConfig {
             capacity: 1,
             max_batch: 1,
-            batch_window: Duration::ZERO,
         },
         1,
     )?;
@@ -280,18 +277,11 @@ pub fn run_bench(
     }
 
     // Obs-overhead phase on the first executor with batching enabled.
-    let (max_batch, window_us) = *cfg.batch_configs.last().unwrap_or(&(8, 2000));
-    let mut server = start_server(
-        checkpoint_json,
-        base,
-        first,
-        QueueConfig {
-            capacity: cfg.queue_cap,
-            max_batch,
-            batch_window: Duration::from_micros(window_us),
-        },
-        1,
-    )?;
+    let batched = QueueConfig {
+        capacity: cfg.queue_cap,
+        max_batch: *cfg.max_batches.last().unwrap_or(&8),
+    };
+    let mut server = start_server(checkpoint_json, base, first, batched, 1)?;
     eprintln!("bench: obs overhead ({} rounds) ...", cfg.overhead_rounds);
     axnn_obs::reset();
     let (overhead_pct, attempts) = obs_overhead_pct(
@@ -340,14 +330,8 @@ pub fn run_bench(
     } else {
         first
     };
-    let (max_batch, window_us) = *cfg.batch_configs.last().unwrap_or(&(8, 2000));
     for &replicas in &cfg.replica_set {
-        let queue = QueueConfig {
-            capacity: cfg.queue_cap,
-            max_batch,
-            batch_window: Duration::from_micros(window_us),
-        };
-        let mut server = start_server(checkpoint_json, base, sweep_exec, queue, replicas)?;
+        let mut server = start_server(checkpoint_json, base, sweep_exec, batched, replicas)?;
         eprintln!("bench: replica sweep ({sweep_exec}, {replicas} replica(s)) ...");
         let closed = drive(
             &server,
@@ -390,17 +374,7 @@ pub fn run_bench(
     // `metrics` and `trace` protocol commands every `metrics_poll_ms`.
     // Observation must not collapse the saturation knee.
     let obs_replicas = *cfg.replica_set.last().unwrap_or(&1);
-    let mut server = start_server(
-        checkpoint_json,
-        base,
-        sweep_exec,
-        QueueConfig {
-            capacity: cfg.queue_cap,
-            max_batch,
-            batch_window: Duration::from_micros(window_us),
-        },
-        obs_replicas,
-    )?;
+    let mut server = start_server(checkpoint_json, base, sweep_exec, batched, obs_replicas)?;
     eprintln!("bench: knee with metrics poller attached ({obs_replicas} replica(s)) ...");
     let stop = Arc::new(AtomicBool::new(false));
     let poller = {
@@ -458,14 +432,13 @@ pub fn run_bench(
         .unwrap_or(1);
 
     Ok(format!(
-        "{{\n  \"schema\": \"BENCH_serve.v3\",\n  \"model\": \"{}\",\n  \
+        "{{\n  \"schema\": \"BENCH_serve.v4\",\n  \"model\": \"{}\",\n  \
          \"width\": {},\n  \"hw\": {},\n  \"mult\": \"{}\",\n  \"seed\": {},\n  \
          \"threads\": {},\n  \"configs\": [\n    {}\n  ],\n  \
          \"overload\": {{\"executor\": \"{first}\", \"queue_cap\": 1, \"sent\": {}, \
          \"ok\": {}, \"rejected\": {}, \"reject_rate\": {}}},\n  \
          \"replica_sweep\": {{\"executor\": \"{sweep_exec}\", \"host_cores\": {host_cores}, \
-         \"max_batch\": {max_batch}, \"batch_window_us\": {window_us}, \
-         \"knee_speedup_max_vs_1\": {}, \"entries\": [\n    {}\n  ]}},\n  \
+         \"max_batch\": {}, \"knee_speedup_max_vs_1\": {}, \"entries\": [\n    {}\n  ]}},\n  \
          \"knee_with_metrics\": {{\"replicas\": {obs_replicas}, \
          \"poll_ms\": {}, \"metrics_polls\": {metrics_polls}, \"knee_rps\": {}, \
          \"knee_plain_rps\": {}}},\n  \
@@ -485,6 +458,7 @@ pub fn run_bench(
         overload.ok,
         overload.rejected,
         num(overload.reject_rate),
+        batched.max_batch,
         num(speedup),
         sweep_entries.join(",\n    "),
         cfg.metrics_poll_ms.max(1),

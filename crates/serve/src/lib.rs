@@ -5,10 +5,11 @@
 //!
 //! The server speaks a length-prefixed JSON protocol ([`protocol`]),
 //! admits requests into a globally bounded queue set with explicit
-//! `overloaded` rejections ([`queue`]), cuts dynamic micro-batches (flush
-//! on max-batch-size or batch-window deadline, whichever first), and runs
-//! them on **N replica model workers** behind a least-loaded dispatcher
-//! ([`server`]) through any of the three executor families — exact,
+//! `overloaded` rejections ([`queue`]), cuts work-conserving micro-batches
+//! (a free worker pops up to max-batch-size waiting jobs at once and never
+//! waits on a timer), and runs them on **N replica model workers** behind a
+//! dispatcher that picks the replica with the fewest waiting plus
+//! in-service jobs ([`server`]) through any of the three executor families — exact,
 //! 8A4W-quantized, or approximate ([`executor`], [`model`]). Every replica
 //! is built bit-identically from one shared frozen checkpoint
 //! ([`ServeSpec`]) with its own compiled plan cache and scratch arena, so
@@ -40,7 +41,7 @@
 //! open-loop [`loadgen::sweep`] that locates the saturation knee;
 //! [`stream`] reports a raw-frame sweep with per-stage
 //! preprocess/queue/compute breakdowns (`results/BENCH_stream.json`);
-//! [`bench`](mod@bench) sweeps the executor × batch-config matrix plus the
+//! [`bench`](mod@bench) sweeps the executor × max-batch matrix plus the
 //! replicas-vs-throughput knee into `results/BENCH_serve.json`.
 //!
 //! ## Minimal session
@@ -115,7 +116,6 @@ mod tests {
         let mut server = tiny_server(QueueConfig {
             capacity: 8,
             max_batch: 4,
-            batch_window: Duration::from_micros(500),
         });
         let addr = server.addr();
         assert_eq!(probe_input_len(addr).unwrap(), 3 * 8 * 8);
@@ -149,7 +149,6 @@ mod tests {
             QueueConfig {
                 capacity: 16,
                 max_batch: 4,
-                batch_window: Duration::from_micros(500),
             },
             2,
         );
@@ -197,7 +196,6 @@ mod tests {
         let mut server = tiny_server(QueueConfig {
             capacity: 8,
             max_batch: 4,
-            batch_window: Duration::from_micros(500),
         });
         let input = vec![0.5f32; server.input_len()];
         let mut client = Client::connect(server.addr()).unwrap();
@@ -225,7 +223,6 @@ mod tests {
         let mut server = tiny_server(QueueConfig {
             capacity: 32,
             max_batch: 4,
-            batch_window: Duration::from_micros(500),
         });
         let report = loadgen::run(
             server.addr(),
@@ -254,7 +251,6 @@ mod tests {
             QueueConfig {
                 capacity: 16,
                 max_batch: 2,
-                batch_window: Duration::from_micros(200),
             },
             3,
         );
@@ -297,7 +293,6 @@ mod tests {
             QueueConfig {
                 capacity: 16,
                 max_batch: 4,
-                batch_window: Duration::from_micros(200),
             },
             2,
         );
@@ -370,7 +365,6 @@ mod tests {
             QueueConfig {
                 capacity: 16,
                 max_batch: 4,
-                batch_window: Duration::from_micros(300),
             },
             2,
         );
@@ -487,7 +481,6 @@ mod tests {
         let mut server = tiny_server(QueueConfig {
             capacity: 16,
             max_batch: 4,
-            batch_window: Duration::from_micros(300),
         });
         let shape = FrameShape {
             height: 16,
@@ -540,7 +533,6 @@ mod tests {
         let mut server = tiny_server(QueueConfig {
             capacity: 1,
             max_batch: 1,
-            batch_window: Duration::ZERO,
         });
         let report = loadgen::run(
             server.addr(),

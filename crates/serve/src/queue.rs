@@ -1,4 +1,4 @@
-//! Bounded admission-controlled queue with dynamic micro-batching.
+//! Bounded admission-controlled queue with work-conserving micro-batching.
 //!
 //! Requests are admitted only while the queue holds fewer than
 //! `capacity` jobs — beyond that the push fails immediately with
@@ -6,30 +6,30 @@
 //! into an explicit rejection response instead of letting latency grow
 //! without bound (admission control, not load shedding by timeout).
 //!
-//! The batcher side pops *micro-batches*: a batch flushes as soon as
-//! `max_batch` jobs are waiting **or** the oldest job has waited
-//! `batch_window`, whichever comes first. Under heavy load batches are
-//! full (throughput-optimal); under light load a lone request pays at most
-//! one window of extra latency.
+//! The batcher side is work-conserving: a worker asking for a batch pops up
+//! to `max_batch` waiting jobs at once and sleeps only while the queue is
+//! empty, never on a timer. Batches still form under load, from the jobs
+//! that arrive while the previous batch computes.
 //!
 //! Shutdown is a drain: [`BatchQueue::start_drain`] atomically flips the
 //! queue into draining mode — subsequent pushes fail with
 //! [`AdmitError::Draining`], already-admitted jobs are still batched and
-//! served (immediately, ignoring the window), and [`BatchQueue::next_batch`]
-//! returns `None` once the backlog is empty so the worker can exit.
+//! served, and [`BatchQueue::next_batch`] returns `None` once the backlog
+//! is empty so the worker can exit.
 //!
 //! With replica workers, a [`Dispatcher`] fronts one `BatchQueue` per
 //! replica: admission control stays **global** (a shared permit counter
 //! enforces the configured capacity across all replicas, so N replicas do
 //! not silently multiply the queue bound), and each admitted job lands on
-//! the least-loaded replica queue. Per-queue batching semantics — the
-//! max-batch/window flush rule — are unchanged.
+//! the least-loaded replica. A replica's load is its waiting jobs plus the
+//! batch its worker is computing ([`BatchQueue::load`]), so a job goes to
+//! an idle replica rather than queueing behind a busy one.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Sizing of the queue and the micro-batcher.
 #[derive(Debug, Clone, Copy)]
@@ -38,8 +38,6 @@ pub struct QueueConfig {
     pub capacity: usize,
     /// Maximum jobs per micro-batch.
     pub max_batch: usize,
-    /// Longest the oldest job may wait before a partial batch flushes.
-    pub batch_window: Duration,
 }
 
 impl Default for QueueConfig {
@@ -47,7 +45,6 @@ impl Default for QueueConfig {
         QueueConfig {
             capacity: 64,
             max_batch: 8,
-            batch_window: Duration::from_micros(2000),
         }
     }
 }
@@ -117,6 +114,8 @@ pub struct Batch {
 
 struct Inner {
     jobs: VecDeque<Job>,
+    /// Jobs of the batch the worker is computing; zeroed when it returns.
+    in_service: usize,
     draining: bool,
 }
 
@@ -134,6 +133,7 @@ impl BatchQueue {
         BatchQueue {
             inner: Mutex::new(Inner {
                 jobs: VecDeque::new(),
+                in_service: 0,
                 draining: false,
             }),
             wake: Condvar::new(),
@@ -179,6 +179,13 @@ impl BatchQueue {
         self.lock().jobs.len()
     }
 
+    /// Jobs waiting plus the jobs of the batch the worker is computing —
+    /// the dispatch load of this queue's replica.
+    pub fn load(&self) -> usize {
+        let inner = self.lock();
+        inner.jobs.len() + inner.in_service
+    }
+
     /// Flips the queue into draining mode and wakes the worker. Idempotent.
     pub fn start_drain(&self) {
         self.lock().draining = true;
@@ -190,37 +197,27 @@ impl BatchQueue {
         self.lock().draining
     }
 
-    /// Blocks until a micro-batch is due and pops it, or returns `None`
-    /// when the queue is draining and empty (worker exit signal).
+    /// Pops up to `max_batch` waiting jobs at once, blocking only while
+    /// the queue is empty; returns `None` when the queue is draining and
+    /// empty (worker exit signal).
     ///
-    /// A batch is due when `max_batch` jobs are waiting, when the oldest
-    /// waiting job reaches the `batch_window` deadline, or immediately
-    /// during a drain.
+    /// Calling it also marks the worker's previous batch as finished, so
+    /// [`Self::load`] counts the popped batch until the worker comes back.
     pub fn next_batch(&self) -> Option<Batch> {
         let mut inner = self.lock();
+        inner.in_service = 0;
         loop {
-            if let Some(oldest) = inner.jobs.front() {
-                let full = inner.jobs.len() >= self.cfg.max_batch;
-                let deadline = oldest.enqueued + self.cfg.batch_window;
-                let now = Instant::now();
-                if full || inner.draining || now >= deadline {
-                    let depth_at_pop = inner.jobs.len();
-                    let take = depth_at_pop.min(self.cfg.max_batch);
-                    let jobs: Vec<Job> = inner.jobs.drain(..take).collect();
-                    return Some(Batch { jobs, depth_at_pop });
-                }
-                // Partial batch: sleep until the window closes or a push
-                // (or drain) wakes us early.
-                let (guard, _) = self
-                    .wake
-                    .wait_timeout(inner, deadline - now)
-                    .unwrap_or_else(|e| e.into_inner());
-                inner = guard;
-            } else if inner.draining {
-                return None;
-            } else {
-                inner = self.wake.wait(inner).unwrap_or_else(|e| e.into_inner());
+            if !inner.jobs.is_empty() {
+                let depth_at_pop = inner.jobs.len();
+                let take = depth_at_pop.min(self.cfg.max_batch);
+                let jobs: Vec<Job> = inner.jobs.drain(..take).collect();
+                inner.in_service = take;
+                return Some(Batch { jobs, depth_at_pop });
             }
+            if inner.draining {
+                return None;
+            }
+            inner = self.wake.wait(inner).unwrap_or_else(|e| e.into_inner());
         }
     }
 }
@@ -268,7 +265,8 @@ impl Dispatcher {
         &self.queues[i]
     }
 
-    /// Admits a job onto the least-loaded replica queue, or rejects it
+    /// Admits a job onto the least-loaded replica ([`BatchQueue::load`]:
+    /// waiting plus in-service jobs), or rejects it
     /// without blocking. On success returns `(replica, depth_after_push)`.
     /// `trace_seq` is the server-wide trace-id sequence, drawn from under
     /// the chosen queue's mutex (see [`BatchQueue::push`]).
@@ -290,7 +288,7 @@ impl Dispatcher {
         // Least-loaded pick; ties go to the lowest index so a single
         // trickle of requests stays on replica 0 (warm plan cache).
         let replica = (0..self.queues.len())
-            .min_by_key(|&i| self.queues[i].depth())
+            .min_by_key(|&i| self.queues[i].load())
             .expect("at least one replica");
         match self.queues[replica].push(job, trace_seq) {
             Ok(depth) => Ok((replica, depth)),
@@ -331,6 +329,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
+    use std::time::Duration;
 
     fn seq() -> AtomicU64 {
         AtomicU64::new(0)
@@ -350,18 +349,17 @@ mod tests {
         )
     }
 
-    fn cfg(capacity: usize, max_batch: usize, window_us: u64) -> QueueConfig {
+    fn cfg(capacity: usize, max_batch: usize) -> QueueConfig {
         QueueConfig {
             capacity,
             max_batch,
-            batch_window: Duration::from_micros(window_us),
         }
     }
 
     #[test]
     fn push_beyond_capacity_is_overloaded() {
         let seq = seq();
-        let q = BatchQueue::new(cfg(2, 8, 1_000_000));
+        let q = BatchQueue::new(cfg(2, 8));
         assert_eq!(q.push(job(1).0, &seq), Ok(1));
         assert_eq!(q.push(job(2).0, &seq), Ok(2));
         assert_eq!(q.push(job(3).0, &seq), Err(AdmitError::Overloaded));
@@ -369,9 +367,9 @@ mod tests {
     }
 
     #[test]
-    fn full_batch_flushes_without_waiting_for_the_window() {
+    fn a_full_batch_is_capped_at_max_batch() {
         let seq = seq();
-        let q = BatchQueue::new(cfg(8, 3, 60_000_000));
+        let q = BatchQueue::new(cfg(8, 3));
         for id in 0..4 {
             q.push(job(id).0, &seq).unwrap();
         }
@@ -394,24 +392,26 @@ mod tests {
     }
 
     #[test]
-    fn partial_batch_flushes_when_the_window_closes() {
+    fn a_partial_batch_pops_without_waiting() {
         let seq = seq();
-        let q = BatchQueue::new(cfg(8, 8, 20_000));
+        let q = BatchQueue::new(cfg(8, 8));
         q.push(job(7).0, &seq).unwrap();
+        q.push(job(8).0, &seq).unwrap();
         let start = Instant::now();
         let batch = q.next_batch().expect("batch due");
-        assert_eq!(batch.jobs.len(), 1);
-        assert!(
-            start.elapsed() >= Duration::from_micros(10_000),
-            "flushed suspiciously early: {:?}",
-            start.elapsed()
+        assert!(start.elapsed() < Duration::from_secs(1), "must not wait");
+        assert_eq!(
+            batch.jobs.iter().map(|j| j.id).collect::<Vec<_>>(),
+            vec![7, 8],
+            "both waiting jobs, in admission order"
         );
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]
     fn drain_rejects_new_jobs_but_serves_the_backlog() {
         let seq = seq();
-        let q = BatchQueue::new(cfg(8, 4, 60_000_000));
+        let q = BatchQueue::new(cfg(8, 4));
         q.push(job(1).0, &seq).unwrap();
         q.push(job(2).0, &seq).unwrap();
         q.start_drain();
@@ -423,7 +423,7 @@ mod tests {
 
     #[test]
     fn drain_wakes_a_blocked_worker() {
-        let q = Arc::new(BatchQueue::new(cfg(8, 8, 60_000_000)));
+        let q = Arc::new(BatchQueue::new(cfg(8, 8)));
         let q2 = Arc::clone(&q);
         let worker = thread::spawn(move || q2.next_batch().is_none());
         thread::sleep(Duration::from_millis(20));
@@ -434,7 +434,7 @@ mod tests {
     #[test]
     fn reply_channel_delivers_in_batch_order() {
         let seq = seq();
-        let q = BatchQueue::new(cfg(8, 8, 0));
+        let q = BatchQueue::new(cfg(8, 8));
         let (j, rx) = job(9);
         q.push(j, &seq).unwrap();
         let batch = q.next_batch().unwrap();
@@ -457,7 +457,7 @@ mod tests {
     #[test]
     fn dispatcher_capacity_is_global_not_per_replica() {
         let seq = seq();
-        let d = Dispatcher::new(cfg(3, 8, 60_000_000), 4);
+        let d = Dispatcher::new(cfg(3, 8), 4);
         for id in 0..3 {
             d.push(job(id).0, &seq).unwrap();
         }
@@ -468,7 +468,7 @@ mod tests {
     #[test]
     fn dispatcher_spreads_to_the_least_loaded_queue() {
         let seq = seq();
-        let d = Dispatcher::new(cfg(8, 8, 60_000_000), 3);
+        let d = Dispatcher::new(cfg(8, 8), 3);
         let mut replicas = Vec::new();
         for id in 0..6 {
             let (replica, depth) = d.push(job(id).0, &seq).unwrap();
@@ -485,20 +485,51 @@ mod tests {
     #[test]
     fn dispatcher_release_reopens_admission() {
         let seq = seq();
-        let d = Dispatcher::new(cfg(1, 1, 0), 2);
+        let d = Dispatcher::new(cfg(1, 1), 2);
         d.push(job(1).0, &seq).unwrap();
         assert_eq!(d.push(job(2).0, &seq), Err(AdmitError::Overloaded));
         let batch = d.queue(0).next_batch().unwrap();
         d.release(batch.jobs.len());
         assert_eq!(d.admitted(), 0);
-        let (replica, _) = d.push(job(3).0, &seq).unwrap();
-        assert_eq!(replica, 0, "both queues empty again; ties go to index 0");
+        assert!(d.push(job(3).0, &seq).is_ok(), "the permit came back");
+        assert_eq!(d.admitted(), 1);
+    }
+
+    #[test]
+    fn dispatcher_skips_a_replica_that_is_computing() {
+        let seq = seq();
+        let d = Arc::new(Dispatcher::new(cfg(8, 8), 2));
+        assert_eq!(d.push(job(1).0, &seq).unwrap().0, 0);
+        assert_eq!(d.queue(0).next_batch().unwrap().jobs.len(), 1);
+        // Replica 0's queue is empty but its worker is computing job 1.
+        assert_eq!(d.queue(0).depth(), 0);
+        assert_eq!(d.queue(0).load(), 1);
+        assert_eq!(d.push(job(2).0, &seq).unwrap().0, 1, "idle replica wins");
+        assert_eq!(d.queue(1).next_batch().unwrap().jobs.len(), 1);
+
+        // Both workers come back for more: both loads drop to zero and the
+        // tie goes to index 0 again.
+        let workers: Vec<_> = (0..2)
+            .map(|i| {
+                let d = Arc::clone(&d);
+                thread::spawn(move || d.queue(i).next_batch().map(|b| b.jobs[0].id))
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while d.queue(0).load() + d.queue(1).load() > 0 {
+            assert!(Instant::now() < deadline, "workers never re-entered");
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(d.push(job(3).0, &seq).unwrap().0, 0);
+        d.start_drain();
+        let served: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        assert_eq!(served, vec![Some(3), None]);
     }
 
     #[test]
     fn dispatcher_drain_fans_out_and_rejects() {
         let seq = seq();
-        let d = Dispatcher::new(cfg(8, 4, 60_000_000), 3);
+        let d = Dispatcher::new(cfg(8, 4), 3);
         d.push(job(1).0, &seq).unwrap();
         d.start_drain();
         assert!(d.is_draining());

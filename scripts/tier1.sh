@@ -47,6 +47,13 @@ serve_up() {
     exit 1
 }
 
+# A removed flag must fail loudly, not be silently ignored.
+if target/release/axnn serve --batch-window-us 1 >"$OBS_TMP/old_flag.out" 2>&1 ||
+    ! grep -q "unknown flag --batch-window-us" "$OBS_TMP/old_flag.out"; then
+    echo "tier1: serve did not reject a removed flag" >&2
+    exit 1
+fi
+
 # Observability smoke: a tiny profiled pipeline run must produce a JSONL
 # profile that `axnn obs report` can render and `axnn obs diff` can gate on,
 # with a nonzero exit once a counter regression is injected.
@@ -68,7 +75,7 @@ echo "tier1: obs smoke OK"
 # rejections (queue capacity 1, max-batch 1, 8 concurrent connections),
 # drain cleanly on shutdown, and leave a serving profile that
 # `axnn obs report` renders.
-serve_up "serve" "$OBS_TMP/serve.out" --max-batch 1 --batch-window-us 200 --queue-cap 1 \
+serve_up "serve" "$OBS_TMP/serve.out" --max-batch 1 --queue-cap 1 \
     --profile "$OBS_TMP/serve.jsonl"
 target/release/axnn loadgen --addr "$ADDR" --connections 8 --requests 4 \
     --shutdown true >"$OBS_TMP/loadgen.json"

@@ -92,7 +92,6 @@
 //! --executor <exact|quant|approx>                        [exact]
 //! --mult <catalogue id>      multiplier for --executor approx [trunc5]
 //! --max-batch <N>            micro-batch size cap        [8]
-//! --batch-window-us <U>      partial-batch flush deadline [2000]
 //! --queue-cap <Q>            admission-control queue depth [64]
 //! --threads <T>              axnn-par worker override    [0 = default]
 //! --profile <file.jsonl>     append the serving RunProfile on drain
@@ -101,6 +100,10 @@
 //! `evaluate`, `serve`, `search` and the `--checkpoint` modes of `loadgen`
 //! and `stream` run inference through the fused graph executor (per-batch-
 //! shape plan cache); the layer interpreter only trains.
+//!
+//! A free replica worker takes up to `--max-batch` waiting requests at once
+//! and never holds one back to fill a batch. Each request goes to the
+//! replica with the fewest waiting plus in-service requests.
 //!
 //! The server prints `serving on <addr> ...` once ready and runs until a
 //! client sends `{"cmd": "shutdown"}` (`axnn loadgen --shutdown true`
@@ -114,8 +117,8 @@
 //!                           verdict JSON, exit nonzero unless the logits
 //!                           match bit for bit
 //! --fps <A,B,..>            explicit offered-rate ladder, frames/s
-//! --sweep-steps <N>         ladder size when --fps is absent          [5]
-//! --est-fps <F>             calibration rate the ladder brackets      [40]
+//! --sweep-steps <N>         ladder size when --fps is absent; the ladder
+//!                           brackets one closed-loop calibration run  [5]
 //! --connections <C>         parallel frame streams                    [2]
 //! --frame-height <px> / --frame-width <px>   source frame size   [48 / 48]
 //! --channels <C> / --dtype <u8|f32>          frame payload        [3 / u8]
@@ -125,7 +128,7 @@
 //!
 //! `--checkpoint` mode starts an in-process server first and accepts the
 //! `serve` flags (`--model --width --hw --executor --mult --replicas
-//! --max-batch --batch-window-us --queue-cap --threads`).
+//! --max-batch --queue-cap --threads`).
 
 use approxnn::approxkd::pipeline::ModelKind;
 use approxnn::approxkd::{ExperimentEnv, Method, StageConfig};
@@ -728,8 +731,7 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     const USAGE: &str = "axnn serve --checkpoint <file> [--host H --port P --model M --width W \
                          --hw H --executor exact|quant|approx --mult ID --seed S --max-batch N \
-                         --batch-window-us U --queue-cap Q --replicas R --threads T \
-                         --profile FILE]";
+                         --queue-cap Q --replicas R --threads T --profile FILE]";
     let flags = parse_known(
         args,
         &[
@@ -743,7 +745,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "mult",
             "seed",
             "max-batch",
-            "batch-window-us",
             "queue-cap",
             "replicas",
             "threads",
@@ -759,7 +760,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let queue = serve::QueueConfig {
         capacity: flags.parsed("queue-cap", 64)?,
         max_batch: flags.parsed("max-batch", 8)?,
-        batch_window: Duration::from_micros(flags.parsed("batch-window-us", 2000)?),
     };
     if queue.capacity == 0 || queue.max_batch == 0 {
         return Err("--queue-cap and --max-batch must be at least 1".to_string());
@@ -799,10 +799,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // Scripts wait for this line and parse the bound (possibly ephemeral)
     // port out of it.
     println!(
-        "serving on {} (executor {executor}, max_batch {}, window {} us, queue {}, replicas {replicas})",
+        "serving on {} (executor {executor}, max_batch {}, queue {}, replicas {replicas})",
         server.addr(),
         queue.max_batch,
-        queue.batch_window.as_micros(),
         queue.capacity,
     );
     use std::io::Write;
@@ -967,16 +966,18 @@ fn stream_drive(
     cfg.rates = match fps {
         Some(list) => list,
         None => {
-            // One calibration step finds the ballpark throughput; the
+            // One closed-loop calibration run finds the service rate (an
+            // open-loop step cannot achieve more than it offers); the
             // ladder then brackets it, `loadgen` style.
             let steps: usize = flags.parsed("sweep-steps", 5)?;
-            let est: f64 = flags.parsed("est-fps", 40.0)?;
-            if est <= 0.0 {
-                return Err("--est-fps must be positive".to_string());
-            }
-            let cal = serve::loadgen::drive(addr, payload, &cfg.step(est, cfg.seed))
-                .map_err(|e| e.to_string())?;
-            eprintln!("calibration at {est} fps achieved {:.1} fps", cal.rate());
+            let closed = LoadConfig {
+                connections: cfg.connections,
+                requests: 64,
+                rate_rps: 0.0,
+                seed: cfg.seed,
+            };
+            let cal = serve::loadgen::drive(addr, payload, &closed).map_err(|e| e.to_string())?;
+            eprintln!("closed-loop calibration achieved {:.1} fps", cal.rate());
             serve::loadgen::rate_ladder(cal.rate().max(1.0), steps)
         }
     };
@@ -1013,12 +1014,12 @@ fn stream_drive(
 
 fn cmd_stream(args: &[String]) -> Result<(), String> {
     const USAGE: &str = "axnn stream --addr <host:port> [--probe-seed S | --fps A,B,.. | \
-                         --sweep-steps N --est-fps F] [--connections C --frame-height H \
+                         --sweep-steps N] [--connections C --frame-height H \
                          --frame-width W --channels C --dtype u8|f32 --step-s S --seed S \
                          --out FILE]\n       \
                          axnn stream --checkpoint <file> [--model M --width W --hw H \
-                         --executor E --mult ID --replicas R --max-batch N --batch-window-us U \
-                         --queue-cap Q --threads T + the flags above]";
+                         --executor E --mult ID --replicas R --max-batch N --queue-cap Q \
+                         --threads T + the flags above]";
     let flags = parse_known(
         args,
         &[
@@ -1027,7 +1028,6 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             "probe-seed",
             "fps",
             "sweep-steps",
-            "est-fps",
             "connections",
             "frame-height",
             "frame-width",
@@ -1043,7 +1043,6 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             "mult",
             "replicas",
             "max-batch",
-            "batch-window-us",
             "queue-cap",
             "threads",
         ],
@@ -1105,7 +1104,6 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             let queue = serve::QueueConfig {
                 capacity: flags.parsed("queue-cap", 64)?,
                 max_batch: flags.parsed("max-batch", 8)?,
-                batch_window: Duration::from_micros(flags.parsed("batch-window-us", 2000)?),
             };
             if queue.capacity == 0 || queue.max_batch == 0 {
                 return Err("--queue-cap and --max-batch must be at least 1".to_string());

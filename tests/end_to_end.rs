@@ -7,7 +7,6 @@ use approxnn::axmul::catalog;
 use approxnn::models::ModelConfig;
 use approxnn::nn::{Checkpoint, Layer, Mode, StepDecay};
 use approxnn::serve::{Client, ModelOptions, QueueConfig, ServeExecutor, ServeSpec, Server};
-use std::time::Duration;
 
 fn fp_cfg() -> StageConfig {
     StageConfig {
@@ -164,7 +163,6 @@ fn mobilenet_pipeline_runs_with_kept_bn() {
             QueueConfig {
                 capacity: 8,
                 max_batch: 2,
-                batch_window: Duration::from_micros(300),
             },
             1,
         )

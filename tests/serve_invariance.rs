@@ -33,7 +33,6 @@ use approxnn::serve::{
 use axnn_rng::{cases, Rng};
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
 
 const WIDTH: f32 = 0.2;
 const HW: usize = 8;
@@ -209,7 +208,6 @@ fn shared_server(executor: ServeExecutor, replicas: usize) -> &'static Server {
                 QueueConfig {
                     capacity: 32,
                     max_batch: 3,
-                    batch_window: Duration::from_micros(300),
                 },
                 replicas,
             )
@@ -617,7 +615,6 @@ fn wire_protocol_preserves_logit_bits_through_overload_and_drain() {
         QueueConfig {
             capacity: 8,
             max_batch: 4,
-            batch_window: std::time::Duration::from_micros(500),
         },
         1,
     )
