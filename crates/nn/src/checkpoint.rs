@@ -182,7 +182,8 @@ impl Checkpoint {
     /// # Errors
     ///
     /// Returns [`ParseCheckpointError`] on malformed JSON, missing fields,
-    /// non-finite (`null`) values, or data/shape length mismatches.
+    /// non-finite values (`null`, or a literal such as `1e39` that
+    /// overflows `f32`), or data/shape length mismatches.
     pub fn from_json(json: &str) -> Result<Self, ParseCheckpointError> {
         fn tensor_from(
             v: &JsonValue,
@@ -195,6 +196,12 @@ impl Checkpoint {
                 .ok_or_else(|| {
                     ParseCheckpointError::new(format!("{what} {i}: missing or non-numeric 'data'"))
                 })?;
+            // An out-of-range literal such as `1e39` parses to ±inf.
+            if let Some(j) = data.iter().position(|x| !x.is_finite()) {
+                return Err(ParseCheckpointError::new(format!(
+                    "{what} {i}: 'data[{j}]' is not a finite f32"
+                )));
+            }
             let shape = v
                 .get("shape")
                 .and_then(JsonValue::usize_array)
@@ -305,6 +312,26 @@ mod tests {
         assert!(err.to_string().contains("params 0"));
         let non_finite = "{\"params\":[{\"data\":[null],\"shape\":[1]}],\"buffers\":[]}";
         assert!(Checkpoint::from_json(non_finite).is_err());
+    }
+
+    #[test]
+    fn overflowing_literals_are_rejected_not_restored_as_inf() {
+        for (doc, what) in [
+            (
+                r#"{"params":[{"data":[1e39,0.5],"shape":[2]}],"buffers":[]}"#,
+                "params 0: 'data[0]'",
+            ),
+            (
+                r#"{"params":[],"buffers":[{"data":[1],"shape":[1]},{"data":[0.5,-4e38],"shape":[2]}]}"#,
+                "buffers 1: 'data[1]'",
+            ),
+        ] {
+            let err = Checkpoint::from_json(doc).unwrap_err().to_string();
+            assert!(err.contains(what), "{err}");
+        }
+        // Underflow to zero is finite and stays accepted.
+        let tiny = r#"{"params":[{"data":[1e-50],"shape":[1]}],"buffers":[]}"#;
+        assert!(Checkpoint::from_json(tiny).is_ok());
     }
 
     #[test]

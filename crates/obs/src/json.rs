@@ -15,9 +15,13 @@
 //!   parses back to the same bits. The reader keeps each number's **raw
 //!   token** ([`JsonValue::Num`]) and callers parse it as `f32`/`f64`/`u64`
 //!   on demand, so `f32 -> emit -> parse -> f32` is bit-identical — the
-//!   determinism contract extends through JSON. Non-finite values, which
-//!   JSON cannot express, print as `0` ([`num`]) or `null`
-//!   ([`num_or_null`]) depending on what the reader should make of them.
+//!   determinism contract extends through JSON. The token is held inline
+//!   in the node ([`NumToken`]) unless it is longer than 22 bytes, so
+//!   reading a pixel, an index or a weight allocates nothing: a 6912-value
+//!   frame costs one allocation for its array, not one per element.
+//!   Non-finite values, which JSON cannot express, print as `0` ([`num`])
+//!   or `null` ([`num_or_null`]) depending on what the reader should make
+//!   of them.
 //! - Objects preserve insertion order in a `Vec` (no hashing, stable
 //!   iteration, duplicate keys resolve to the *first* occurrence).
 //! - A hard nesting-depth cap and a byte-length cap on the caller's side
@@ -53,12 +57,67 @@ pub const MAX_DEPTH: usize = 96;
 pub enum JsonValue {
     Null,
     Bool(bool),
-    /// Raw number token as it appeared in the input (e.g. `-1.5e3`).
-    Num(String),
+    /// Raw number token as it appeared in the input (e.g. `-1.5e3`), kept
+    /// inline without a heap allocation unless it is unusually long.
+    Num(NumToken),
     Str(String),
     Arr(Vec<JsonValue>),
     /// Key/value pairs in document order.
     Obj(Vec<(String, JsonValue)>),
+}
+
+/// A number token exactly as it appeared in the input.
+///
+/// Tokens of up to 22 bytes live in a fixed array inside the node. That
+/// covers every `u64` and the `Display` form of every `f32` that is zero or
+/// lies in `1e-11 <= |x| < 1e21`. Longer tokens, which are legal JSON, go
+/// to a `Box<str>`. Either way [`NumToken::as_str`] returns the original
+/// text, which the [`JsonValue`] accessors parse with `str::parse`.
+#[derive(Clone, PartialEq)]
+pub struct NumToken(Token);
+
+#[derive(Clone, PartialEq)]
+enum Token {
+    Inline {
+        len: u8,
+        bytes: [u8; NumToken::INLINE],
+    },
+    Heap(Box<str>),
+}
+
+impl NumToken {
+    /// Longest token stored without a heap allocation; sized so that a
+    /// [`JsonValue`] stays 32 bytes.
+    const INLINE: usize = 22;
+
+    /// `ascii` is a token the parser scanned, hence ASCII.
+    fn new(ascii: &[u8]) -> Self {
+        if ascii.len() > Self::INLINE {
+            return NumToken(Token::Heap(ascii.iter().map(|&b| char::from(b)).collect()));
+        }
+        let mut bytes = [0; Self::INLINE];
+        bytes[..ascii.len()].copy_from_slice(ascii);
+        NumToken(Token::Inline {
+            len: ascii.len() as u8,
+            bytes,
+        })
+    }
+
+    /// The token's text.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Token::Inline { len, bytes } => {
+                std::str::from_utf8(&bytes[..usize::from(*len)]).expect("number tokens are ascii")
+            }
+            Token::Heap(s) => s,
+        }
+    }
+}
+
+impl fmt::Debug for NumToken {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
 }
 
 /// Parse failure: what went wrong and the byte offset where.
@@ -123,7 +182,7 @@ impl JsonValue {
     /// The number token parsed as `f64`.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            JsonValue::Num(raw) => raw.parse().ok(),
+            JsonValue::Num(raw) => raw.as_str().parse().ok(),
             _ => None,
         }
     }
@@ -132,7 +191,7 @@ impl JsonValue {
     /// an `f32` via `Display`).
     pub fn as_f32(&self) -> Option<f32> {
         match self {
-            JsonValue::Num(raw) => raw.parse().ok(),
+            JsonValue::Num(raw) => raw.as_str().parse().ok(),
             _ => None,
         }
     }
@@ -140,7 +199,7 @@ impl JsonValue {
     /// The number token parsed as `u64` (rejects signs, fractions, exponents).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Num(raw) => raw.parse().ok(),
+            JsonValue::Num(raw) => raw.as_str().parse().ok(),
             _ => None,
         }
     }
@@ -148,7 +207,7 @@ impl JsonValue {
     /// The number token parsed as `usize`.
     pub fn as_usize(&self) -> Option<usize> {
         match self {
-            JsonValue::Num(raw) => raw.parse().ok(),
+            JsonValue::Num(raw) => raw.as_str().parse().ok(),
             _ => None,
         }
     }
@@ -420,27 +479,22 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar; input came from &[u8], so
+                    // Copy the run of plain bytes up to the next quote,
+                    // backslash or control byte; input came from &[u8], so
                     // validate rather than assume.
                     let rest = &self.input[self.pos..];
-                    let take = rest.iter().take(4).copied().collect::<Vec<_>>();
-                    match std::str::from_utf8(&take) {
-                        Ok(s) => {
-                            let c = s.chars().next().ok_or_else(|| self.err("empty char"))?;
-                            out.push(c);
-                            self.pos += c.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                        .unwrap_or(rest.len());
+                    match std::str::from_utf8(&rest[..run]) {
+                        Ok(s) => out.push_str(s),
+                        Err(e) => {
+                            self.pos += e.valid_up_to();
+                            return Err(self.err("invalid utf-8 in string"));
                         }
-                        Err(e) if e.valid_up_to() > 0 => {
-                            let c = std::str::from_utf8(&take[..e.valid_up_to()])
-                                .expect("validated prefix")
-                                .chars()
-                                .next()
-                                .expect("non-empty prefix");
-                            out.push(c);
-                            self.pos += c.len_utf8();
-                        }
-                        Err(_) => return Err(self.err("invalid utf-8 in string")),
                     }
+                    self.pos += run;
                 }
             }
         }
@@ -496,10 +550,7 @@ impl<'a> Parser<'a> {
                 return Err(self.err("exponent has no digits"));
             }
         }
-        let raw = std::str::from_utf8(&self.input[start..self.pos])
-            .expect("number tokens are ascii")
-            .to_string();
-        Ok(JsonValue::Num(raw))
+        Ok(JsonValue::Num(NumToken::new(&self.input[start..self.pos])))
     }
 }
 
@@ -537,6 +588,72 @@ mod tests {
             let back = v.as_array().unwrap()[0].as_f32().unwrap();
             assert_eq!(back.to_bits(), bits, "{x} must round-trip");
         }
+    }
+
+    #[test]
+    fn number_tokens_read_exactly_as_str_parse() {
+        // Each token alone, inside an array and inside an object: the node
+        // keeps the text and every accessor agrees with `str::parse`.
+        fn check(token: &str) {
+            for doc in [
+                token.to_string(),
+                format!("[{token}]"),
+                format!("{{\"k\": {token}}}"),
+            ] {
+                let v = JsonValue::parse(doc.as_bytes()).unwrap_or_else(|e| panic!("{doc}: {e}"));
+                let n = match &v {
+                    JsonValue::Arr(items) => &items[0],
+                    JsonValue::Obj(_) => v.get("k").unwrap(),
+                    n => n,
+                };
+                assert!(
+                    matches!(n, JsonValue::Num(t) if t.as_str() == token),
+                    "{doc}"
+                );
+                let f32_bits = token.parse::<f32>().ok().map(f32::to_bits);
+                assert_eq!(n.as_f32().map(f32::to_bits), f32_bits, "{doc}");
+                let f64_bits = token.parse::<f64>().ok().map(f64::to_bits);
+                assert_eq!(n.as_f64().map(f64::to_bits), f64_bits, "{doc}");
+                assert_eq!(n.as_u64(), token.parse::<u64>().ok(), "{doc}");
+                assert_eq!(n.as_usize(), token.parse::<usize>().ok(), "{doc}");
+            }
+        }
+        // Between `lo` and `hi` decimal digits, without a leading zero.
+        fn digits(rng: &mut axnn_rng::Rng, lo: usize, hi: usize) -> String {
+            (0..rng.gen_range(lo..=hi))
+                .map(|i| char::from(b'0' + rng.gen_range(u8::from(i == 0)..10)))
+                .collect()
+        }
+        assert!(std::mem::size_of::<JsonValue>() <= 32);
+        check("0");
+        check("-0");
+        axnn_rng::cases(256, |mut rng| {
+            let x = f32::from_bits(rng.gen());
+            if x.is_finite() {
+                check(&x.to_string());
+            }
+            let y = f64::from_bits(rng.gen());
+            if y.is_finite() {
+                check(&y.to_string());
+            }
+            check(&rng.normal(0.0, 0.05).to_string());
+            check(&rng.gen_range(-1e6..1e6f64).to_string());
+            check(&rng.gen::<u64>().to_string());
+            let int = digits(&mut rng, 1, 3);
+            let frac = digits(&mut rng, 1, 7);
+            for (e, sign) in [("e", ""), ("E", "+"), ("e", "-")] {
+                let exp = rng.gen_range(0..400u32);
+                check(&format!("{int}.{frac}{e}{sign}{exp}"));
+                check(&format!("-{int}{e}{sign}{exp}"));
+            }
+            for len in NumToken::INLINE - 2..=NumToken::INLINE + 2 {
+                check(&digits(&mut rng, len, len));
+                check(&format!("-{}", digits(&mut rng, len - 1, len - 1)));
+                check(&format!("0.{}", digits(&mut rng, len - 2, len - 2)));
+            }
+            check(&digits(&mut rng, 40, 64));
+            check(&format!("-0.{}e-7", digits(&mut rng, 40, 64)));
+        });
     }
 
     #[test]
@@ -598,6 +715,19 @@ mod tests {
     fn errors_carry_byte_offsets() {
         let err = JsonValue::parse(b"[1, x]").unwrap_err();
         assert_eq!(err.offset(), 4);
+        // Invalid UTF-8 is reported at its first bad byte, also when a
+        // truncated sequence runs into the closing quote or the input end.
+        for (bad, at) in [
+            (&b"\"ab\xffcd\""[..], 3),
+            (b"\"a\xe9\"", 2),
+            (b"[\"\xf0\x9f\x98", 2),
+        ] {
+            let err = JsonValue::parse(bad).unwrap_err();
+            assert_eq!(
+                (err.offset(), err.to_string().contains("utf-8")),
+                (at, true)
+            );
+        }
     }
 
     #[test]

@@ -70,6 +70,18 @@ if target/release/axnn obs diff "$OBS_TMP/run.jsonl" "$OBS_TMP/regressed.jsonl" 
 fi
 echo "tier1: obs smoke OK"
 
+# A checkpoint whose first weight overflows f32 must not serve: `1e39`
+# parses to +inf, so loading fails and the error names the tensor. The
+# timeout bounds a server that wrongly comes up.
+sed 's/"data":\[[^],]*/"data":[1e39/' "$OBS_TMP/ckpt.json" >"$OBS_TMP/inf_ckpt.json"
+if timeout 20 target/release/axnn serve --checkpoint "$OBS_TMP/inf_ckpt.json" \
+    --width 0.2 --hw 8 --port 0 >/dev/null 2>"$OBS_TMP/inf_serve.err" ||
+    ! grep -q "params 0: 'data\[0\]' is not a finite f32" "$OBS_TMP/inf_serve.err"; then
+    echo "tier1: serve accepted a checkpoint holding an overflowing weight" >&2
+    exit 1
+fi
+echo "tier1: corrupted checkpoint smoke OK"
+
 # Serving smoke: the checkpoint the pipeline just saved must come up on an
 # ephemeral port, survive a loadgen burst that forces admission-control
 # rejections (queue capacity 1, max-batch 1, 8 concurrent connections),
