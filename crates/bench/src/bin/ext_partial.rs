@@ -7,7 +7,7 @@
 //! layers with trunc5, fine-tune with ApproxKD+GE, and chart accuracy
 //! against the approximated fraction.
 
-use approxkd::pipeline::ModelKind;
+use approxkd::pipeline::{ModelKind, TeacherSource};
 use approxkd::Method;
 use axnn_axmul::catalog;
 use axnn_bench::{paper_best_t2, pct, print_table, Scale};
@@ -24,10 +24,11 @@ fn main() {
     let mut rows = Vec::new();
     for frac in [0.0f32, 0.25, 0.5, 0.75, 1.0] {
         let k = ((n as f32) * frac).round() as usize;
-        let r = env.approximation_stage_where(
+        let r = env.approximation_stage_full(
             spec,
             Method::approx_kd_ge(t2),
             &scale.ft_stage(),
+            TeacherSource::Quantized,
             |i, _| i < k,
         );
         eprintln!(

@@ -6,45 +6,18 @@ use crate::ge::{fit_error_model, ErrorFit, McConfig};
 use crate::methods::{fine_tune, fine_tune_monitored, FineTuneResult, Method};
 use axnn_axmul::catalog::MultiplierSpec;
 use axnn_data::SynthCifar;
-use axnn_models::{lenet, mobilenet_v2, resnet20, resnet32, ModelConfig};
+use axnn_models::ModelConfig;
 use axnn_nn::train::{calibrate, evaluate, logits_over, Dataset};
 use axnn_nn::{Layer, Sequential};
-use axnn_proxsim::approximate_network;
+use axnn_proxsim::{
+    approximate_network_assigned, LayerAssignment, PiecewiseLinearError, SignedLut,
+};
 use axnn_quant::{quantize_network, QuantSpec};
 use axnn_rng::Rng;
+use std::sync::Arc;
 
 pub use crate::methods::StageConfig;
-
-/// Which evaluated CNN an experiment uses (paper Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ModelKind {
-    /// ResNet-20 \[6\] — BN folded before quantization.
-    ResNet20,
-    /// ResNet-32 \[6\] — BN folded before quantization.
-    ResNet32,
-    /// MobileNetV2 \[7\] — BN kept (paper §IV).
-    MobileNetV2,
-    /// LeNet-style plain CNN — the smallest credible target, used by the
-    /// heterogeneous search smokes; BN folded like the ResNets.
-    LeNet,
-}
-
-impl ModelKind {
-    /// Whether the paper folds this model's batch norm before quantization.
-    pub fn folds_bn(self) -> bool {
-        !matches!(self, ModelKind::MobileNetV2)
-    }
-
-    /// Table label.
-    pub fn label(self) -> &'static str {
-        match self {
-            ModelKind::ResNet20 => "ResNet20",
-            ModelKind::ResNet32 => "ResNet32",
-            ModelKind::MobileNetV2 => "MobileNetV2",
-            ModelKind::LeNet => "LeNet",
-        }
-    }
-}
+pub use axnn_models::ModelKind;
 
 /// Which model supplies the stage-2 soft labels.
 ///
@@ -103,7 +76,7 @@ impl ExperimentEnv {
         let gen = SynthCifar::new(model_cfg.input_hw);
         let (train, test) = gen.generate(train_size, test_size, seed);
         let mut rng = Rng::seed(seed);
-        let fp_net = Self::build(kind, &model_cfg, &mut rng);
+        let fp_net = kind.build(&model_cfg, &mut rng);
         Self {
             kind,
             model_cfg,
@@ -152,7 +125,7 @@ impl ExperimentEnv {
             );
         }
         let mut rng = Rng::seed(seed);
-        let fp_net = Self::build(kind, &model_cfg, &mut rng);
+        let fp_net = kind.build(&model_cfg, &mut rng);
         Self {
             kind,
             model_cfg,
@@ -164,15 +137,6 @@ impl ExperimentEnv {
             quant_net: None,
             quant_logits: None,
             seed,
-        }
-    }
-
-    fn build(kind: ModelKind, cfg: &ModelConfig, rng: &mut Rng) -> Sequential {
-        match kind {
-            ModelKind::ResNet20 => resnet20(cfg, rng),
-            ModelKind::ResNet32 => resnet32(cfg, rng),
-            ModelKind::MobileNetV2 => mobilenet_v2(cfg, rng),
-            ModelKind::LeNet => lenet(cfg, rng),
         }
     }
 
@@ -232,7 +196,7 @@ impl ExperimentEnv {
             cfg.batch_norm = false; // FP net is already folded
         }
         let mut rng = Rng::seed(self.seed ^ 0xc0_ffee);
-        let mut student = Self::build(self.kind, &cfg, &mut rng);
+        let mut student = self.kind.build(&cfg, &mut rng);
         student.copy_params_from(&mut self.fp_net);
         student.copy_buffers_from(&mut self.fp_net);
         student
@@ -249,7 +213,7 @@ impl ExperimentEnv {
             cfg.batch_norm = false;
         }
         let mut rng = Rng::seed(self.seed ^ 0xdead);
-        let mut student = Self::build(self.kind, &cfg, &mut rng);
+        let mut student = self.kind.build(&cfg, &mut rng);
         let quant = self
             .quant_net
             .as_mut()
@@ -260,37 +224,26 @@ impl ExperimentEnv {
     }
 
     /// Stage 1 of Algorithm 1: 8A4W quantization plus fine-tuning, with or
-    /// without KD from the FP teacher at temperature `t1`
-    /// (`cfg` carries the optimizer settings; `t1` only matters when
-    /// `use_kd`). Stores the quantized model as the stage-2 teacher.
+    /// without KD from the FP teacher at the paper's `T1 = 1`
+    /// (`cfg` carries the optimizer settings). Stores the quantized model
+    /// as the stage-2 teacher.
     ///
     /// # Panics
     ///
     /// Panics if [`train_fp`](Self::train_fp) has not run.
     pub fn quantization_stage(&mut self, cfg: &StageConfig, use_kd: bool) -> QuantStageResult {
-        self.quantization_stage_at(cfg, use_kd, 1.0)
-    }
-
-    /// [`quantization_stage`](Self::quantization_stage) with an explicit
-    /// `T1` (the paper uses `T1 = 1`).
-    pub fn quantization_stage_at(
-        &mut self,
-        cfg: &StageConfig,
-        use_kd: bool,
-        t1: f32,
-    ) -> QuantStageResult {
         self.quantization_stage_with(
             cfg,
             use_kd,
-            t1,
+            1.0,
             QuantSpec::activations_8bit(),
             QuantSpec::weights_4bit(),
         )
     }
 
-    /// [`quantization_stage`](Self::quantization_stage) with explicit
-    /// quantizer specs — the entry point for the paper's lower-bit-width
-    /// outlook (e.g. 8A3W or 8A2W).
+    /// [`quantization_stage`](Self::quantization_stage) with an explicit
+    /// `T1` (only used when `use_kd`) and quantizer specs — the entry point
+    /// for the paper's lower-bit-width outlook (e.g. 8A3W or 8A2W).
     pub fn quantization_stage_with(
         &mut self,
         cfg: &StageConfig,
@@ -391,30 +344,15 @@ impl ExperimentEnv {
         method: Method,
         cfg: &StageConfig,
     ) -> FineTuneResult {
-        self.approximation_stage_where(spec, method, cfg, |_, _| true)
+        self.approximation_stage_full(spec, method, cfg, TeacherSource::Quantized, |_, _| true)
     }
 
-    /// Partial-approximation variant of
-    /// [`approximation_stage`](Self::approximation_stage): only the GEMM
-    /// layers selected by `select(index, label)` are computed with the
-    /// approximate multiplier; the rest stay 8A4W-quantized but exact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the quantization stage has not run.
-    pub fn approximation_stage_where(
-        &mut self,
-        spec: &MultiplierSpec,
-        method: Method,
-        cfg: &StageConfig,
-        select: impl FnMut(usize, &str) -> bool,
-    ) -> FineTuneResult {
-        self.approximation_stage_full(spec, method, cfg, TeacherSource::Quantized, select)
-    }
-
-    /// The most general stage-2 entry point: choose the multiplier, method,
-    /// teacher source (two-stage vs single-stage KD) and the approximated
-    /// layer subset.
+    /// The most general single-multiplier stage-2 entry point: choose the
+    /// multiplier, method, teacher source (two-stage vs single-stage KD)
+    /// and the approximated layer subset. Only the GEMM layers selected by
+    /// `select(index, label)` (network order) compute with the approximate
+    /// multiplier; the rest stay 8A4W — the partial approximation the
+    /// paper contrasts with its full approximation (§II).
     ///
     /// GE methods run with an attached ε-drift monitor
     /// ([`crate::drift::DriftMonitor`], default thresholds): when health
@@ -435,49 +373,15 @@ impl ExperimentEnv {
         select: impl FnMut(usize, &str) -> bool,
     ) -> FineTuneResult {
         let _span = axnn_obs::span("stage:approx_ft");
-        let mut student = self.copy_quant();
         // Keep the whole fit (not just the model): its Monte-Carlo residual
         // is the drift monitor's baseline.
         let ge_fit = method.uses_ge().then(|| self.fit_ge(spec));
-        let error_model = ge_fit.as_ref().map(|fit| fit.model);
-        let multiplier = spec.build();
-        axnn_proxsim::approximate_network_where(
-            &mut student,
-            multiplier.as_ref(),
-            error_model,
-            select,
-        );
-        // Non-selected layers keep their quantized-stage executors? They
-        // were re-created by copy_quant with exact executors, so quantize
-        // them for a uniform 8A4W baseline.
-        student.visit_gemm_cores(&mut |core| {
-            if core.executor.kind() == axnn_nn::ExecutorKind::Exact {
-                core.set_executor(Box::new(axnn_quant::QuantExecutor::new_8a4w()));
-            }
-        });
-        calibrate(&mut student, &self.train, cfg.batch, 2);
-
-        let teacher_logits = match teacher_source {
-            TeacherSource::Quantized => self
-                .quant_logits
-                .clone()
-                .expect("run quantization_stage first"),
-            TeacherSource::FullPrecision => self.fp_logits.clone().expect("run train_fp first"),
-        };
-        let teacher = method.temperature().map(|t2| (&teacher_logits, t2));
+        let assignment = self.single_multiplier(spec, ge_fit.as_ref().map(|fit| fit.model), select);
         let mut monitor = ge_fit
             .as_ref()
             .map(|fit| DriftMonitor::new(fit, DriftConfig::default()));
-        let mut result = fine_tune_monitored(
-            &mut student,
-            teacher,
-            &self.train,
-            &self.test,
-            cfg,
-            method.alpha(),
-            method.label(),
-            monitor.as_mut(),
-        );
+        let mut result =
+            self.assign_and_fine_tune(&assignment, method, cfg, teacher_source, monitor.as_mut());
         result.method = format!("{}:{}", spec.id, method.label());
         result
     }
@@ -489,15 +393,16 @@ impl ExperimentEnv {
     ///
     /// `net` must be architecture-matched to this environment's model
     /// config (for BN-folding models: built with `batch_norm = false`, as
-    /// checkpoint restoration does). Checkpoints restore with exact
-    /// executors, so any exact GEMM core is re-quantized to 8A4W and the
-    /// observers recalibrated here before the teacher logits are taken.
+    /// [`ModelKind::restore`] does). Every GEMM layer gets a fresh 8A4W
+    /// executor and the observers are recalibrated here before the teacher
+    /// logits are taken.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net`'s GEMM layer count differs from this environment's
+    /// model.
     pub fn adopt_quantized(&mut self, mut net: Sequential, batch: usize) {
-        net.visit_gemm_cores(&mut |core| {
-            if core.executor.kind() == axnn_nn::ExecutorKind::Exact {
-                core.set_executor(Box::new(axnn_quant::QuantExecutor::new_8a4w()));
-            }
-        });
+        approximate_network_assigned(&mut net, &vec![None; self.gemm_layer_count()]);
         calibrate(&mut net, &self.train, batch, 2);
         self.quant_logits = Some(logits_over(&mut net, &self.train, batch));
         self.quant_net = Some(net);
@@ -526,26 +431,24 @@ impl ExperimentEnv {
         cfg: &StageConfig,
     ) -> FineTuneResult {
         use std::collections::BTreeMap;
-        use std::sync::Arc;
         assert_eq!(
             assignment.len(),
             self.gemm_layer_count(),
             "assignment must cover every GEMM layer"
         );
         let _span = axnn_obs::span("stage:approx_ft");
-        let mut student = self.copy_quant();
 
         // One LUT + optional GE fit per distinct multiplier (BTreeMap for
         // a deterministic build order).
-        let mut shared: BTreeMap<&str, (Arc<axnn_proxsim::SignedLut>, Option<_>)> = BTreeMap::new();
+        let mut shared: BTreeMap<&str, (Arc<SignedLut>, Option<_>)> = BTreeMap::new();
         for spec in assignment.iter().flatten() {
             shared.entry(spec.id).or_insert_with(|| {
-                let lut = Arc::new(axnn_proxsim::SignedLut::build(spec.build().as_ref()));
+                let lut = Arc::new(SignedLut::build(spec.build().as_ref()));
                 let model = method.uses_ge().then(|| self.fit_ge(spec).model);
                 (lut, model)
             });
         }
-        let per_layer: Vec<_> = assignment
+        let per_layer: Vec<LayerAssignment> = assignment
             .iter()
             .map(|slot| {
                 slot.map(|spec| {
@@ -554,29 +457,8 @@ impl ExperimentEnv {
                 })
             })
             .collect();
-        axnn_proxsim::approximate_network_assigned(&mut student, &per_layer);
-        student.visit_gemm_cores(&mut |core| {
-            if core.executor.kind() == axnn_nn::ExecutorKind::Exact {
-                core.set_executor(Box::new(axnn_quant::QuantExecutor::new_8a4w()));
-            }
-        });
-        calibrate(&mut student, &self.train, cfg.batch, 2);
-
-        let teacher_logits = self
-            .quant_logits
-            .clone()
-            .expect("run quantization_stage first");
-        let teacher = method.temperature().map(|t2| (&teacher_logits, t2));
-        let mut result = fine_tune_monitored(
-            &mut student,
-            teacher,
-            &self.train,
-            &self.test,
-            cfg,
-            method.alpha(),
-            method.label(),
-            None,
-        );
+        let mut result =
+            self.assign_and_fine_tune(&per_layer, method, cfg, TeacherSource::Quantized, None);
         let ids: Vec<&str> = assignment
             .iter()
             .map(|s| s.map_or("exact", |spec| spec.id))
@@ -590,11 +472,80 @@ impl ExperimentEnv {
     /// [`approximation_stage`](Self::approximation_stage) as
     /// `initial_acc`.
     pub fn initial_approx_accuracy(&mut self, spec: &MultiplierSpec, batch: usize) -> f32 {
-        let mut student = self.copy_quant();
-        let multiplier = spec.build();
-        approximate_network(&mut student, multiplier.as_ref(), None);
-        calibrate(&mut student, &self.train, batch, 2);
-        evaluate(&mut student, &self.test, batch)
+        let assignment = self.single_multiplier(spec, None, |_, _| true);
+        self.assigned_accuracy(&assignment, batch)
+    }
+
+    /// Test accuracy of a copy of the quantized model laid out by
+    /// `assignment` and calibrated, before any fine-tuning.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the quantization stage has not run.
+    pub(crate) fn assigned_accuracy(
+        &mut self,
+        assignment: &[LayerAssignment],
+        batch: usize,
+    ) -> f32 {
+        let mut net = self.assigned_copy(assignment, batch);
+        evaluate(&mut net, &self.test, batch)
+    }
+
+    /// The layout running `spec`'s multiplier (one shared LUT) on the GEMM
+    /// layers `select(index, label)` picks and 8A4W on the rest.
+    fn single_multiplier(
+        &mut self,
+        spec: &MultiplierSpec,
+        error_model: Option<PiecewiseLinearError>,
+        mut select: impl FnMut(usize, &str) -> bool,
+    ) -> Vec<LayerAssignment> {
+        let lut = Arc::new(SignedLut::build(spec.build().as_ref()));
+        let mut assignment = Vec::new();
+        self.fp_net.visit_gemm_cores(&mut |core| {
+            let approximate = select(assignment.len(), &core.label);
+            assignment.push(approximate.then(|| (Arc::clone(&lut), error_model)));
+        });
+        assignment
+    }
+
+    /// A copy of the quantized model laid out by `assignment`, with its
+    /// activation steps calibrated on the training split.
+    fn assigned_copy(&mut self, assignment: &[LayerAssignment], batch: usize) -> Sequential {
+        let mut net = self.copy_quant();
+        approximate_network_assigned(&mut net, assignment);
+        calibrate(&mut net, &self.train, batch, 2);
+        net
+    }
+
+    /// The shared stage-2 body: lay out and calibrate a copy of the
+    /// quantized model, then fine-tune it against `teacher_source`.
+    fn assign_and_fine_tune(
+        &mut self,
+        assignment: &[LayerAssignment],
+        method: Method,
+        cfg: &StageConfig,
+        teacher_source: TeacherSource,
+        monitor: Option<&mut DriftMonitor>,
+    ) -> FineTuneResult {
+        let mut student = self.assigned_copy(assignment, cfg.batch);
+        let teacher_logits = match teacher_source {
+            TeacherSource::Quantized => self
+                .quant_logits
+                .clone()
+                .expect("run quantization_stage first"),
+            TeacherSource::FullPrecision => self.fp_logits.clone().expect("run train_fp first"),
+        };
+        let teacher = method.temperature().map(|t2| (&teacher_logits, t2));
+        fine_tune_monitored(
+            &mut student,
+            teacher,
+            &self.train,
+            &self.test,
+            cfg,
+            method.alpha(),
+            method.label(),
+            monitor,
+        )
     }
 }
 

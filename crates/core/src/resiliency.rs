@@ -9,7 +9,9 @@
 
 use crate::pipeline::ExperimentEnv;
 use axnn_axmul::catalog::MultiplierSpec;
-use axnn_nn::train::evaluate;
+use axnn_nn::Layer;
+use axnn_proxsim::{LayerAssignment, SignedLut};
+use std::sync::Arc;
 
 /// Sensitivity of one GEMM layer to a given approximate multiplier.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,7 +30,8 @@ pub struct LayerSensitivity {
 /// Result of a resiliency sweep: per-layer sensitivities plus the baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResiliencyReport {
-    /// Fully-quantized (no approximation) baseline accuracy.
+    /// Fully-quantized (every layer 8A4W, none approximated) baseline
+    /// accuracy.
     pub baseline: f32,
     /// One entry per GEMM layer, in network order.
     pub layers: Vec<LayerSensitivity>,
@@ -50,9 +53,10 @@ impl ResiliencyReport {
 }
 
 /// Measures per-layer sensitivity to `spec`'s multiplier: for every GEMM
-/// layer, approximate only that layer (no fine-tuning) and evaluate.
+/// layer, approximate only that layer (no fine-tuning, every other layer
+/// 8A4W) and evaluate against the all-8A4W baseline.
 ///
-/// `batch` is the evaluation batch size.
+/// `batch` is the calibration and evaluation batch size.
 ///
 /// # Panics
 ///
@@ -62,58 +66,38 @@ pub fn analyze_resiliency(
     spec: &MultiplierSpec,
     batch: usize,
 ) -> ResiliencyReport {
-    let n = env.gemm_layer_count();
+    let mut labels = Vec::new();
+    env.fp_net_mut()
+        .visit_gemm_cores(&mut |core| labels.push(core.label.clone()));
+    let n = labels.len();
     // Baseline: zero layers approximated.
-    let baseline = {
-        let mut net = env.quantized_copy();
-        axnn_nn::train::calibrate(&mut net, env.train_data(), batch, 2);
-        evaluate(&mut net, env.test_data(), batch)
-    };
+    let baseline = env.assigned_accuracy(&vec![None; n], batch);
 
-    let multiplier = spec.build();
-    let mut layers = Vec::with_capacity(n);
-    for target in 0..n {
-        let mut net = env.quantized_copy();
-        let mut label = String::new();
-        {
-            use axnn_nn::Layer;
-            let mut idx = 0usize;
-            net.visit_gemm_cores(&mut |core| {
-                if idx == target {
-                    label = core.label.clone();
-                }
-                idx += 1;
-            });
-        }
-        axnn_proxsim::approximate_network_where(&mut net, multiplier.as_ref(), None, |i, _| {
-            i == target
-        });
-        // Quantize the remaining layers so only the approximation differs.
-        {
-            use axnn_nn::Layer;
-            net.visit_gemm_cores(&mut |core| {
-                if core.executor.kind() == axnn_nn::ExecutorKind::Exact {
-                    core.set_executor(Box::new(axnn_quant::QuantExecutor::new_8a4w()));
-                }
-            });
-        }
-        axnn_nn::train::calibrate(&mut net, env.train_data(), batch, 2);
-        let solo = evaluate(&mut net, env.test_data(), batch);
-        layers.push(LayerSensitivity {
-            index: target,
-            label,
-            solo_accuracy: solo,
-            drop: baseline - solo,
-        });
-    }
+    let lut = Arc::new(SignedLut::build(spec.build().as_ref()));
+    let layers = labels
+        .into_iter()
+        .enumerate()
+        .map(|(target, label)| {
+            let solo: Vec<LayerAssignment> = (0..n)
+                .map(|i| (i == target).then(|| (Arc::clone(&lut), None)))
+                .collect();
+            let solo_accuracy = env.assigned_accuracy(&solo, batch);
+            LayerSensitivity {
+                index: target,
+                label,
+                solo_accuracy,
+                drop: baseline - solo_accuracy,
+            }
+        })
+        .collect();
     ResiliencyReport { baseline, layers }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::ModelKind;
-    use crate::{ExperimentEnv, StageConfig};
+    use crate::pipeline::{ModelKind, TeacherSource};
+    use crate::{ExperimentEnv, Method, StageConfig};
     use axnn_axmul::catalog;
     use axnn_models::ModelConfig;
     use axnn_nn::StepDecay;
@@ -162,6 +146,32 @@ mod tests {
             assert!(a.drop <= b.drop);
         }
         assert!(report.most_sensitive().is_some());
+    }
+
+    /// The baseline is the stage-2 starting point with no layer
+    /// approximated: every layer 8A4W, exactly as the solo rows leave the
+    /// layers they do not approximate.
+    #[test]
+    fn baseline_is_the_all_8a4w_stage_two_start() {
+        let mut env = prepared_env();
+        let spec = catalog::by_id("trunc5").expect("catalogued");
+        let report = analyze_resiliency(&mut env, spec, 16);
+        let stage = StageConfig {
+            epochs: 0,
+            batch: 16,
+            lr: StepDecay::new(1e-3, 1, 0.5),
+            momentum: 0.9,
+            track_epochs: false,
+            clip_norm: None,
+        };
+        let none = env.approximation_stage_full(
+            spec,
+            Method::Normal,
+            &stage,
+            TeacherSource::Quantized,
+            |_, _| false,
+        );
+        assert_eq!(report.baseline.to_bits(), none.initial_acc.to_bits());
     }
 
     #[test]

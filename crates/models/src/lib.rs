@@ -11,7 +11,8 @@
 //!
 //! The returned networks are plain [`Sequential`](axnn_nn::Sequential)
 //! stacks of `axnn-nn` layers, so the quantization/approximation executors
-//! swap in uniformly.
+//! swap in uniformly. [`ModelKind`] names each architecture, builds it and
+//! restores a saved checkpoint into it.
 //!
 //! # Example
 //!
@@ -29,12 +30,14 @@
 //! ```
 
 mod config;
+mod kind;
 mod lenet;
 mod mobilenet;
 mod profile;
 mod resnet;
 
 pub use config::ModelConfig;
+pub use kind::ModelKind;
 pub use lenet::lenet;
 pub use mobilenet::mobilenet_v2;
 pub use profile::ModelProfile;

@@ -6,7 +6,7 @@ use crate::signed_lut::SignedLut;
 use axnn_axmul::adder::Adder;
 use axnn_axmul::Multiplier;
 use axnn_nn::{ExecOutput, ExecutorKind, Layer, LayerExecutor, Mode, Sequential};
-use axnn_quant::{batch_quantizer, ActRangeCalibrator, QuantSpec, Quantizer};
+use axnn_quant::{batch_quantizer, ActRangeCalibrator, QuantExecutor, QuantSpec, Quantizer};
 use axnn_tensor::{gemm, Tensor};
 use std::sync::Arc;
 
@@ -79,13 +79,6 @@ impl ApproxExecutor {
     /// approximation technique. `None`/unset keeps exact accumulation.
     pub fn with_adder(mut self, adder: Arc<dyn Adder>) -> Self {
         self.adder = Some(adder);
-        self
-    }
-
-    /// Pre-sets the frozen activation quantizer (e.g. transferred from the
-    /// quantization stage) instead of calibrating from scratch.
-    pub fn with_activation_quantizer(mut self, q: Quantizer) -> Self {
-        self.x_quantizer = Some(q);
         self
     }
 
@@ -367,6 +360,12 @@ impl axnn_nn::GemmBackend for ApproxBackend {
     }
 }
 
+/// One GEMM layer's executor in an [`approximate_network_assigned`] layout:
+/// `Some((lut, error_model))` computes the layer with that LUT multiplier
+/// (and gradient estimation when a model is given); `None` runs it
+/// 8A4W-quantized with exact products.
+pub type LayerAssignment = Option<(Arc<SignedLut>, Option<PiecewiseLinearError>)>;
+
 /// Swaps an [`ApproxExecutor`] into every conv/FC layer of `net`, sharing
 /// one LUT for the given multiplier (uniform approximation, as in the
 /// paper's experiments).
@@ -377,50 +376,30 @@ pub fn approximate_network(
     multiplier: &dyn Multiplier,
     error_model: Option<PiecewiseLinearError>,
 ) {
-    approximate_network_where(net, multiplier, error_model, |_, _| true);
+    let mut layers = 0;
+    net.visit_gemm_cores(&mut |_| layers += 1);
+    let every = Some((Arc::new(SignedLut::build(multiplier)), error_model));
+    approximate_network_assigned(net, &vec![every; layers]);
 }
 
-/// Partial approximation: swaps an [`ApproxExecutor`] only into the conv/FC
-/// layers selected by `select(index, label)`, where `index` counts GEMM
-/// layers in network order. Unselected layers keep their current executor.
+/// Lays out the executors of every GEMM layer (network order): each
+/// `Some` entry installs an [`ApproxExecutor`] over its LUT and error
+/// model, each `None` a fresh 8A4W [`QuantExecutor`].
 ///
-/// This implements the *partial approximation* regime the paper contrasts
-/// with its uniform ("full") approximation (§II): savings are bounded by
-/// the fraction of approximated MACs, but so is the accuracy degradation.
-pub fn approximate_network_where(
-    net: &mut Sequential,
-    multiplier: &dyn Multiplier,
-    error_model: Option<PiecewiseLinearError>,
-    mut select: impl FnMut(usize, &str) -> bool,
-) {
-    let lut = Arc::new(SignedLut::build(multiplier));
-    let mut index = 0usize;
-    net.visit_gemm_cores(&mut |core| {
-        if select(index, &core.label) {
-            core.set_executor(Box::new(ApproxExecutor::new(Arc::clone(&lut), error_model)));
-        }
-        index += 1;
-    });
-}
-
-/// Heterogeneous approximation: assigns each GEMM layer (network order) its
-/// own prebuilt LUT and optional error model. `None` entries keep the
-/// layer's current executor (the caller typically quantizes those to 8A4W).
-///
-/// Unlike [`approximate_network_where`], which shares one multiplier across
-/// the selected layers, this is the per-layer plumbing behind the
-/// `axnn-search` assignment space: callers build one [`SignedLut`] per
-/// distinct multiplier in the pool and hand out `Arc` clones per layer.
+/// This one layout covers uniform approximation (every entry `Some` with
+/// one shared LUT, [`approximate_network`]), the *partial* approximation
+/// the paper contrasts with it (§II: savings are bounded by the fraction
+/// of approximated MACs, but so is the accuracy degradation) and the
+/// per-layer heterogeneous assignments of `axnn-search`, whose callers
+/// build one [`SignedLut`] per distinct multiplier and hand out `Arc`
+/// clones per layer.
 ///
 /// Run a [`Mode::Calibrate`] pass afterwards to freeze activation steps.
 ///
 /// # Panics
 ///
 /// Panics if `assignment.len()` differs from the network's GEMM layer count.
-pub fn approximate_network_assigned(
-    net: &mut Sequential,
-    assignment: &[Option<(Arc<SignedLut>, Option<PiecewiseLinearError>)>],
-) {
+pub fn approximate_network_assigned(net: &mut Sequential, assignment: &[LayerAssignment]) {
     let mut index = 0usize;
     net.visit_gemm_cores(&mut |core| {
         assert!(
@@ -428,8 +407,11 @@ pub fn approximate_network_assigned(
             "assignment covers {} layers but the network has more",
             assignment.len()
         );
-        if let Some((lut, error_model)) = &assignment[index] {
-            core.set_executor(Box::new(ApproxExecutor::new(Arc::clone(lut), *error_model)));
+        match &assignment[index] {
+            Some((lut, error_model)) => {
+                core.set_executor(Box::new(ApproxExecutor::new(Arc::clone(lut), *error_model)))
+            }
+            None => core.set_executor(Box::new(QuantExecutor::new_8a4w())),
         }
         index += 1;
     });
@@ -560,10 +542,10 @@ mod tests {
             seen,
             vec![
                 ExecutorKind::Approximate,
-                ExecutorKind::Exact,
+                ExecutorKind::Quantized,
                 ExecutorKind::Approximate
             ],
-            "None entries keep the current executor"
+            "None entries run 8A4W"
         );
         let y = net.forward(&init::uniform(&[3, 4], -1.0, 1.0, &mut rng), Mode::Eval);
         assert_eq!(y.shape(), &[3, 2]);
@@ -690,20 +672,5 @@ mod tests {
         assert!(train.grad_scale.is_some());
         assert!(eval.grad_scale.is_none(), "eval needs no backward scale");
         assert_eq!(train.y, eval.y, "the scale never touches the forward");
-    }
-
-    #[test]
-    fn transferred_activation_quantizer_is_respected() {
-        let q = Quantizer::with_step(0.125, QuantSpec::activations_8bit());
-        let mut ex = ApproxExecutor::new(lut(&ExactMul), None).with_activation_quantizer(q);
-        let mut rng = Rng::seed(74);
-        let wmat = init::uniform(&[2, 4], -0.5, 0.5, &mut rng);
-        // Inputs far outside the preset range are clipped by the preset step.
-        let col = init::uniform(&[4, 3], -100.0, 100.0, &mut rng);
-        let out = ex.forward(&wmat, &col, Mode::Eval);
-        let clip = 127.0 * 0.125;
-        for &v in out.col_eff.as_slice() {
-            assert!(v.abs() <= clip + 1e-5, "{v} beyond preset clip {clip}");
-        }
     }
 }

@@ -14,9 +14,12 @@
 //!   `f(y) = min(a, max(k·y + c, b))` whose derivative drives gradient
 //!   estimation (eq. 12–13) — the Monte-Carlo fitting lives in the
 //!   `approxkd` crate;
-//! - [`ApproxExecutor`] / [`approximate_network`]: the drop-in layer
-//!   executor combining 8A4W quantization, LUT-served approximate GEMM and
-//!   the optional `(1 + K)` gradient scale.
+//! - [`ApproxExecutor`]: the drop-in layer executor combining 8A4W
+//!   quantization, LUT-served approximate GEMM and the optional `(1 + K)`
+//!   gradient scale;
+//! - [`approximate_network_assigned`]: the one per-layer executor layout
+//!   (approximate or 8A4W per GEMM layer), with [`approximate_network`] as
+//!   its uniform case.
 //!
 //! # Example
 //!
@@ -36,7 +39,7 @@ mod signed_lut;
 
 pub use error_model::PiecewiseLinearError;
 pub use executor::{
-    approximate_network, approximate_network_assigned, approximate_network_where, ApproxExecutor,
+    approximate_network, approximate_network_assigned, ApproxExecutor, LayerAssignment,
 };
 pub use gemm::{approx_matmul, approx_matmul_with_adder};
 pub use signed_lut::SignedLut;

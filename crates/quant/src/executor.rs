@@ -121,11 +121,6 @@ impl QuantExecutor {
         self
     }
 
-    /// Whether per-channel weight scales are enabled.
-    pub fn is_per_channel(&self) -> bool {
-        self.per_channel
-    }
-
     /// Quantize-dequantizes the weight matrix with one scale per output
     /// channel (matrix row). All-zero rows pass through unchanged.
     fn fake_quant_per_channel(&self, wmat: &Tensor) -> Tensor {
@@ -421,7 +416,6 @@ mod tests {
         // Row 1's step would flatten row 0 to zero under a shared scale;
         // per channel it survives.
         assert!(deq.as_slice()[..4].iter().any(|&v| v != 0.0));
-        assert!(ex.is_per_channel());
     }
 
     #[test]

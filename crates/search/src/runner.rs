@@ -9,9 +9,9 @@ use crate::strategy::{better, Candidate, CandidateEval, EvoSearch, GreedySearch,
 use approxkd::resiliency::analyze_resiliency;
 use approxkd::{ExperimentEnv, Method, StageConfig};
 use axnn_axmul::catalog::Catalog;
+use axnn_nn::gemm_mac_profile;
 use axnn_nn::train::{calibrate, evaluate_with};
-use axnn_nn::{gemm_mac_profile, Layer};
-use axnn_proxsim::SignedLut;
+use axnn_proxsim::{LayerAssignment, SignedLut};
 use std::sync::Arc;
 
 /// How the accuracy floor is specified.
@@ -96,24 +96,17 @@ impl<'a> Evaluator<'a> {
         let _span = axnn_obs::span("search:eval");
         let energy = space.energy(assignment);
         let mut net = env.quantized_copy();
-        let per_layer: Vec<Option<(Arc<SignedLut>, Option<axnn_proxsim::PiecewiseLinearError>)>> =
-            assignment
-                .iter()
-                .map(|&p| {
-                    space.pool()[p].spec.map(|spec| {
-                        let lut = luts[p].get_or_insert_with(|| {
-                            Arc::new(SignedLut::build(spec.build().as_ref()))
-                        });
-                        (Arc::clone(lut), None)
-                    })
+        let per_layer: Vec<LayerAssignment> = assignment
+            .iter()
+            .map(|&p| {
+                space.pool()[p].spec.map(|spec| {
+                    let lut = luts[p]
+                        .get_or_insert_with(|| Arc::new(SignedLut::build(spec.build().as_ref())));
+                    (Arc::clone(lut), None)
                 })
-                .collect();
+            })
+            .collect();
         axnn_proxsim::approximate_network_assigned(&mut net, &per_layer);
-        net.visit_gemm_cores(&mut |core| {
-            if core.executor.kind() == axnn_nn::ExecutorKind::Exact {
-                core.set_executor(Box::new(axnn_quant::QuantExecutor::new_8a4w()));
-            }
-        });
         calibrate(&mut net, env.train_data(), batch, 2);
         let mut exec = axnn_nn::GraphExecutor::compile(&mut net)
             .expect("quantized and approximate executors always compile");

@@ -12,7 +12,7 @@
 use crate::executor::ServeExecutor;
 use axnn_data::resize::PreprocessSpec;
 use axnn_data::SynthCifar;
-use axnn_models::{mobilenet_v2, resnet20, resnet32, ModelConfig};
+use axnn_models::{ModelConfig, ModelKind};
 use axnn_nn::train::calibrate;
 use axnn_nn::{Checkpoint, GraphExecutor, PlanCacheStats, Sequential};
 use axnn_proxsim::approximate_network;
@@ -24,8 +24,8 @@ use std::sync::Arc;
 /// How to restore and execute a checkpoint.
 #[derive(Debug, Clone)]
 pub struct ModelOptions {
-    /// Architecture name: `resnet20`, `resnet32` or `mobilenetv2`.
-    pub model: String,
+    /// Architecture the checkpoint restores into.
+    pub model: ModelKind,
     /// Width multiplier the checkpoint was trained with.
     pub width: f32,
     /// Input resolution the checkpoint was trained with.
@@ -34,8 +34,7 @@ pub struct ModelOptions {
     pub executor: ServeExecutor,
     /// Catalogue multiplier id for [`ServeExecutor::Approx`].
     pub mult: String,
-    /// Seed for the deterministic calibration split (and the throwaway
-    /// initialization the checkpoint immediately overwrites).
+    /// Seed for the deterministic calibration split.
     pub seed: u64,
     /// Calibration samples generated for the quantizing executors.
     pub calib_samples: usize,
@@ -44,7 +43,7 @@ pub struct ModelOptions {
 impl Default for ModelOptions {
     fn default() -> Self {
         ModelOptions {
-            model: "resnet20".to_string(),
+            model: ModelKind::ResNet20,
             width: 0.25,
             hw: 16,
             executor: ServeExecutor::Exact,
@@ -55,35 +54,11 @@ impl Default for ModelOptions {
     }
 }
 
-/// Whether the pipeline folds this architecture's batch norm before
-/// quantization (mirrors `ModelKind::folds_bn`; the checkpoint of a folded
-/// model has no BN buffers, so the serving copy must be built without BN).
-fn folds_bn(model: &str) -> bool {
-    model != "mobilenetv2"
-}
-
 /// The architecture configuration a checkpoint restores into.
 fn model_config(opts: &ModelOptions) -> ModelConfig {
-    let mut cfg = ModelConfig::paper()
+    ModelConfig::paper()
         .with_width(opts.width)
-        .with_input_hw(opts.hw);
-    if folds_bn(&opts.model) {
-        // The pipeline saves the BN-folded quantized model for the
-        // ResNets (same rule as `axnn evaluate`).
-        cfg.batch_norm = false;
-    }
-    cfg
-}
-
-fn build_net(model: &str, cfg: &ModelConfig, rng: &mut Rng) -> Result<Sequential, String> {
-    match model {
-        "resnet20" => Ok(resnet20(cfg, rng)),
-        "resnet32" => Ok(resnet32(cfg, rng)),
-        "mobilenetv2" => Ok(mobilenet_v2(cfg, rng)),
-        other => Err(format!(
-            "unknown model '{other}' (use resnet20|resnet32|mobilenetv2)"
-        )),
-    }
+        .with_input_hw(opts.hw)
 }
 
 /// A restored, executor-swapped, calibrated network, compiled into a
@@ -100,9 +75,9 @@ pub struct ServedModel {
 
 impl ServedModel {
     /// Restores `checkpoint_json` (the `axnn pipeline --save` format) under
-    /// `opts`, swaps executors and calibrates. Mirrors the `axnn evaluate`
-    /// restore path exactly, so the exact-executor logits are bit-identical
-    /// to evaluation.
+    /// `opts`, swaps executors and calibrates. The restore is
+    /// [`ModelKind::restore`], the one `axnn evaluate` uses, so the
+    /// exact-executor logits are bit-identical to evaluation.
     pub fn from_checkpoint_json(
         checkpoint_json: &str,
         opts: &ModelOptions,
@@ -137,10 +112,10 @@ impl ServedModel {
     /// batch norm is folded ([`axnn_nn::Layer::fold_batch_norm`], which
     /// compilation applies) it is the bit-exact oracle for served logits.
     pub fn restore_net(ckpt: &Checkpoint, opts: &ModelOptions) -> Result<Sequential, String> {
-        let cfg = model_config(opts);
-        let mut rng = Rng::seed(opts.seed ^ 0xdead);
-        let mut net = build_net(&opts.model, &cfg, &mut rng)?;
-        ckpt.restore(&mut net).map_err(|e| e.to_string())?;
+        let mut net = opts
+            .model
+            .restore(ckpt, &model_config(opts))
+            .map_err(|e| e.to_string())?;
 
         match opts.executor {
             ServeExecutor::Exact => {}
@@ -308,13 +283,13 @@ mod tests {
     use axnn_nn::{Layer, Mode};
     use axnn_tensor::init;
 
-    /// A tiny untrained checkpoint: enough to exercise restore + executor
-    /// swap + calibration without a training run.
-    fn tiny_checkpoint(hw: usize, width: f32) -> String {
-        let mut cfg = ModelConfig::paper().with_width(width).with_input_hw(hw);
+    /// A tiny untrained 8×8, width-0.2 checkpoint of a BN-folding `kind`:
+    /// enough to exercise restore + executor swap + calibration without a
+    /// training run.
+    fn tiny_checkpoint(kind: ModelKind) -> String {
+        let mut cfg = ModelConfig::paper().with_width(0.2).with_input_hw(8);
         cfg.batch_norm = false;
-        let mut rng = Rng::seed(3);
-        let mut net = build_net("resnet20", &cfg, &mut rng).unwrap();
+        let mut net = kind.build(&cfg, &mut Rng::seed(3));
         Checkpoint::capture(&mut net).to_json()
     }
 
@@ -330,7 +305,7 @@ mod tests {
 
     #[test]
     fn loads_and_serves_every_executor_family() {
-        let ckpt = tiny_checkpoint(8, 0.2);
+        let ckpt = tiny_checkpoint(ModelKind::ResNet20);
         for executor in [
             ServeExecutor::Exact,
             ServeExecutor::Quant,
@@ -349,46 +324,53 @@ mod tests {
 
     #[test]
     fn compiled_path_matches_interpreter_and_hits_plan_cache() {
-        let json = tiny_checkpoint(8, 0.2);
-        let ckpt = Checkpoint::from_json(&json).unwrap();
-        for executor in [
-            ServeExecutor::Exact,
-            ServeExecutor::Quant,
-            ServeExecutor::Approx,
-        ] {
-            let mut model = ServedModel::from_checkpoint(&ckpt, &opts(executor)).unwrap();
-            let mut interp = ServedModel::restore_net(&ckpt, &opts(executor)).unwrap();
-            interp.fold_batch_norm();
+        for kind in [ModelKind::ResNet20, ModelKind::LeNet] {
+            let ckpt = Checkpoint::from_json(&tiny_checkpoint(kind)).unwrap();
+            for executor in [
+                ServeExecutor::Exact,
+                ServeExecutor::Quant,
+                ServeExecutor::Approx,
+            ] {
+                let opts = ModelOptions {
+                    model: kind,
+                    ..opts(executor)
+                };
+                let mut model = ServedModel::from_checkpoint(&ckpt, &opts).unwrap();
+                assert_eq!(model.label(), format!("{kind}/{executor}"));
+                let mut interp = ServedModel::restore_net(&ckpt, &opts).unwrap();
+                interp.fold_batch_norm();
 
-            let mut rng = Rng::seed(31);
-            let x = init::uniform(&[1, 3, 8, 8], -1.0, 1.0, &mut rng);
-            let a = model.forward_batch(&[x.as_slice()]);
-            let b = interp.forward(&x, Mode::Eval);
-            let ab: Vec<u32> = a[0].iter().map(|v| v.to_bits()).collect();
-            let bb: Vec<u32> = b.as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(
-                ab, bb,
-                "{executor}: compiled logits differ from interpreter"
-            );
+                let mut rng = Rng::seed(31);
+                let x = init::uniform(&[1, 3, 8, 8], -1.0, 1.0, &mut rng);
+                let a = model.forward_batch(&[x.as_slice()]);
+                let b = interp.forward(&x, Mode::Eval);
+                let ab: Vec<u32> = a[0].iter().map(|v| v.to_bits()).collect();
+                let bb: Vec<u32> = b.as_slice().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(
+                    ab, bb,
+                    "{kind}/{executor}: compiled logits differ from interpreter"
+                );
 
-            // A second batch of the same shape must reuse the cached plan.
-            model.forward_batch(&[x.as_slice()]);
-            assert_eq!(
-                model.plan_cache_stats(),
-                Some(PlanCacheStats { hits: 1, misses: 1 }),
-                "{executor}"
-            );
+                // A second batch of the same shape must reuse the cached plan.
+                model.forward_batch(&[x.as_slice()]);
+                assert_eq!(
+                    model.plan_cache_stats(),
+                    Some(PlanCacheStats { hits: 1, misses: 1 }),
+                    "{kind}/{executor}"
+                );
+            }
         }
     }
 
     #[test]
     fn unknown_model_and_multiplier_are_reported() {
-        let ckpt = tiny_checkpoint(8, 0.2);
-        let mut bad = opts(ServeExecutor::Exact);
-        bad.model = "vgg".to_string();
-        assert!(ServedModel::from_checkpoint_json(&ckpt, &bad)
+        // An unknown architecture is refused when the name is parsed,
+        // before any checkpoint is read.
+        assert!("vgg"
+            .parse::<ModelKind>()
             .unwrap_err()
-            .contains("unknown model"));
+            .contains("unknown model 'vgg' (use resnet20|"));
+        let ckpt = tiny_checkpoint(ModelKind::ResNet20);
         let mut bad = opts(ServeExecutor::Approx);
         bad.mult = "nope".to_string();
         assert!(ServedModel::from_checkpoint_json(&ckpt, &bad)
@@ -398,7 +380,7 @@ mod tests {
 
     #[test]
     fn mismatched_checkpoint_is_an_error() {
-        let ckpt = tiny_checkpoint(8, 0.2);
+        let ckpt = tiny_checkpoint(ModelKind::ResNet20);
         let mut other = opts(ServeExecutor::Exact);
         other.width = 0.5;
         assert!(ServedModel::from_checkpoint_json(&ckpt, &other)
@@ -408,7 +390,7 @@ mod tests {
 
     #[test]
     fn spec_builds_bit_identical_replicas_off_one_shared_checkpoint() {
-        let ckpt = tiny_checkpoint(8, 0.2);
+        let ckpt = tiny_checkpoint(ModelKind::ResNet20);
         let spec = ServeSpec::from_json(&ckpt, &opts(ServeExecutor::Approx)).unwrap();
         let mut replicas = spec.build_replicas(3).unwrap();
         assert_eq!(replicas.len(), 3);
@@ -430,7 +412,7 @@ mod tests {
 
     #[test]
     fn batched_forward_matches_single_requests_bitwise() {
-        let ckpt = tiny_checkpoint(8, 0.2);
+        let ckpt = tiny_checkpoint(ModelKind::ResNet20);
         let mut model =
             ServedModel::from_checkpoint_json(&ckpt, &opts(ServeExecutor::Approx)).unwrap();
         let mut rng = Rng::seed(21);

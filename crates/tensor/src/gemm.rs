@@ -85,26 +85,8 @@ fn tile_rows() -> usize {
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.shape().len(), 2, "matmul lhs must be 2-D");
     assert_eq!(b.shape().len(), 2, "matmul rhs must be 2-D");
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    let (k2, n) = (b.shape()[0], b.shape()[1]);
-    assert_eq!(
-        k,
-        k2,
-        "matmul inner dimension mismatch: {:?} x {:?}",
-        a.shape(),
-        b.shape()
-    );
-
-    let mut c = Tensor::zeros(&[m, n]);
-    if m == 0 || n == 0 || k == 0 {
-        return c;
-    }
-    let av = a.as_slice();
-    let bv = b.as_slice();
-    let mr = tile_rows();
-    axnn_par::par_chunks_mut(c.as_mut_slice(), mr * n, |block, c_block| {
-        dispatch_nn(av, bv, c_block, block * mr, k, n);
-    });
+    let mut c = Tensor::zeros(&[a.shape()[0], b.shape()[1]]);
+    matmul_bias_act_into(a, b, None, Epilogue::Identity, c.as_mut_slice());
     c
 }
 
@@ -183,13 +165,14 @@ fn kernel_nn<const TILE_ROWS: usize, const TILE_COLS: usize>(
     }
 }
 
-/// Per-element epilogue fused into the copy-out of [`matmul_bias_act`]:
-/// an optional per-row bias add followed by an activation.
+/// Per-element epilogue of [`matmul_bias_act`]: an optional per-row bias
+/// add followed by an activation.
 ///
 /// The expressions are exactly the interpreter's (`x.max(0.0)`,
 /// `x.clamp(0.0, 6.0)`), and they run *after* the full ascending-`k`
-/// accumulation — fusing them into the GEMM is bit-neutral relative to a
-/// separate bias-add pass and activation pass over the same output.
+/// accumulation — applying them to each row block as the GEMM finishes it
+/// is bit-neutral relative to a separate bias-add pass and activation pass
+/// over the whole output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Epilogue {
     /// `y = x`.
@@ -213,7 +196,7 @@ impl Epilogue {
 }
 
 /// Computes `C = epilogue(A · B + bias)` with the bias add and activation
-/// applied while each output tile is still hot in registers/cache.
+/// applied to each row block while it is still hot in cache.
 ///
 /// `bias`, when present, holds one value per output *row* (the per-channel
 /// conv bias layout after im2col lowering). With `bias = None` no add is
@@ -268,114 +251,30 @@ pub fn matmul_bias_act_into(
     let bv = b.as_slice();
     let mr = tile_rows();
     axnn_par::par_chunks_mut(out, mr * n, |block, c_block| {
-        dispatch_nn_ep(av, bv, bias, ep, c_block, block * mr, k, n);
+        dispatch_nn(av, bv, c_block, block * mr, k, n);
+        apply_epilogue(c_block, bias.map(|b| &b[block * mr..]), ep, n);
     });
 }
 
-/// Routes one row block of the fused kernel to the widest variant the CPU
-/// supports.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_nn_ep(
-    av: &[f32],
-    bv: &[f32],
-    bias: Option<&[f32]>,
-    ep: Epilogue,
-    c_block: &mut [f32],
-    i0: usize,
-    k: usize,
-    n: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
-        // SAFETY: guarded by the runtime AVX2 check above.
-        unsafe { kernel_nn_ep_avx2(av, bv, bias, ep, c_block, i0, k, n) };
-        return;
-    }
-    kernel_nn_ep::<MR, NR>(av, bv, bias, ep, c_block, i0, k, n);
-}
-
-/// The scalar body of [`kernel_nn_ep`] recompiled with AVX2 enabled — same
-/// operation sequence, wider registers.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn kernel_nn_ep_avx2(
-    av: &[f32],
-    bv: &[f32],
-    bias: Option<&[f32]>,
-    ep: Epilogue,
-    c_block: &mut [f32],
-    i0: usize,
-    k: usize,
-    n: usize,
-) {
-    kernel_nn_ep::<MR_WIDE, NR_WIDE>(av, bv, bias, ep, c_block, i0, k, n);
-}
-
-/// [`kernel_nn`] with the bias/activation epilogue applied at the copy-out
-/// point. The accumulation is untouched — same ascending-`k` fold from a
-/// `+0.0` start — so the only new per-element operations are the epilogue's.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn kernel_nn_ep<const TILE_ROWS: usize, const TILE_COLS: usize>(
-    av: &[f32],
-    bv: &[f32],
-    bias: Option<&[f32]>,
-    ep: Epilogue,
-    c_block: &mut [f32],
-    i0: usize,
-    k: usize,
-    n: usize,
-) {
-    let rows = c_block.len() / n;
-    let mut j0 = 0;
-    while j0 < n {
-        let jw = TILE_COLS.min(n - j0);
-        if rows == TILE_ROWS && jw == TILE_COLS {
-            let mut acc = [[0.0f32; TILE_COLS]; TILE_ROWS];
-            for kk in 0..k {
-                let b_seg = &bv[kk * n + j0..kk * n + j0 + TILE_COLS];
-                for r in 0..TILE_ROWS {
-                    let a_val = av[(i0 + r) * k + kk];
-                    for (dst, &bj) in acc[r].iter_mut().zip(b_seg) {
-                        *dst += a_val * bj;
-                    }
-                }
-            }
-            for (r, acc_row) in acc.iter().enumerate() {
-                let c_row = &mut c_block[r * n + j0..r * n + j0 + TILE_COLS];
-                match bias {
-                    Some(b) => {
-                        let b_r = b[i0 + r];
-                        for (dst, &v) in c_row.iter_mut().zip(acc_row) {
-                            *dst = ep.apply(v + b_r);
-                        }
-                    }
-                    None => {
-                        for (dst, &v) in c_row.iter_mut().zip(acc_row) {
-                            *dst = ep.apply(v);
-                        }
-                    }
-                }
-            }
-        } else {
-            // Edge tile: same ascending-k fold, scalar, epilogue at store.
-            for r in 0..rows {
-                let a_row = &av[(i0 + r) * k..(i0 + r + 1) * k];
-                for j in j0..j0 + jw {
-                    let mut acc = 0.0f32;
-                    for (kk, &a_val) in a_row.iter().enumerate() {
-                        acc += a_val * bv[kk * n + j];
-                    }
-                    let v = match bias {
-                        Some(b) => acc + b[i0 + r],
-                        None => acc,
-                    };
-                    c_block[r * n + j] = ep.apply(v);
+/// Applies the bias add and activation to one row block right after the
+/// kernel stored it (still in L1), as `ep(v + bias[row])` per element;
+/// `bias` starts at the block's first row. Identity with no bias leaves
+/// the block untouched.
+fn apply_epilogue(c_block: &mut [f32], bias: Option<&[f32]>, ep: Epilogue, n: usize) {
+    match bias {
+        Some(b) => {
+            for (row, &b_r) in c_block.chunks_mut(n).zip(b) {
+                for v in row {
+                    *v = ep.apply(*v + b_r);
                 }
             }
         }
-        j0 += jw;
+        None if ep != Epilogue::Identity => {
+            for v in c_block {
+                *v = ep.apply(*v);
+            }
+        }
+        None => {}
     }
 }
 

@@ -82,6 +82,27 @@ if timeout 20 target/release/axnn serve --checkpoint "$OBS_TMP/inf_ckpt.json" \
 fi
 echo "tier1: corrupted checkpoint smoke OK"
 
+# Every command restores through one architecture table: an unknown
+# `--model` gets the same message from each, and `search --checkpoint`
+# restores the pipeline's checkpoint and searches from it.
+for cmd in evaluate serve search; do
+    if target/release/axnn "$cmd" --model vgg --checkpoint "$OBS_TMP/ckpt.json" \
+        >"$OBS_TMP/vgg_$cmd.out" 2>&1 ||
+        ! grep -q "unknown model 'vgg' (use resnet20|resnet32|mobilenetv2|lenet)" \
+            "$OBS_TMP/vgg_$cmd.out"; then
+        echo "tier1: $cmd did not reject --model vgg with the shared message" >&2
+        exit 1
+    fi
+done
+if ! target/release/axnn search --model resnet20 --checkpoint "$OBS_TMP/ckpt.json" \
+    --width 0.2 --hw 8 --train 64 --test 32 --seed 5 --strategy greedy --pool trunc5 \
+    --ft-epochs 0 --batch 16 --out "$OBS_TMP/search_ckpt.json" >/dev/null ||
+    ! grep -q '"model": "ResNet20"' "$OBS_TMP/search_ckpt.json"; then
+    echo "tier1: search did not run from the pipeline's checkpoint" >&2
+    exit 1
+fi
+echo "tier1: model restore smoke OK"
+
 # Serving smoke: the checkpoint the pipeline just saved must come up on an
 # ephemeral port, survive a loadgen burst that forces admission-control
 # rejections (queue capacity 1, max-batch 1, 8 concurrent connections),

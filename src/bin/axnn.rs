@@ -45,7 +45,7 @@
 //! Pipeline flags (defaults in brackets):
 //!
 //! ```text
-//! --model <resnet20|resnet32|mobilenetv2>         [resnet20]
+//! --model <resnet20|resnet32|mobilenetv2|lenet>   [resnet20]
 //! --mult <catalogue id>                           [trunc5]
 //! --method <normal|alpha|ge|kd|kd_ge>             [kd_ge]
 //! --t2 <temperature>                              [5]
@@ -141,18 +141,6 @@ use approxnn::serve::{self, LoadConfig, ModelOptions, ServeExecutor};
 use std::process::ExitCode;
 use std::time::Duration;
 
-fn model_kind(name: &str) -> Result<ModelKind, String> {
-    match name {
-        "resnet20" => Ok(ModelKind::ResNet20),
-        "resnet32" => Ok(ModelKind::ResNet32),
-        "mobilenetv2" => Ok(ModelKind::MobileNetV2),
-        "lenet" => Ok(ModelKind::LeNet),
-        other => Err(format!(
-            "unknown model '{other}' (use resnet20|resnet32|mobilenetv2|lenet)"
-        )),
-    }
-}
-
 fn method(name: &str, t2: f32) -> Result<Method, String> {
     match name {
         "normal" => Ok(Method::Normal),
@@ -168,7 +156,7 @@ fn method(name: &str, t2: f32) -> Result<Method, String> {
 
 fn model_options(flags: &Flags, executor: ServeExecutor) -> Result<ModelOptions, String> {
     Ok(ModelOptions {
-        model: flags.parsed("model", "resnet20".to_string())?,
+        model: flags.parsed("model", "resnet20".to_string())?.parse()?,
         width: flags.parsed("width", 0.25)?,
         hw: flags.parsed("hw", 16)?,
         executor,
@@ -293,7 +281,7 @@ fn cmd_pipeline(args: &[String]) -> Result<(), String> {
         ],
         USAGE,
     )?;
-    let kind = model_kind(&flags.parsed("model", "resnet20".to_string())?)?;
+    let kind: ModelKind = flags.parsed("model", "resnet20".to_string())?.parse()?;
     let mult_id: String = flags.parsed("mult", "trunc5".to_string())?;
     let spec = catalog::by_id(&mult_id).ok_or_else(|| format!("unknown multiplier '{mult_id}'"))?;
     let t2: f32 = flags.parsed("t2", 5.0)?;
@@ -435,7 +423,7 @@ fn cmd_evaluate(args: &[String]) -> Result<(), String> {
         USAGE,
     )?;
     let path: String = flags.required("checkpoint", USAGE)?;
-    let kind = model_kind(&flags.parsed("model", "resnet20".to_string())?)?;
+    let kind: ModelKind = flags.parsed("model", "resnet20".to_string())?.parse()?;
     let seed: u64 = flags.parsed("seed", 1)?;
     let width: f32 = flags.parsed("width", 0.25)?;
     let hw: usize = flags.parsed("hw", 16)?;
@@ -451,20 +439,8 @@ fn cmd_evaluate(args: &[String]) -> Result<(), String> {
     let json = std::fs::read_to_string(&path).map_err(|e| e.to_string())?;
     let ckpt = approxnn::nn::Checkpoint::from_json(&json).map_err(|e| e.to_string())?;
 
-    // The pipeline saves the BN-folded quantized model for the ResNets.
-    let mut cfg = ModelConfig::paper().with_width(width).with_input_hw(hw);
-    if kind.folds_bn() {
-        cfg.batch_norm = false;
-    }
-    use axnn_rng::Rng;
-    let mut rng = Rng::seed(seed ^ 0xdead);
-    let mut net = match kind {
-        ModelKind::ResNet20 => approxnn::models::resnet20(&cfg, &mut rng),
-        ModelKind::ResNet32 => approxnn::models::resnet32(&cfg, &mut rng),
-        ModelKind::MobileNetV2 => approxnn::models::mobilenet_v2(&cfg, &mut rng),
-        ModelKind::LeNet => approxnn::models::lenet(&cfg, &mut rng),
-    };
-    ckpt.restore(&mut net).map_err(|e| e.to_string())?;
+    let cfg = ModelConfig::paper().with_width(width).with_input_hw(hw);
+    let mut net = kind.restore(&ckpt, &cfg).map_err(|e| e.to_string())?;
 
     // `--loader` streams the split through the prefetching dataloader and
     // scores batches as they arrive; otherwise the split is materialized
@@ -560,7 +536,7 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
         ],
         USAGE,
     )?;
-    let kind = model_kind(&flags.parsed("model", "lenet".to_string())?)?;
+    let kind: ModelKind = flags.parsed("model", "lenet".to_string())?.parse()?;
     let seed: u64 = flags.parsed("seed", 1)?;
     let width: f32 = flags.parsed("width", 0.25)?;
     let hw: usize = flags.parsed("hw", 16)?;
@@ -603,19 +579,7 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
     if let Some(path) = flags.get("checkpoint") {
         let json = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let ckpt = approxnn::nn::Checkpoint::from_json(&json).map_err(|e| e.to_string())?;
-        let mut net_cfg = ModelConfig::paper().with_width(width).with_input_hw(hw);
-        if kind.folds_bn() {
-            net_cfg.batch_norm = false;
-        }
-        use axnn_rng::Rng;
-        let mut rng = Rng::seed(seed ^ 0xdead);
-        let mut net = match kind {
-            ModelKind::ResNet20 => approxnn::models::resnet20(&net_cfg, &mut rng),
-            ModelKind::ResNet32 => approxnn::models::resnet32(&net_cfg, &mut rng),
-            ModelKind::MobileNetV2 => approxnn::models::mobilenet_v2(&net_cfg, &mut rng),
-            ModelKind::LeNet => approxnn::models::lenet(&net_cfg, &mut rng),
-        };
-        ckpt.restore(&mut net).map_err(|e| e.to_string())?;
+        let net = kind.restore(&ckpt, &cfg).map_err(|e| e.to_string())?;
         env.adopt_quantized(net, batch);
     } else {
         let fp_cfg = StageConfig {

@@ -130,7 +130,7 @@ fn mobilenet_pipeline_runs_with_kept_bn() {
         ServeExecutor::Approx,
     ] {
         let opts = ModelOptions {
-            model: "mobilenetv2".to_string(),
+            model: ModelKind::MobileNetV2,
             width: 0.25,
             hw: 8,
             executor,

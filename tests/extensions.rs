@@ -1,7 +1,7 @@
 //! Integration tests for the extension features: arbitrary bit widths,
 //! partial approximation, and checkpointing across the pipeline.
 
-use approxnn::approxkd::pipeline::ModelKind;
+use approxnn::approxkd::pipeline::{ModelKind, TeacherSource};
 use approxnn::approxkd::{ExperimentEnv, Method, StageConfig};
 use approxnn::axmul::catalog;
 use approxnn::models::ModelConfig;
@@ -71,8 +71,17 @@ fn partial_approximation_selects_only_requested_layers() {
 
     let spec = catalog::by_id("trunc5").expect("catalogued");
     // Approximating zero layers == fully quantized baseline.
-    let none = env.approximation_stage_where(spec, Method::Normal, &stage(0), |_, _| false);
-    let all = env.approximation_stage_where(spec, Method::Normal, &stage(0), |_, _| true);
+    let mut partial = |select: &dyn Fn(usize) -> bool| {
+        env.approximation_stage_full(
+            spec,
+            Method::Normal,
+            &stage(0),
+            TeacherSource::Quantized,
+            |i, _| select(i),
+        )
+    };
+    let none = partial(&|_| false);
+    let all = partial(&|_| true);
     // trunc5 is harsh: the fully approximated model must be worse than the
     // unapproximated one before fine-tuning.
     assert!(
@@ -83,7 +92,7 @@ fn partial_approximation_selects_only_requested_layers() {
     );
 
     // Half approximation sits in between (weakly).
-    let half = env.approximation_stage_where(spec, Method::Normal, &stage(0), |i, _| i < n / 2);
+    let half = partial(&|i| i < n / 2);
     assert!(half.initial_acc >= all.initial_acc - 0.05);
     assert!(half.initial_acc <= none.initial_acc + 0.05);
 }
@@ -91,23 +100,33 @@ fn partial_approximation_selects_only_requested_layers() {
 #[test]
 fn partial_selection_is_visible_in_executor_kinds() {
     use approxnn::axmul::TruncatedMul;
-    use approxnn::proxsim::approximate_network_where;
+    use approxnn::proxsim::{approximate_network_assigned, SignedLut};
     use axnn_rng::Rng;
+    use std::sync::Arc;
     let mut rng = Rng::seed(5);
     let cfg = ModelConfig::mini().with_width(0.2).with_input_hw(8);
     let mut net = approxnn::models::resnet20(&cfg, &mut rng);
-    approximate_network_where(&mut net, &TruncatedMul::new(3), None, |i, _| i % 2 == 0);
+    let mut layers = 0;
+    net.visit_gemm_cores(&mut |_| layers += 1);
+    let lut = Arc::new(SignedLut::build(&TruncatedMul::new(3)));
+    let assignment: Vec<_> = (0..layers)
+        .map(|i| (i % 2 == 0).then(|| (Arc::clone(&lut), None)))
+        .collect();
+    approximate_network_assigned(&mut net, &assignment);
     let mut kinds = Vec::new();
     net.visit_gemm_cores(&mut |c| kinds.push(c.executor.kind()));
     let approx = kinds
         .iter()
         .filter(|&&k| k == ExecutorKind::Approximate)
         .count();
-    let exact = kinds.iter().filter(|&&k| k == ExecutorKind::Exact).count();
-    assert!(approx > 0 && exact > 0, "{kinds:?}");
-    assert_eq!(approx + exact, kinds.len());
+    let quant = kinds
+        .iter()
+        .filter(|&&k| k == ExecutorKind::Quantized)
+        .count();
+    assert!(approx > 0 && quant > 0, "{kinds:?}");
+    assert_eq!(approx + quant, kinds.len());
     assert_eq!(kinds[0], ExecutorKind::Approximate);
-    assert_eq!(kinds[1], ExecutorKind::Exact);
+    assert_eq!(kinds[1], ExecutorKind::Quantized);
 }
 
 #[test]
