@@ -20,8 +20,8 @@
 //! Multipliers operate on **unsigned magnitudes** (`x ∈ [0, 255]`,
 //! `w ∈ [0, 15]`), matching the enumeration domain of eq. 14; signed codes
 //! are handled sign-magnitude by [`Multiplier::mul_signed`]. The
-//! [`lut`] module builds exhaustive 256×16 lookup tables used by the
-//! ProxSim-analogue execution engine.
+//! ProxSim-analogue execution engine tabulates a multiplier once over the
+//! signed code range (`axnn_proxsim::SignedLut`) and never calls it per MAC.
 //!
 //! # Example
 //!
@@ -43,7 +43,6 @@ mod truncated;
 pub mod adder;
 pub mod catalog;
 pub mod energy;
-pub mod lut;
 pub mod stats;
 
 pub use architectures::{DrumMul, MitchellLogMul, ProductTruncMul};

@@ -1,6 +1,5 @@
 //! Property-based tests over the approximate-multiplier family.
 
-use axnn_axmul::lut::LutMul;
 use axnn_axmul::stats::MulStats;
 use axnn_axmul::{
     DrumMul, EvoLikeMul, ExactMul, MitchellLogMul, Multiplier, ProductTruncMul, TruncatedMul,
@@ -42,19 +41,6 @@ fn zero_annihilates() {
         for m in families() {
             assert_eq!(m.mul_mag(v.min(MAX_X_MAG), 0), 0, "{}", m.name());
             assert_eq!(m.mul_mag(0, v.min(MAX_W_MAG)), 0, "{}", m.name());
-        }
-    });
-}
-
-/// LUT tabulation is bit-exact for arbitrary operands.
-#[test]
-fn lut_matches_direct() {
-    cases(256, |mut rng| {
-        let x = rng.gen_range(0u32..=255);
-        let w = rng.gen_range(0u32..=15);
-        for m in families() {
-            let lut = LutMul::build(m.as_ref());
-            assert_eq!(lut.mul_mag(x, w), m.mul_mag(x, w), "{}", m.name());
         }
     });
 }

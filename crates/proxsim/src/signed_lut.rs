@@ -99,7 +99,9 @@ impl SignedLut {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use axnn_axmul::{EvoLikeMul, ExactMul, TruncatedMul};
+    use axnn_axmul::{
+        DrumMul, EvoLikeMul, ExactMul, MitchellLogMul, ProductTruncMul, TruncatedMul,
+    };
 
     #[test]
     fn exact_table_matches_products() {
@@ -113,11 +115,20 @@ mod tests {
 
     #[test]
     fn table_matches_behavioural_model_everywhere() {
-        let m = TruncatedMul::new(4);
-        let lut = SignedLut::build(&m);
-        for x in -127i32..=127 {
-            for w in -7i32..=7 {
-                assert_eq!(lut.get(x, w), m.mul_signed(x, w), "({x},{w})");
+        let families: [Box<dyn Multiplier>; 6] = [
+            Box::new(ExactMul),
+            Box::new(TruncatedMul::new(4)),
+            Box::new(EvoLikeMul::calibrated(7, 0.1)),
+            Box::new(DrumMul::new(3)),
+            Box::new(MitchellLogMul::new()),
+            Box::new(ProductTruncMul::new(4)),
+        ];
+        for m in &families {
+            let lut = SignedLut::build(m.as_ref());
+            for x in -128i32..=127 {
+                for w in -8i32..=7 {
+                    assert_eq!(lut.get(x, w), m.mul_signed(x, w), "{} ({x},{w})", m.name());
+                }
             }
         }
     }

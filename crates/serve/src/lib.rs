@@ -38,9 +38,11 @@
 //! [`loadgen`] drives a running server with tensors or raw frames,
 //! closed-loop (fixed caller population), open-loop (fixed arrival
 //! schedule, coordinated-omission corrected), or as a multi-rate
-//! open-loop [`loadgen::sweep`] that locates the saturation knee;
-//! [`stream`] reports a raw-frame sweep with per-stage
-//! preprocess/queue/compute breakdowns (`results/BENCH_stream.json`);
+//! open-loop [`loadgen::knee`] probe that locates the saturation knee.
+//! Every run reports one [`LoadReport`] with the client-observed latency
+//! and the server's preprocess / queue-wait / compute split per stage.
+//! `axnn stream` writes a raw-frame knee probe to
+//! `results/BENCH_stream.json` ([`stream::bench_json`]);
 //! [`bench`](mod@bench) sweeps the executor × max-batch matrix plus the
 //! replicas-vs-throughput knee into `results/BENCH_serve.json`.
 //!
@@ -68,15 +70,15 @@ pub use bench::{run_bench, BenchConfig};
 pub use executor::ServeExecutor;
 pub use loadgen::{
     canary_probe, probe_input_len, probe_preprocess_spec, reload_server, shutdown_server, Client,
-    LoadConfig, LoadReport, Payload, Sweep, SweepConfig,
+    Ladder, LoadConfig, LoadReport, Payload, Sweep, SweepConfig,
 };
 pub use metrics::{MetricsPlane, SnapshotContext, TraceRecord, METRICS_SCHEMA_VERSION};
 pub use model::{ModelOptions, ServeSpec, ServedModel};
 pub use protocol::{Request, Response, ResponseMsg};
 pub use queue::{AdmitError, BatchQueue, Dispatcher, QueueConfig};
 pub use server::Server;
-pub use stats::LatencySummary;
-pub use stream::{FrameShape, StreamPoint, StreamProbe, StreamReport};
+pub use stats::{LatencySummary, Stage};
+pub use stream::{FrameShape, StreamProbe};
 
 #[cfg(test)]
 mod tests {
@@ -224,9 +226,9 @@ mod tests {
             capacity: 32,
             max_batch: 4,
         });
-        let report = loadgen::run(
+        let report = loadgen::drive(
             server.addr(),
-            server.input_len(),
+            Payload::Tensor(server.input_len()),
             &LoadConfig {
                 connections: 3,
                 requests: 4,
@@ -255,9 +257,9 @@ mod tests {
             3,
         );
         assert_eq!(server.replicas(), 3);
-        let report = loadgen::run(
+        let report = loadgen::drive(
             server.addr(),
-            server.input_len(),
+            Payload::Tensor(server.input_len()),
             &LoadConfig {
                 connections: 4,
                 requests: 6,
@@ -488,44 +490,55 @@ mod tests {
             channels: 3,
             u8_pixels: true,
         };
-        let cfg = SweepConfig {
-            connections: 2,
-            rates: vec![20.0],
-            step_duration_s: 0.4,
-            seed: 9,
-            keepup_ratio: 0.5,
-        };
-        let sweep = loadgen::sweep(server.addr(), Payload::Frame(shape), &cfg).unwrap();
-        server.shutdown();
-        let requests = sweep.steps[0].load.requests;
-        assert_eq!(requests, 4);
-        let report = StreamReport::new(shape, sweep);
-        assert_eq!(report.frame, "16x12x3 u8");
-        assert_eq!(report.knee_offered_fps, 20.0);
-        assert!(report.knee_achieved_fps > 0.0);
-        assert_eq!(report.points.len(), 1);
-        let p = &report.points[0];
-        assert_eq!(p.offered_fps, 20.0);
-        assert!(p.kept_up);
-        assert_eq!(p.sent, 2 * requests);
-        assert_eq!(p.ok, p.sent);
-        assert_eq!(p.rejected + p.errors, 0);
-        assert_eq!(p.latency.count, p.ok);
-        let stages = &p.stages;
-        for (name, stage, spec) in [
-            (
-                "preprocess",
-                &stages.preprocess,
-                server::preprocess_time_spec(),
-            ),
-            ("queue_wait", &stages.queue_wait, server::queue_wait_spec()),
-            ("compute", &stages.compute, server::compute_spec()),
+        for (payload, preprocessed) in [
+            (Payload::Tensor(server.input_len()), false),
+            (Payload::Frame(shape), true),
         ] {
-            assert_eq!(stage.summary.count, p.ok, "{name}");
-            assert_eq!(stage.hist.count(), p.ok as u64, "{name}");
-            assert_eq!(stage.hist.spec(), spec, "{name}");
+            let cfg = SweepConfig {
+                connections: 2,
+                ladder: Ladder::Calibrated {
+                    closed: LoadConfig {
+                        connections: 2,
+                        requests: 4,
+                        rate_rps: 0.0,
+                        seed: 3,
+                    },
+                    steps: 2,
+                },
+                step_duration_s: 0.2,
+                seed: 9,
+                keepup_ratio: 0.5,
+            };
+            let sweep = loadgen::knee(server.addr(), payload, &cfg).unwrap();
+            assert!(sweep.calibration_rps > 0.0, "{payload:?}");
+            assert_eq!(sweep.steps.len(), 2, "one step per ladder step");
+            let rates: Vec<f64> = sweep.steps.iter().map(|s| s.report.offered_rps).collect();
+            assert!(
+                rates.windows(2).all(|w| w[1] > w[0]),
+                "ascending: {rates:?}"
+            );
+            assert!(sweep.knee_achieved > 0.0);
+            for step in &sweep.steps {
+                let r = &step.report;
+                assert_eq!(r.mode, "open");
+                assert_eq!(r.sent, 2 * cfg.step(r.offered_rps, 0).requests);
+                assert_eq!(r.ok, r.sent, "{payload:?}");
+                assert_eq!(r.rejected + r.errors, 0);
+                assert_eq!(r.latency.count, r.ok);
+                for (name, stage, spec) in [
+                    ("preprocess", &r.preprocess, server::preprocess_time_spec()),
+                    ("queue_wait", &r.queue_wait, server::queue_wait_spec()),
+                    ("compute", &r.compute, server::compute_spec()),
+                ] {
+                    assert_eq!(stage.summary.count, r.ok, "{name}");
+                    assert_eq!(stage.hist.count(), r.ok as u64, "{name}");
+                    assert_eq!(stage.hist.spec(), spec, "{name}");
+                }
+                // Only raw frames pass through server-side preprocessing.
+                assert_eq!(r.preprocess.summary.p50_us > 0.0, preprocessed);
+            }
         }
-        assert!(stages.preprocess.summary.p50_us > 0.0);
+        server.shutdown();
     }
 
     #[test]
@@ -534,9 +547,9 @@ mod tests {
             capacity: 1,
             max_batch: 1,
         });
-        let report = loadgen::run(
+        let report = loadgen::drive(
             server.addr(),
-            server.input_len(),
+            Payload::Tensor(server.input_len()),
             &LoadConfig {
                 connections: 8,
                 requests: 4,

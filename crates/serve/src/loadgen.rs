@@ -15,11 +15,13 @@
 //!
 //! All inputs are deterministic (seeded per connection from the run seed
 //! and the connection index; see [`Payload`]), so two runs against the
-//! same server offer bit-identical request streams. A [`sweep`] probes a
-//! ladder of open-loop rates and locates the saturation knee.
+//! same server offer bit-identical request streams. Every run reports one
+//! [`LoadReport`]; a [`knee`] probe runs one per rate of an open-loop
+//! ladder and locates the saturation knee.
 
 use crate::protocol::{read_frame, write_frame, Request, ResponseMsg};
-use crate::stats::LatencySummary;
+use crate::server;
+use crate::stats::{LatencySummary, Stage};
 use crate::stream::FrameShape;
 use axnn_data::resize::{PreprocessSpec, RawFrame};
 use axnn_obs::json::{join, num};
@@ -213,27 +215,16 @@ impl Default for LoadConfig {
 }
 
 /// What one run observed, merged over its connections.
-#[derive(Debug, Clone, Default)]
-pub struct Tally {
-    /// Requests sent.
-    pub sent: usize,
-    /// `ok` responses.
-    pub ok: usize,
-    /// `overloaded` + `draining` rejections.
-    pub rejected: usize,
-    /// `error` responses and transport failures.
-    pub errors: usize,
-    /// Wall-clock of the whole run, seconds.
-    pub elapsed_s: f64,
-    /// Client-observed latency of `ok` responses, microseconds — from the
-    /// scheduled send time in the open loop.
-    pub latency_us: Vec<f64>,
-    /// Server-reported preprocessing time of `ok` responses, microseconds.
-    pub preprocess_us: Vec<f64>,
-    /// Server-reported queue wait of `ok` responses, microseconds.
-    pub queue_us: Vec<f64>,
-    /// Server-reported compute time of `ok` responses, microseconds.
-    pub compute_us: Vec<f64>,
+#[derive(Debug, Default)]
+struct Tally {
+    sent: usize,
+    ok: usize,
+    rejected: usize,
+    errors: usize,
+    latency_us: Vec<f64>,
+    preprocess_us: Vec<f64>,
+    queue_us: Vec<f64>,
+    compute_us: Vec<f64>,
 }
 
 impl Tally {
@@ -262,25 +253,12 @@ impl Tally {
         self.queue_us.extend(other.queue_us);
         self.compute_us.extend(other.compute_us);
     }
-
-    /// Completed (`ok`) responses per second.
-    pub fn rate(&self) -> f64 {
-        if self.elapsed_s > 0.0 {
-            self.ok as f64 / self.elapsed_s
-        } else {
-            0.0
-        }
-    }
-
-    /// The keep-up rule: the run completed at least `ratio × offered`
-    /// responses per second and nothing was rejected or errored.
-    pub fn kept_up(&self, offered: f64, ratio: f64) -> bool {
-        self.rate() >= ratio * offered && self.rejected == 0 && self.errors == 0
-    }
 }
 
-/// Aggregated result of one load-generation run.
-#[derive(Debug, Clone, Default)]
+/// Aggregated result of one load-generation run — the one per-run report
+/// of every serving measurement (`axnn loadgen`, the bench matrix, each
+/// step of a [`knee`] probe, `axnn stream`).
+#[derive(Debug, Clone)]
 pub struct LoadReport {
     /// `"closed"` or `"open"`.
     pub mode: &'static str,
@@ -302,17 +280,23 @@ pub struct LoadReport {
     pub throughput_rps: f64,
     /// `rejected / sent`.
     pub reject_rate: f64,
-    /// Client-observed end-to-end latency of `ok` responses.
+    /// Client-observed end-to-end latency of `ok` responses — from the
+    /// scheduled send time in the open loop.
     pub latency: LatencySummary,
-    /// Server-reported queue-wait split of `ok` responses.
-    pub queue_wait: LatencySummary,
-    /// Server-reported compute split of `ok` responses.
-    pub compute: LatencySummary,
+    /// Server-reported raw-frame preprocessing of `ok` responses (zero
+    /// for pre-shaped tensors), in [`server::preprocess_time_spec`].
+    pub preprocess: Stage,
+    /// Server-reported queue wait of `ok` responses, in
+    /// [`server::queue_wait_spec`].
+    pub queue_wait: Stage,
+    /// Server-reported compute time of `ok` responses, in
+    /// [`server::compute_spec`].
+    pub compute: Stage,
 }
 
 impl LoadReport {
-    /// Summarizes the tally of a run driven with `cfg`.
-    pub fn new(cfg: &LoadConfig, tally: Tally) -> LoadReport {
+    fn new(cfg: &LoadConfig, tally: Tally, elapsed_s: f64) -> LoadReport {
+        let ratio = |n: usize, d: f64| if d > 0.0 { n as f64 / d } else { 0.0 };
         LoadReport {
             mode: if cfg.rate_rps > 0.0 { "open" } else { "closed" },
             connections: cfg.connections,
@@ -321,26 +305,29 @@ impl LoadReport {
             ok: tally.ok,
             rejected: tally.rejected,
             errors: tally.errors,
-            elapsed_s: tally.elapsed_s,
-            throughput_rps: tally.rate(),
-            reject_rate: if tally.sent > 0 {
-                tally.rejected as f64 / tally.sent as f64
-            } else {
-                0.0
-            },
+            elapsed_s,
+            throughput_rps: ratio(tally.ok, elapsed_s),
+            reject_rate: ratio(tally.rejected, tally.sent as f64),
             latency: LatencySummary::from_samples(tally.latency_us),
-            queue_wait: LatencySummary::from_samples(tally.queue_us),
-            compute: LatencySummary::from_samples(tally.compute_us),
+            preprocess: Stage::from_samples(tally.preprocess_us, server::preprocess_time_spec()),
+            queue_wait: Stage::from_samples(tally.queue_us, server::queue_wait_spec()),
+            compute: Stage::from_samples(tally.compute_us, server::compute_spec()),
         }
     }
 
-    /// Hand-written JSON object (the `results/BENCH_serve.json` style).
+    /// The keep-up rule: the run completed at least `ratio × offered`
+    /// responses per second and nothing was rejected or errored.
+    pub fn kept_up(&self, ratio: f64) -> bool {
+        self.throughput_rps >= ratio * self.offered_rps && self.rejected == 0 && self.errors == 0
+    }
+
+    /// Hand-written JSON object (the `results/BENCH_*.json` style).
     pub fn to_json(&self) -> String {
         format!(
             "{{\"mode\": \"{}\", \"connections\": {}, \"offered_rps\": {}, \
              \"sent\": {}, \"ok\": {}, \"rejected\": {}, \"errors\": {}, \
              \"elapsed_s\": {}, \"throughput_rps\": {}, \"reject_rate\": {}, \
-             \"latency\": {{{}}}, \"queue_wait\": {{{}}}, \"compute\": {{{}}}}}",
+             \"latency\": {{{}}}, \"preprocess\": {}, \"queue_wait\": {}, \"compute\": {}}}",
             self.mode,
             self.connections,
             num(self.offered_rps),
@@ -352,8 +339,9 @@ impl LoadReport {
             num(self.throughput_rps),
             num(self.reject_rate),
             self.latency.json_members(),
-            self.queue_wait.json_members(),
-            self.compute.json_members(),
+            self.preprocess.to_json(),
+            self.queue_wait.to_json(),
+            self.compute.to_json(),
         )
     }
 }
@@ -383,7 +371,11 @@ fn scheduled_offset(gap_secs: f64, k: usize) -> Duration {
 ///
 /// Returns an error only when a *connection* cannot be established;
 /// per-request failures are tallied.
-pub fn drive(addr: impl ToSocketAddrs, payload: Payload, cfg: &LoadConfig) -> io::Result<Tally> {
+pub fn drive(
+    addr: impl ToSocketAddrs,
+    payload: Payload,
+    cfg: &LoadConfig,
+) -> io::Result<LoadReport> {
     let addr = addr
         .to_socket_addrs()?
         .next()
@@ -444,47 +436,45 @@ pub fn drive(addr: impl ToSocketAddrs, payload: Payload, cfg: &LoadConfig) -> io
                 .map_err(|_| io::Error::other("loadgen worker panicked"))??,
         );
     }
-    total.elapsed_s = started.elapsed().as_secs_f64();
-    Ok(total)
+    Ok(LoadReport::new(cfg, total, started.elapsed().as_secs_f64()))
 }
 
-/// Runs one closed- or open-loop phase of pre-shaped tensor requests.
-pub fn run(addr: impl ToSocketAddrs, input_len: usize, cfg: &LoadConfig) -> io::Result<LoadReport> {
-    let tally = drive(addr, Payload::Tensor(input_len), cfg)?;
-    Ok(LoadReport::new(cfg, tally))
+/// Where a [`knee`] probe's offered rates come from.
+#[derive(Debug, Clone)]
+pub enum Ladder {
+    /// Exactly these rates, requests/s, in ascending order.
+    Rates(Vec<f64>),
+    /// `steps` rates of a geometric ladder around the throughput of one
+    /// closed-loop calibration run of `closed` (its `rate_rps` is
+    /// ignored): an open-loop step cannot achieve more than it offers, so
+    /// the service rate is estimated closed-loop first.
+    Calibrated {
+        /// The calibration run.
+        closed: LoadConfig,
+        /// Ladder steps.
+        steps: usize,
+    },
 }
 
-/// Parameters of a multi-rate open-loop sweep ([`sweep`]).
+/// Parameters of a multi-rate open-loop [`knee`] probe.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
     /// Concurrent connections per rate step.
     pub connections: usize,
-    /// Offered rates to probe, requests/s, in ascending order.
-    pub rates: Vec<f64>,
+    /// The offered rates to probe.
+    pub ladder: Ladder,
     /// Wall-clock budget per rate step; the per-connection request count
     /// is derived as `rate * step_duration / connections` (min 4).
     pub step_duration_s: f64,
     /// Seed for the deterministic request streams.
     pub seed: u64,
-    /// A step keeps up when [`Tally::kept_up`] holds at this ratio.
+    /// A step keeps up when [`LoadReport::kept_up`] holds at this ratio.
     pub keepup_ratio: f64,
-}
-
-impl Default for SweepConfig {
-    fn default() -> Self {
-        SweepConfig {
-            connections: 4,
-            rates: Vec::new(),
-            step_duration_s: 1.5,
-            seed: 1,
-            keepup_ratio: 0.9,
-        }
-    }
 }
 
 impl SweepConfig {
     /// The open-loop run of one step at `rate` with request seed `seed`.
-    pub fn step(&self, rate: f64, seed: u64) -> LoadConfig {
+    pub(crate) fn step(&self, rate: f64, seed: u64) -> LoadConfig {
         LoadConfig {
             connections: self.connections,
             requests: ((rate * self.step_duration_s / self.connections.max(1) as f64).ceil()
@@ -496,21 +486,22 @@ impl SweepConfig {
     }
 }
 
-/// One probed rate of a [`sweep`].
+/// One probed rate of a [`knee`] probe.
 #[derive(Debug, Clone)]
 pub struct Step {
-    /// The run this step drove.
-    pub load: LoadConfig,
     /// Whether the step met the keep-up rule.
     pub kept_up: bool,
     /// What the step observed.
-    pub tally: Tally,
+    pub report: LoadReport,
 }
 
-/// Result of a [`sweep`]: the probed steps and the located saturation
-/// knee.
+/// Result of a [`knee`] probe: the probed steps and the located
+/// saturation knee.
 #[derive(Debug, Clone, Default)]
 pub struct Sweep {
+    /// Closed-loop throughput of the calibration run the ladder brackets,
+    /// requests/s (0 when the rates were given explicitly).
+    pub calibration_rps: f64,
     /// One step per probed rate, in probe order.
     pub steps: Vec<Step>,
     /// Highest offered rate that still kept up (0 when none did).
@@ -520,61 +511,69 @@ pub struct Sweep {
     pub knee_achieved: f64,
 }
 
-/// Probes the server open-loop at each configured rate and locates the
-/// saturation knee: the highest offered rate the service still keeps up
-/// with ([`Tally::kept_up`]). The knee throughput is the best completed
+/// Probes the server open-loop at each rate of `cfg.ladder` (calibrating
+/// first when the ladder asks for it) and locates the saturation knee:
+/// the highest offered rate the service still keeps up with
+/// ([`LoadReport::kept_up`]). The knee throughput is the best completed
 /// rate seen at any step — past the knee an open-loop service saturates
 /// flat, so the maximum is the service's capacity.
-pub fn sweep(
+pub fn knee(
     addr: impl ToSocketAddrs + Copy,
     payload: Payload,
     cfg: &SweepConfig,
 ) -> io::Result<Sweep> {
     let mut out = Sweep::default();
-    for (i, &rate) in cfg.rates.iter().enumerate() {
+    let rates = match &cfg.ladder {
+        Ladder::Rates(rates) => rates.clone(),
+        Ladder::Calibrated { closed, steps } => {
+            let closed = LoadConfig {
+                rate_rps: 0.0,
+                ..*closed
+            };
+            out.calibration_rps = drive(addr, payload, &closed)?.throughput_rps;
+            rate_ladder(out.calibration_rps.max(1.0), *steps)
+        }
+    };
+    for (i, rate) in rates.into_iter().enumerate() {
         let load = cfg.step(rate, cfg.seed ^ ((i as u64 + 1) << 16));
-        let tally = drive(addr, payload, &load)?;
-        let kept_up = tally.kept_up(rate, cfg.keepup_ratio);
+        let report = drive(addr, payload, &load)?;
+        let kept_up = report.kept_up(cfg.keepup_ratio);
         if kept_up {
             out.knee_offered = out.knee_offered.max(rate);
         }
-        out.knee_achieved = out.knee_achieved.max(tally.rate());
-        out.steps.push(Step {
-            load,
-            kept_up,
-            tally,
-        });
+        out.knee_achieved = out.knee_achieved.max(report.throughput_rps);
+        out.steps.push(Step { kept_up, report });
     }
     Ok(out)
 }
 
 impl Sweep {
-    /// Hand-written JSON object for `results/BENCH_serve.json`: the knee
-    /// plus one [`LoadReport`] per step.
+    /// Hand-written JSON object: the calibration and the knee plus one
+    /// [`LoadReport`] per step.
     pub fn to_json(&self) -> String {
         let points = join(
             self.steps.iter().map(|s| {
                 format!(
                     "{{\"offered_rps\": {}, \"kept_up\": {}, \"report\": {}}}",
-                    num(s.load.rate_rps),
+                    num(s.report.offered_rps),
                     s.kept_up,
-                    LoadReport::new(&s.load, s.tally.clone()).to_json()
+                    s.report.to_json()
                 )
             }),
             ", ",
         );
         format!(
-            "{{\"knee_offered_rps\": {}, \"knee_throughput_rps\": {}, \"points\": [{points}]}}",
+            "{{\"calibration_rps\": {}, \"knee_offered_rps\": {}, \"knee_throughput_rps\": {}, \
+             \"points\": [{points}]}}",
+            num(self.calibration_rps),
             num(self.knee_offered),
             num(self.knee_achieved),
         )
     }
 }
 
-/// A geometric rate ladder around an estimated service rate — the default
-/// probe set for [`sweep`] when the caller has a closed-loop throughput
-/// estimate.
-pub fn rate_ladder(estimate_rps: f64, steps: usize) -> Vec<f64> {
+/// A geometric rate ladder around an estimated service rate.
+fn rate_ladder(estimate_rps: f64, steps: usize) -> Vec<f64> {
     // 0.5x .. ~2x the estimate: below the knee, at it, and past it.
     let lo = (estimate_rps * 0.5).max(1.0);
     let growth = 1.32f64;

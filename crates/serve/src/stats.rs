@@ -1,6 +1,7 @@
 //! Latency summaries for the load generator and the bench harness.
 
-use axnn_obs::json::num;
+use axnn_obs::json::{join, num};
+use axnn_obs::{Hist, HistSpec};
 
 /// Nearest-rank percentile over an already **sorted** slice: the smallest
 /// sample such that at least `p`% of the distribution is ≤ it (the
@@ -67,9 +68,66 @@ impl LatencySummary {
     }
 }
 
+/// One server-reported stage's latency population: a summary plus a
+/// fixed-geometry histogram (the server's metrics-window geometry, so
+/// client-observed and server-observed distributions line up bucket for
+/// bucket).
+#[derive(Debug, Clone)]
+pub struct Stage {
+    /// Nearest-rank percentile summary, microseconds.
+    pub summary: LatencySummary,
+    /// Fixed-geometry histogram of the same samples.
+    pub hist: Hist,
+}
+
+impl Stage {
+    /// Summarizes `samples` and records every one into a fresh `spec`
+    /// histogram.
+    pub fn from_samples(samples: Vec<f64>, spec: HistSpec) -> Stage {
+        let mut hist = Hist::new(spec);
+        hist.record_all(samples.iter().copied());
+        Stage {
+            summary: LatencySummary::from_samples(samples),
+            hist,
+        }
+    }
+
+    /// `{"summary": {...}, "hist": {...}}` — the hist with its geometry,
+    /// bucket counts and the samples that fell outside `[lo, hi)`.
+    pub fn to_json(&self) -> String {
+        let spec = self.hist.spec();
+        format!(
+            "{{\"summary\": {{{}}}, \"hist\": {{\"lo\": {}, \"hi\": {}, \
+             \"buckets\": {}, \"counts\": [{}], \"underflow\": {}, \"overflow\": {}}}}}",
+            self.summary.json_members(),
+            num(spec.lo),
+            num(spec.hi),
+            spec.buckets,
+            join(self.hist.bucket_counts(), ", "),
+            self.hist.underflow(),
+            self.hist.overflow(),
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stage_records_every_sample_in_the_given_geometry() {
+        let stage = Stage::from_samples(vec![100.0, 200.0, 300.0], HistSpec::new(0.0, 1000.0, 10));
+        assert_eq!(stage.summary.count, 3);
+        assert_eq!(stage.hist.spec().buckets, 10);
+        let counts = stage.hist.bucket_counts();
+        assert_eq!(counts.len(), 10);
+        assert_eq!(counts.iter().sum::<u64>(), 3);
+        // Out-of-range samples are counted too, as under/overflow.
+        let wide = Stage::from_samples(vec![-5.0, 5e9], crate::server::compute_spec());
+        assert_eq!(wide.hist.count(), 2);
+        assert_eq!((wide.hist.underflow(), wide.hist.overflow()), (1, 1));
+        assert_eq!(wide.hist.spec(), crate::server::compute_spec());
+    }
 
     #[test]
     fn empty_population_is_all_zeros() {

@@ -1,17 +1,14 @@
-//! Sustained raw-frame streaming: the reports behind `axnn stream`, plus
-//! the raw-vs-tensor bit-identity probe.
+//! Sustained raw-frame streaming: the frame shapes and document behind
+//! `axnn stream`, plus the raw-vs-tensor bit-identity probe.
 //!
 //! Where `axnn loadgen` offers pre-shaped tensors, `axnn stream` offers
 //! **raw `H×W×C` frames**
 //! ([`Payload::Frame`](crate::loadgen::Payload::Frame)) on a fixed frame-rate
-//! schedule through the same [`loadgen::sweep`](crate::loadgen::sweep),
-//! exercising the server-side preprocessing stage in front of
-//! micro-batching. Each step reports the achieved frame rate and the
-//! per-stage latency breakdown — preprocess vs queue wait vs compute,
-//! straight from the server's per-response fields — as summaries *and* as
-//! fixed-geometry histograms (the same bucket geometry the server's
-//! metrics window uses, so client-observed and server-observed
-//! distributions line up bucket for bucket).
+//! schedule through the same [`loadgen::knee`](crate::loadgen::knee)
+//! probe, exercising the server-side preprocessing stage in front of
+//! micro-batching. Each step is one [`LoadReport`](crate::LoadReport),
+//! whose preprocess / queue-wait / compute stages carry the server's
+//! per-response split as summaries *and* fixed-geometry histograms.
 //!
 //! The **probe** is the correctness half: it sends one deterministic raw
 //! frame, then preprocesses the same frame locally with the spec the
@@ -20,12 +17,9 @@
 //! server-side preprocessing is the same kernels, so any divergence is a
 //! bug, not noise. tier-1 gates on it.
 
-use crate::loadgen::{expect_status, probe_preprocess_spec, Client, Step, Sweep};
-use crate::server::{compute_spec, preprocess_time_spec, queue_wait_spec};
-use crate::stats::LatencySummary;
+use crate::loadgen::{expect_status, probe_preprocess_spec, Client, Sweep};
 use axnn_data::resize::RawFrame;
-use axnn_obs::json::{join, num, string};
-use axnn_obs::Hist;
+use axnn_obs::json::{num, string};
 use std::io;
 use std::net::ToSocketAddrs;
 
@@ -61,161 +55,14 @@ impl FrameShape {
     }
 }
 
-/// Per-stage latency view of one rate step: summary + fixed-geometry
-/// histogram per stage, from the server-reported response fields.
-#[derive(Debug, Clone)]
-pub struct StageBreakdown {
-    /// Server-side preprocessing (decode + resize + layout + normalize).
-    pub preprocess: Stage,
-    /// Queue wait between admission and batch cut.
-    pub queue_wait: Stage,
-    /// Batch forward pass.
-    pub compute: Stage,
-}
-
-/// One stage's latency population.
-#[derive(Debug, Clone)]
-pub struct Stage {
-    /// Nearest-rank percentile summary, microseconds.
-    pub summary: LatencySummary,
-    /// Fixed-geometry histogram (the matching server window geometry).
-    pub hist: Hist,
-}
-
-impl Stage {
-    /// Summarizes `samples` and records every one into a fresh `spec`
-    /// histogram.
-    pub fn from_samples(samples: Vec<f64>, spec: axnn_obs::HistSpec) -> Stage {
-        let mut hist = Hist::new(spec);
-        hist.record_all(samples.iter().copied());
-        Stage {
-            summary: LatencySummary::from_samples(samples),
-            hist,
-        }
-    }
-
-    /// `{"summary": {...}, "hist": {...}}` — the summary in the loadgen
-    /// style, the hist with its geometry and bucket counts.
-    pub fn to_json(&self) -> String {
-        let spec = self.hist.spec();
-        format!(
-            "{{\"summary\": {{{}}}, \"hist\": {{\"lo\": {}, \"hi\": {}, \
-             \"buckets\": {}, \"counts\": [{}]}}}}",
-            self.summary.json_members(),
-            num(spec.lo),
-            num(spec.hi),
-            spec.buckets,
-            join(self.hist.bucket_counts(), ", "),
-        )
-    }
-}
-
-/// Aggregated result of one rate step.
-#[derive(Debug, Clone)]
-pub struct StreamPoint {
-    /// Offered frame rate of this step, frames/s.
-    pub offered_fps: f64,
-    /// Whether the step met the keep-up rule.
-    pub kept_up: bool,
-    /// Frames sent.
-    pub sent: usize,
-    /// `ok` responses.
-    pub ok: usize,
-    /// Admission-control / draining rejections.
-    pub rejected: usize,
-    /// `error` responses and transport failures.
-    pub errors: usize,
-    /// Wall-clock of the step, seconds.
-    pub elapsed_s: f64,
-    /// Completed frames per second.
-    pub achieved_fps: f64,
-    /// Client-observed end-to-end latency (from the scheduled send time —
-    /// the coordinated-omission correction, like `loadgen`).
-    pub latency: LatencySummary,
-    /// Per-stage breakdown from the server-reported fields.
-    pub stages: StageBreakdown,
-}
-
-impl StreamPoint {
-    /// Summarizes one step of a raw-frame [`Sweep`].
-    pub fn new(step: Step) -> StreamPoint {
-        let t = step.tally;
-        StreamPoint {
-            offered_fps: step.load.rate_rps,
-            kept_up: step.kept_up,
-            sent: t.sent,
-            ok: t.ok,
-            rejected: t.rejected,
-            errors: t.errors,
-            elapsed_s: t.elapsed_s,
-            achieved_fps: t.rate(),
-            latency: LatencySummary::from_samples(t.latency_us),
-            stages: StageBreakdown {
-                preprocess: Stage::from_samples(t.preprocess_us, preprocess_time_spec()),
-                queue_wait: Stage::from_samples(t.queue_us, queue_wait_spec()),
-                compute: Stage::from_samples(t.compute_us, compute_spec()),
-            },
-        }
-    }
-
-    /// Hand-written JSON object for `results/BENCH_stream.json`.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"offered_fps\": {}, \"kept_up\": {}, \"sent\": {}, \"ok\": {}, \
-             \"rejected\": {}, \"errors\": {}, \"elapsed_s\": {}, \
-             \"achieved_fps\": {}, \"latency\": {{{}}}, \"preprocess\": {}, \
-             \"queue_wait\": {}, \"compute\": {}}}",
-            num(self.offered_fps),
-            self.kept_up,
-            self.sent,
-            self.ok,
-            self.rejected,
-            self.errors,
-            num(self.elapsed_s),
-            num(self.achieved_fps),
-            self.latency.json_members(),
-            self.stages.preprocess.to_json(),
-            self.stages.queue_wait.to_json(),
-            self.stages.compute.to_json(),
-        )
-    }
-}
-
-/// Result of a frame-rate sweep: the probed points and the saturation knee.
-#[derive(Debug, Clone, Default)]
-pub struct StreamReport {
-    /// Frame geometry the sweep offered (`HxWxC` + dtype).
-    pub frame: String,
-    /// One point per probed rate, in probe order.
-    pub points: Vec<StreamPoint>,
-    /// Highest offered frame rate that still kept up (0 when none did).
-    pub knee_offered_fps: f64,
-    /// Best achieved frame rate across all points.
-    pub knee_achieved_fps: f64,
-}
-
-impl StreamReport {
-    /// Reports a [`Sweep`] of `frame`-shaped raw frames.
-    pub fn new(frame: FrameShape, sweep: Sweep) -> StreamReport {
-        StreamReport {
-            frame: frame.label(),
-            points: sweep.steps.into_iter().map(StreamPoint::new).collect(),
-            knee_offered_fps: sweep.knee_offered,
-            knee_achieved_fps: sweep.knee_achieved,
-        }
-    }
-
-    /// Hand-written JSON object for `results/BENCH_stream.json`.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"frame\": {}, \"knee_offered_fps\": {}, \"knee_achieved_fps\": {}, \
-             \"points\": [{}]}}",
-            string(&self.frame),
-            num(self.knee_offered_fps),
-            num(self.knee_achieved_fps),
-            join(self.points.iter().map(StreamPoint::to_json), ", "),
-        )
-    }
+/// The `results/BENCH_stream.json` document: the frame geometry plus the
+/// [`Sweep`] of `frame`-shaped raw frames.
+pub fn bench_json(frame: &FrameShape, sweep: &Sweep) -> String {
+    format!(
+        "{{\"schema\": \"BENCH_stream.v2\", \"frame\": {}, \"sweep\": {}}}",
+        string(&frame.label()),
+        sweep.to_json(),
+    )
 }
 
 /// Result of the raw-vs-tensor bit-identity probe.
@@ -284,25 +131,4 @@ pub fn probe(
         max_abs_delta,
         preprocess_us: raw.preprocess_us,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use axnn_obs::HistSpec;
-
-    #[test]
-    fn stage_records_every_sample_in_the_given_geometry() {
-        let stage = Stage::from_samples(vec![100.0, 200.0, 300.0], HistSpec::new(0.0, 1000.0, 10));
-        assert_eq!(stage.summary.count, 3);
-        assert_eq!(stage.hist.spec().buckets, 10);
-        let counts = stage.hist.bucket_counts();
-        assert_eq!(counts.len(), 10);
-        assert_eq!(counts.iter().sum::<u64>(), 3);
-        // Out-of-range samples are counted too, as under/overflow.
-        let wide = Stage::from_samples(vec![-5.0, 5e9], compute_spec());
-        assert_eq!(wide.hist.count(), 2);
-        assert_eq!((wide.hist.underflow(), wide.hist.overflow()), (1, 1));
-        assert_eq!(wide.hist.spec(), compute_spec());
-    }
 }

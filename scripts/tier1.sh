@@ -287,3 +287,43 @@ if ! cmp -s "$OBS_TMP/eval_l1.out" "$OBS_TMP/eval_l3.out"; then
     exit 1
 fi
 echo "tier1: stream smoke OK"
+
+# Knee-probe smoke: `stream --checkpoint` without `--fps` calibrates
+# closed-loop, then sweeps a 2-step ladder around it. The document must
+# carry the schema, a positive calibration, the knee and, per step, the
+# preprocess / queue-wait / compute stages.
+target/release/axnn stream --checkpoint "$OBS_TMP/ckpt.json" --width 0.2 --hw 8 \
+    --sweep-steps 2 --step-s 0.3 --out "$OBS_TMP/stream.json" >/dev/null 2>&1 || {
+    echo "tier1: stream --checkpoint knee probe failed" >&2
+    exit 1
+}
+if ! grep -q '^{"schema": "BENCH_stream.v2", "frame": ' "$OBS_TMP/stream.json" ||
+    grep -q '"calibration_rps": 0,' "$OBS_TMP/stream.json" ||
+    ! grep -q '"knee_offered_rps": ' "$OBS_TMP/stream.json"; then
+    echo "tier1: stream document lacks the schema, calibration or knee" >&2
+    exit 1
+fi
+for stage in preprocess queue_wait compute; do
+    if [ "$(grep -o "\"$stage\": {\"summary\"" "$OBS_TMP/stream.json" | wc -l)" -ne 2 ]; then
+        echo "tier1: stream document lacks a per-step $stage stage" >&2
+        exit 1
+    fi
+done
+echo "tier1: knee probe smoke OK"
+
+# Size flags are validated before anything runs, with one shared message.
+if target/release/axnn loadgen --checkpoint "$OBS_TMP/ckpt.json" --queue-cap 0 \
+    >"$OBS_TMP/cap0.out" 2>&1 ||
+    ! grep -q -- "--queue-cap must be at least 1" "$OBS_TMP/cap0.out"; then
+    echo "tier1: loadgen --checkpoint accepted --queue-cap 0" >&2
+    exit 1
+fi
+for rate in -5 NaN; do
+    if target/release/axnn loadgen --addr 127.0.0.1:9 --rate "$rate" \
+        >"$OBS_TMP/rate.out" 2>&1 ||
+        ! grep -q -- "--rate must be a finite rate >= 0" "$OBS_TMP/rate.out"; then
+        echo "tier1: loadgen accepted --rate $rate" >&2
+        exit 1
+    fi
+done
+echo "tier1: flag validation smoke OK"

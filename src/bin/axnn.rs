@@ -137,7 +137,9 @@ use approxnn::axmul::stats::MulStats;
 use approxnn::cli::{parse_known, parse_usize_list, take_flag, Flags};
 use approxnn::models::ModelConfig;
 use approxnn::nn::StepDecay;
-use approxnn::serve::{self, LoadConfig, ModelOptions, ServeExecutor};
+use approxnn::serve::{
+    self, Ladder, LoadConfig, ModelOptions, Payload, ServeExecutor, SweepConfig,
+};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -174,11 +176,8 @@ fn loader_config(
     seed: u64,
 ) -> Result<approxnn::data::loader::LoaderConfig, String> {
     let mut cfg = approxnn::data::loader::LoaderConfig::new(batch, seed);
-    cfg.workers = flags.parsed("loader-workers", 2)?;
-    cfg.prefetch = flags.parsed("loader-prefetch", 4)?;
-    if cfg.workers == 0 || cfg.prefetch == 0 {
-        return Err("--loader-workers and --loader-prefetch must be at least 1".to_string());
-    }
+    cfg.workers = flags.count("loader-workers", 2)?;
+    cfg.prefetch = flags.count("loader-prefetch", 4)?;
     let src: usize = flags.parsed("loader-src-hw", 0)?;
     if src > 0 && src < 4 {
         return Err("--loader-src-hw must be at least 4 (or 0 for identity)".to_string());
@@ -722,16 +721,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let host: String = flags.parsed("host", "127.0.0.1".to_string())?;
     let port: u16 = flags.parsed("port", 0)?;
     let queue = serve::QueueConfig {
-        capacity: flags.parsed("queue-cap", 64)?,
-        max_batch: flags.parsed("max-batch", 8)?,
+        capacity: flags.count("queue-cap", 64)?,
+        max_batch: flags.count("max-batch", 8)?,
     };
-    if queue.capacity == 0 || queue.max_batch == 0 {
-        return Err("--queue-cap and --max-batch must be at least 1".to_string());
-    }
-    let replicas: usize = flags.parsed("replicas", 1)?;
-    if replicas == 0 {
-        return Err("--replicas must be at least 1".to_string());
-    }
+    let replicas = flags.count("replicas", 1)?;
     let threads: usize = flags.parsed("threads", 0)?;
     approxnn::par::set_threads(threads);
 
@@ -858,14 +851,20 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
                 return Ok(());
             }
             let cfg = LoadConfig {
-                connections: flags.parsed("connections", 4)?,
-                requests: flags.parsed("requests", 32)?,
+                connections: flags.count("connections", 4)?,
+                requests: flags.count("requests", 32)?,
                 rate_rps: flags.parsed("rate", 0.0)?,
                 seed: flags.parsed("seed", 1)?,
             };
+            if !(cfg.rate_rps.is_finite() && cfg.rate_rps >= 0.0) {
+                return Err(format!(
+                    "--rate must be a finite rate >= 0 (0 = closed loop), got {}",
+                    cfg.rate_rps
+                ));
+            }
             let input_len = serve::probe_input_len(addr.as_str()).map_err(|e| e.to_string())?;
-            let report =
-                serve::loadgen::run(addr.as_str(), input_len, &cfg).map_err(|e| e.to_string())?;
+            let report = serve::loadgen::drive(addr.as_str(), Payload::Tensor(input_len), &cfg)
+                .map_err(|e| e.to_string())?;
             println!("{}", report.to_json());
             if flags.parsed("shutdown", false)? {
                 let msg = serve::shutdown_server(addr.as_str()).map_err(|e| e.to_string())?;
@@ -874,15 +873,13 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         (None, Some(path)) => {
-            let json = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            approxnn::par::set_threads(flags.parsed("threads", 0)?);
             let base = model_options(&flags, ServeExecutor::Exact)?;
             let mut bench = serve::BenchConfig {
-                connections: flags.parsed("connections", 4)?,
-                requests: flags.parsed("requests", 24)?,
-                queue_cap: flags.parsed("queue-cap", 64)?,
+                connections: flags.count("connections", 4)?,
+                requests: flags.count("requests", 24)?,
+                queue_cap: flags.count("queue-cap", 64)?,
                 seed: flags.parsed("seed", 1)?,
-                sweep_steps: flags.parsed("sweep-steps", 5)?,
+                sweep_steps: flags.count("sweep-steps", 5)?,
                 ..serve::BenchConfig::default()
             };
             if let Some(list) = flags.get("executors") {
@@ -895,8 +892,10 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
                 bench.replica_set = parse_usize_list(list)
                     .map_err(|e| format!("--replica-set: {e}\nusage: {USAGE}"))?;
             }
-            let doc = serve::run_bench(&json, &base, &bench)?;
             let out: String = flags.parsed("out", "results/BENCH_serve.json".to_string())?;
+            let json = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+            approxnn::par::set_threads(flags.parsed("threads", 0)?);
+            let doc = serve::run_bench(&json, &base, &bench)?;
             std::fs::write(&out, &doc).map_err(|e| format!("{out}: {e}"))?;
             println!("wrote {out}");
             Ok(())
@@ -910,8 +909,7 @@ fn stream_drive(
     addr: &str,
     flags: &Flags,
     shape: serve::FrameShape,
-    mut cfg: serve::SweepConfig,
-    fps: Option<Vec<f64>>,
+    cfg: &SweepConfig,
 ) -> Result<(), String> {
     if flags.has("probe-seed") {
         let seed: u64 = flags.parsed("probe-seed", 0)?;
@@ -926,44 +924,34 @@ fn stream_drive(
             ))
         };
     }
-    let payload = serve::Payload::Frame(shape);
-    cfg.rates = match fps {
-        Some(list) => list,
-        None => {
-            // One closed-loop calibration run finds the service rate (an
-            // open-loop step cannot achieve more than it offers); the
-            // ladder then brackets it, `loadgen` style.
-            let steps: usize = flags.parsed("sweep-steps", 5)?;
-            let closed = LoadConfig {
-                connections: cfg.connections,
-                requests: 64,
-                rate_rps: 0.0,
-                seed: cfg.seed,
-            };
-            let cal = serve::loadgen::drive(addr, payload, &closed).map_err(|e| e.to_string())?;
-            eprintln!("closed-loop calibration achieved {:.1} fps", cal.rate());
-            serve::loadgen::rate_ladder(cal.rate().max(1.0), steps)
-        }
-    };
-    let sweep = serve::loadgen::sweep(addr, payload, &cfg).map_err(|e| e.to_string())?;
-    let report = serve::StreamReport::new(shape, sweep);
-    for p in &report.points {
+    let sweep =
+        serve::loadgen::knee(addr, Payload::Frame(shape), cfg).map_err(|e| e.to_string())?;
+    if sweep.calibration_rps > 0.0 {
+        eprintln!(
+            "closed-loop calibration achieved {:.1} fps",
+            sweep.calibration_rps
+        );
+    }
+    for step in &sweep.steps {
+        let r = &step.report;
         eprintln!(
             "  offered {:>7.1} fps -> achieved {:>7.1} fps ({} ok, {} rejected, {} errors, \
              p99 {:.0} us, preprocess p50 {:.0} us){}",
-            p.offered_fps,
-            p.achieved_fps,
-            p.ok,
-            p.rejected,
-            p.errors,
-            p.latency.p99_us,
-            p.stages.preprocess.summary.p50_us,
-            if p.kept_up { "" } else { "  [saturated]" },
+            r.offered_rps,
+            r.throughput_rps,
+            r.ok,
+            r.rejected,
+            r.errors,
+            r.latency.p99_us,
+            r.preprocess.summary.p50_us,
+            if step.kept_up { "" } else { "  [saturated]" },
         );
     }
     println!(
         "knee: kept up through {:.1} offered fps (best achieved {:.1} fps) for {} frames",
-        report.knee_offered_fps, report.knee_achieved_fps, report.frame
+        sweep.knee_offered,
+        sweep.knee_achieved,
+        shape.label()
     );
     let out: String = flags.parsed("out", "results/BENCH_stream.json".to_string())?;
     if let Some(dir) = std::path::Path::new(&out).parent() {
@@ -971,7 +959,8 @@ fn stream_drive(
             std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
         }
     }
-    std::fs::write(&out, report.to_json()).map_err(|e| format!("{out}: {e}"))?;
+    std::fs::write(&out, serve::stream::bench_json(&shape, &sweep))
+        .map_err(|e| format!("{out}: {e}"))?;
     println!("wrote {out}");
     Ok(())
 }
@@ -1023,19 +1012,12 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         channels: flags.parsed("channels", 3)?,
         u8_pixels,
     };
-    let cfg = serve::SweepConfig {
-        connections: flags.parsed("connections", 2)?,
-        step_duration_s: flags.parsed("step-s", 1.5)?,
-        seed: flags.parsed("seed", 1)?,
-        ..serve::SweepConfig::default()
-    };
-    if cfg.connections == 0 {
-        return Err("--connections must be at least 1".to_string());
-    }
     if shape.height == 0 || shape.width == 0 || shape.channels == 0 {
         return Err("frame dimensions must be non-zero".to_string());
     }
-    let fps: Option<Vec<f64>> = match flags.get("fps") {
+    let connections = flags.count("connections", 2)?;
+    let seed = flags.parsed("seed", 1)?;
+    let ladder = match flags.get("fps") {
         Some(list) => {
             let rates = list
                 .split(',')
@@ -1048,40 +1030,51 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             if rates.is_empty() || rates.iter().any(|&r| !r.is_finite() || r <= 0.0) {
                 return Err("--fps needs a comma list of positive rates".to_string());
             }
-            Some(rates)
+            Ladder::Rates(rates)
         }
-        None => None,
+        // One closed-loop calibration run finds the service rate; the
+        // ladder then brackets it, `loadgen` style.
+        None => Ladder::Calibrated {
+            closed: LoadConfig {
+                connections,
+                requests: 64,
+                rate_rps: 0.0,
+                seed,
+            },
+            steps: flags.count("sweep-steps", 5)?,
+        },
+    };
+    let cfg = SweepConfig {
+        connections,
+        ladder,
+        step_duration_s: flags.parsed("step-s", 1.5)?,
+        seed,
+        keepup_ratio: 0.9,
     };
     match (flags.get("addr"), flags.get("checkpoint")) {
         (Some(_), Some(_)) | (None, None) => Err(format!(
             "give exactly one of --addr or --checkpoint\nusage: {USAGE}"
         )),
-        (Some(addr), None) => stream_drive(addr, &flags, shape, cfg, fps),
+        (Some(addr), None) => stream_drive(addr, &flags, shape, &cfg),
         (None, Some(path)) => {
             // Self-contained mode: start an in-process server, stream
             // against it, then shut it down — one command produces
             // `results/BENCH_stream.json` from a checkpoint file.
-            let json = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            approxnn::par::set_threads(flags.parsed("threads", 0)?);
             let executor: ServeExecutor = flags.parsed("executor", ServeExecutor::Exact)?;
             let opts = model_options(&flags, executor)?;
             let queue = serve::QueueConfig {
-                capacity: flags.parsed("queue-cap", 64)?,
-                max_batch: flags.parsed("max-batch", 8)?,
+                capacity: flags.count("queue-cap", 64)?,
+                max_batch: flags.count("max-batch", 8)?,
             };
-            if queue.capacity == 0 || queue.max_batch == 0 {
-                return Err("--queue-cap and --max-batch must be at least 1".to_string());
-            }
-            let replicas: usize = flags.parsed("replicas", 2)?;
-            if replicas == 0 {
-                return Err("--replicas must be at least 1".to_string());
-            }
+            let replicas = flags.count("replicas", 2)?;
+            let json = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+            approxnn::par::set_threads(flags.parsed("threads", 0)?);
             let spec = serve::ServeSpec::from_json(&json, &opts)?;
             let mut server = serve::Server::start(&spec, "127.0.0.1:0", queue, replicas)
                 .map_err(|e| e.to_string())?;
             let addr = server.addr().to_string();
             eprintln!("in-process server on {addr} (executor {executor}, {replicas} replica(s))");
-            let outcome = stream_drive(&addr, &flags, shape, cfg, fps);
+            let outcome = stream_drive(&addr, &flags, shape, &cfg);
             let _ = serve::shutdown_server(addr.as_str());
             server.join();
             outcome

@@ -57,6 +57,16 @@ impl Flags {
         }
     }
 
+    /// The flag parsed as a count that must be at least 1, or `default`
+    /// when absent — the one check behind every size flag (`--queue-cap`,
+    /// `--max-batch`, `--replicas`, `--connections`, ...).
+    pub fn count(&self, key: &str, default: usize) -> Result<usize, String> {
+        match self.parsed(key, default)? {
+            0 => Err(format!("--{key} must be at least 1")),
+            n => Ok(n),
+        }
+    }
+
     /// The flag parsed as `T`, required. `usage` is appended when missing.
     pub fn required<T: std::str::FromStr>(&self, key: &str, usage: &str) -> Result<T, String> {
         let v = self
@@ -172,5 +182,21 @@ mod tests {
             .required::<String>("checkpoint", "axnn serve --checkpoint <f>")
             .unwrap_err();
         assert!(err.contains("missing required flag --checkpoint"));
+    }
+
+    #[test]
+    fn counts_reject_zero_and_default_when_absent() {
+        let f = parse_known(
+            &args(&["--queue-cap", "0", "--replicas", "3"]),
+            &["queue-cap", "replicas"],
+            "u",
+        )
+        .unwrap();
+        assert_eq!(
+            f.count("queue-cap", 64).unwrap_err(),
+            "--queue-cap must be at least 1"
+        );
+        assert_eq!(f.count("replicas", 1), Ok(3));
+        assert_eq!(f.count("max-batch", 8), Ok(8));
     }
 }

@@ -17,11 +17,11 @@ use approxnn::report::{CounterDiff, DiffReport, RatioDiff};
 use approxnn::search::{
     FineTunedSummary, HomogeneousRow, ParetoPoint, Score, SearchReport, StrategyRun,
 };
-use approxnn::serve::loadgen::{LoadConfig, Step, Tally};
-use approxnn::serve::stream::{Stage, StageBreakdown};
+use approxnn::serve::loadgen::Step;
+use approxnn::serve::stream::bench_json;
 use approxnn::serve::{
-    Filter, FrameData, LatencySummary, LoadReport, PreprocessSpec, RawFrame, Request, Response,
-    StreamPoint, StreamProbe, StreamReport, Sweep, TraceRecord,
+    Filter, FrameData, FrameShape, LatencySummary, LoadReport, PreprocessSpec, RawFrame, Request,
+    Response, Stage, StreamProbe, Sweep, TraceRecord,
 };
 use approxnn::tensor::Tensor;
 use axnn_rng::Rng;
@@ -36,6 +36,10 @@ fn golden(got: &str, want: &str) {
 
 fn summary(samples: &[f64]) -> LatencySummary {
     LatencySummary::from_samples(samples.to_vec())
+}
+
+fn stage(samples: &[f64], hi: f64, buckets: usize) -> Stage {
+    Stage::from_samples(samples.to_vec(), HistSpec::new(0.0, hi, buckets))
 }
 
 #[test]
@@ -222,7 +226,7 @@ fn trace_record() {
 
 #[test]
 fn load_and_sweep_reports() {
-    let report = LoadReport {
+    let busy = LoadReport {
         mode: "closed",
         connections: 4,
         offered_rps: 80.0,
@@ -234,66 +238,81 @@ fn load_and_sweep_reports() {
         throughput_rps: 64.8,
         reject_rate: 0.1,
         latency: summary(&[100.0, 250.5, 1e6]),
-        queue_wait: summary(&[]),
-        compute: summary(&[f64::INFINITY, 3.0]),
+        preprocess: stage(&[90.0, 110.0], 1000.0, 4),
+        queue_wait: stage(&[], 2000.0, 2),
+        compute: stage(&[f64::INFINITY, 3.0, 1e9], 1e4, 3),
     };
-    golden(&report.to_json(), "{\"mode\": \"closed\", \"connections\": 4, \"offered_rps\": 80, \"sent\": 10, \"ok\": 8, \"rejected\": 1, \"errors\": 1, \"elapsed_s\": 0.123456789, \"throughput_rps\": 64.8, \"reject_rate\": 0.1, \"latency\": {\"count\": 3, \"p50_us\": 250.5, \"p95_us\": 1000000, \"p99_us\": 1000000, \"mean_us\": 333450.1666666667, \"max_us\": 1000000}, \"queue_wait\": {\"count\": 0, \"p50_us\": 0, \"p95_us\": 0, \"p99_us\": 0, \"mean_us\": 0, \"max_us\": 0}, \"compute\": {\"count\": 2, \"p50_us\": 3, \"p95_us\": 0, \"p99_us\": 0, \"mean_us\": 0, \"max_us\": 0}}");
-    let step = |connections, rate_rps, kept_up, tally| Step {
-        load: LoadConfig {
-            connections,
-            requests: 3,
-            rate_rps,
-            seed: 1,
-        },
-        kept_up,
-        tally,
-    };
-    let busy = Tally {
-        sent: 10,
-        ok: 8,
-        rejected: 1,
-        errors: 1,
-        elapsed_s: 0.125,
-        latency_us: vec![100.0, 250.5, 1e6],
-        preprocess_us: vec![],
-        queue_us: vec![],
-        compute_us: vec![f64::INFINITY, 3.0],
+    golden(&busy.to_json(), "{\"mode\": \"closed\", \"connections\": 4, \"offered_rps\": 80, \"sent\": 10, \"ok\": 8, \"rejected\": 1, \"errors\": 1, \"elapsed_s\": 0.123456789, \"throughput_rps\": 64.8, \"reject_rate\": 0.1, \"latency\": {\"count\": 3, \"p50_us\": 250.5, \"p95_us\": 1000000, \"p99_us\": 1000000, \"mean_us\": 333450.1666666667, \"max_us\": 1000000}, \"preprocess\": {\"summary\": {\"count\": 2, \"p50_us\": 90, \"p95_us\": 110, \"p99_us\": 110, \"mean_us\": 100, \"max_us\": 110}, \"hist\": {\"lo\": 0, \"hi\": 1000, \"buckets\": 4, \"counts\": [2, 0, 0, 0], \"underflow\": 0, \"overflow\": 0}}, \"queue_wait\": {\"summary\": {\"count\": 0, \"p50_us\": 0, \"p95_us\": 0, \"p99_us\": 0, \"mean_us\": 0, \"max_us\": 0}, \"hist\": {\"lo\": 0, \"hi\": 2000, \"buckets\": 2, \"counts\": [0, 0], \"underflow\": 0, \"overflow\": 0}}, \"compute\": {\"summary\": {\"count\": 3, \"p50_us\": 1000000000, \"p95_us\": 0, \"p99_us\": 0, \"mean_us\": 0, \"max_us\": 0}, \"hist\": {\"lo\": 0, \"hi\": 10000, \"buckets\": 3, \"counts\": [1, 0, 0], \"underflow\": 0, \"overflow\": 1}}}");
+    let idle = LoadReport {
+        mode: "open",
+        connections: 2,
+        offered_rps: 66.0,
+        sent: 0,
+        ok: 0,
+        rejected: 0,
+        errors: 0,
+        elapsed_s: 0.0,
+        throughput_rps: 0.0,
+        reject_rate: 0.0,
+        latency: summary(&[]),
+        preprocess: stage(&[], 1.0, 1),
+        queue_wait: stage(&[], 1.0, 1),
+        compute: stage(&[], 1.0, 1),
     };
     let sweep = Sweep {
+        calibration_rps: 70.25,
         steps: vec![
-            step(4, 80.0, true, busy),
-            step(2, 66.0, false, Tally::default()),
+            Step {
+                kept_up: true,
+                report: LoadReport {
+                    mode: "open",
+                    ..busy
+                },
+            },
+            Step {
+                kept_up: false,
+                report: idle,
+            },
         ],
         knee_offered: 80.0,
         knee_achieved: f64::NAN,
     };
-    golden(&sweep.to_json(), "{\"knee_offered_rps\": 80, \"knee_throughput_rps\": 0, \"points\": [{\"offered_rps\": 80, \"kept_up\": true, \"report\": {\"mode\": \"open\", \"connections\": 4, \"offered_rps\": 80, \"sent\": 10, \"ok\": 8, \"rejected\": 1, \"errors\": 1, \"elapsed_s\": 0.125, \"throughput_rps\": 64, \"reject_rate\": 0.1, \"latency\": {\"count\": 3, \"p50_us\": 250.5, \"p95_us\": 1000000, \"p99_us\": 1000000, \"mean_us\": 333450.1666666667, \"max_us\": 1000000}, \"queue_wait\": {\"count\": 0, \"p50_us\": 0, \"p95_us\": 0, \"p99_us\": 0, \"mean_us\": 0, \"max_us\": 0}, \"compute\": {\"count\": 2, \"p50_us\": 3, \"p95_us\": 0, \"p99_us\": 0, \"mean_us\": 0, \"max_us\": 0}}}, {\"offered_rps\": 66, \"kept_up\": false, \"report\": {\"mode\": \"open\", \"connections\": 2, \"offered_rps\": 66, \"sent\": 0, \"ok\": 0, \"rejected\": 0, \"errors\": 0, \"elapsed_s\": 0, \"throughput_rps\": 0, \"reject_rate\": 0, \"latency\": {\"count\": 0, \"p50_us\": 0, \"p95_us\": 0, \"p99_us\": 0, \"mean_us\": 0, \"max_us\": 0}, \"queue_wait\": {\"count\": 0, \"p50_us\": 0, \"p95_us\": 0, \"p99_us\": 0, \"mean_us\": 0, \"max_us\": 0}, \"compute\": {\"count\": 0, \"p50_us\": 0, \"p95_us\": 0, \"p99_us\": 0, \"mean_us\": 0, \"max_us\": 0}}}]}");
+    golden(&sweep.to_json(), "{\"calibration_rps\": 70.25, \"knee_offered_rps\": 80, \"knee_throughput_rps\": 0, \"points\": [{\"offered_rps\": 80, \"kept_up\": true, \"report\": {\"mode\": \"open\", \"connections\": 4, \"offered_rps\": 80, \"sent\": 10, \"ok\": 8, \"rejected\": 1, \"errors\": 1, \"elapsed_s\": 0.123456789, \"throughput_rps\": 64.8, \"reject_rate\": 0.1, \"latency\": {\"count\": 3, \"p50_us\": 250.5, \"p95_us\": 1000000, \"p99_us\": 1000000, \"mean_us\": 333450.1666666667, \"max_us\": 1000000}, \"preprocess\": {\"summary\": {\"count\": 2, \"p50_us\": 90, \"p95_us\": 110, \"p99_us\": 110, \"mean_us\": 100, \"max_us\": 110}, \"hist\": {\"lo\": 0, \"hi\": 1000, \"buckets\": 4, \"counts\": [2, 0, 0, 0], \"underflow\": 0, \"overflow\": 0}}, \"queue_wait\": {\"summary\": {\"count\": 0, \"p50_us\": 0, \"p95_us\": 0, \"p99_us\": 0, \"mean_us\": 0, \"max_us\": 0}, \"hist\": {\"lo\": 0, \"hi\": 2000, \"buckets\": 2, \"counts\": [0, 0], \"underflow\": 0, \"overflow\": 0}}, \"compute\": {\"summary\": {\"count\": 3, \"p50_us\": 1000000000, \"p95_us\": 0, \"p99_us\": 0, \"mean_us\": 0, \"max_us\": 0}, \"hist\": {\"lo\": 0, \"hi\": 10000, \"buckets\": 3, \"counts\": [1, 0, 0], \"underflow\": 0, \"overflow\": 1}}}}, {\"offered_rps\": 66, \"kept_up\": false, \"report\": {\"mode\": \"open\", \"connections\": 2, \"offered_rps\": 66, \"sent\": 0, \"ok\": 0, \"rejected\": 0, \"errors\": 0, \"elapsed_s\": 0, \"throughput_rps\": 0, \"reject_rate\": 0, \"latency\": {\"count\": 0, \"p50_us\": 0, \"p95_us\": 0, \"p99_us\": 0, \"mean_us\": 0, \"max_us\": 0}, \"preprocess\": {\"summary\": {\"count\": 0, \"p50_us\": 0, \"p95_us\": 0, \"p99_us\": 0, \"mean_us\": 0, \"max_us\": 0}, \"hist\": {\"lo\": 0, \"hi\": 1, \"buckets\": 1, \"counts\": [0], \"underflow\": 0, \"overflow\": 0}}, \"queue_wait\": {\"summary\": {\"count\": 0, \"p50_us\": 0, \"p95_us\": 0, \"p99_us\": 0, \"mean_us\": 0, \"max_us\": 0}, \"hist\": {\"lo\": 0, \"hi\": 1, \"buckets\": 1, \"counts\": [0], \"underflow\": 0, \"overflow\": 0}}, \"compute\": {\"summary\": {\"count\": 0, \"p50_us\": 0, \"p95_us\": 0, \"p99_us\": 0, \"mean_us\": 0, \"max_us\": 0}, \"hist\": {\"lo\": 0, \"hi\": 1, \"buckets\": 1, \"counts\": [0], \"underflow\": 0, \"overflow\": 0}}}}]}");
 }
 
 #[test]
 fn stream_report_and_probe() {
-    let report = StreamReport {
-        frame: format!("48x48x3 u8 {NASTY}"),
-        points: vec![StreamPoint {
-            offered_fps: 40.0,
+    let frame = FrameShape {
+        height: 48,
+        width: 32,
+        channels: 3,
+        u8_pixels: true,
+    };
+    let sweep = Sweep {
+        calibration_rps: 0.0,
+        steps: vec![Step {
             kept_up: true,
-            sent: 60,
-            ok: 59,
-            rejected: 0,
-            errors: 1,
-            elapsed_s: 1.5,
-            achieved_fps: 39.333_333_333_333_336,
-            latency: summary(&[500.0, 700.0]),
-            stages: StageBreakdown {
-                preprocess: Stage::from_samples(vec![90.0, 110.0], HistSpec::new(0.0, 1000.0, 4)),
-                queue_wait: Stage::from_samples(vec![], HistSpec::new(0.0, 2000.0, 2)),
-                compute: Stage::from_samples(vec![1500.0, 1e9], HistSpec::new(0.0, 1e4, 3)),
+            report: LoadReport {
+                mode: "open",
+                connections: 2,
+                offered_rps: 40.0,
+                sent: 60,
+                ok: 59,
+                rejected: 0,
+                errors: 1,
+                elapsed_s: 1.5,
+                throughput_rps: 39.333_333_333_333_336,
+                reject_rate: 0.0,
+                latency: summary(&[500.0, 700.0]),
+                preprocess: stage(&[90.0, 110.0], 1000.0, 4),
+                queue_wait: stage(&[], 2000.0, 2),
+                compute: stage(&[1500.0, 1e9], 1e4, 3),
             },
         }],
-        knee_offered_fps: 40.0,
-        knee_achieved_fps: f64::INFINITY,
+        knee_offered: 40.0,
+        knee_achieved: f64::INFINITY,
     };
-    golden(&report.to_json(), "{\"frame\": \"48x48x3 u8 q\\\"b\\\\s/\\u0001\\u0008\\n\\r\\t\\u001f\u{7f} é中😀\", \"knee_offered_fps\": 40, \"knee_achieved_fps\": 0, \"points\": [{\"offered_fps\": 40, \"kept_up\": true, \"sent\": 60, \"ok\": 59, \"rejected\": 0, \"errors\": 1, \"elapsed_s\": 1.5, \"achieved_fps\": 39.333333333333336, \"latency\": {\"count\": 2, \"p50_us\": 500, \"p95_us\": 700, \"p99_us\": 700, \"mean_us\": 600, \"max_us\": 700}, \"preprocess\": {\"summary\": {\"count\": 2, \"p50_us\": 90, \"p95_us\": 110, \"p99_us\": 110, \"mean_us\": 100, \"max_us\": 110}, \"hist\": {\"lo\": 0, \"hi\": 1000, \"buckets\": 4, \"counts\": [2, 0, 0, 0]}}, \"queue_wait\": {\"summary\": {\"count\": 0, \"p50_us\": 0, \"p95_us\": 0, \"p99_us\": 0, \"mean_us\": 0, \"max_us\": 0}, \"hist\": {\"lo\": 0, \"hi\": 2000, \"buckets\": 2, \"counts\": [0, 0]}}, \"compute\": {\"summary\": {\"count\": 2, \"p50_us\": 1500, \"p95_us\": 1000000000, \"p99_us\": 1000000000, \"mean_us\": 500000750, \"max_us\": 1000000000}, \"hist\": {\"lo\": 0, \"hi\": 10000, \"buckets\": 3, \"counts\": [1, 0, 0]}}}]}");
+    golden(&bench_json(&frame, &sweep), "{\"schema\": \"BENCH_stream.v2\", \"frame\": \"48x32x3 u8\", \"sweep\": {\"calibration_rps\": 0, \"knee_offered_rps\": 40, \"knee_throughput_rps\": 0, \"points\": [{\"offered_rps\": 40, \"kept_up\": true, \"report\": {\"mode\": \"open\", \"connections\": 2, \"offered_rps\": 40, \"sent\": 60, \"ok\": 59, \"rejected\": 0, \"errors\": 1, \"elapsed_s\": 1.5, \"throughput_rps\": 39.333333333333336, \"reject_rate\": 0, \"latency\": {\"count\": 2, \"p50_us\": 500, \"p95_us\": 700, \"p99_us\": 700, \"mean_us\": 600, \"max_us\": 700}, \"preprocess\": {\"summary\": {\"count\": 2, \"p50_us\": 90, \"p95_us\": 110, \"p99_us\": 110, \"mean_us\": 100, \"max_us\": 110}, \"hist\": {\"lo\": 0, \"hi\": 1000, \"buckets\": 4, \"counts\": [2, 0, 0, 0], \"underflow\": 0, \"overflow\": 0}}, \"queue_wait\": {\"summary\": {\"count\": 0, \"p50_us\": 0, \"p95_us\": 0, \"p99_us\": 0, \"mean_us\": 0, \"max_us\": 0}, \"hist\": {\"lo\": 0, \"hi\": 2000, \"buckets\": 2, \"counts\": [0, 0], \"underflow\": 0, \"overflow\": 0}}, \"compute\": {\"summary\": {\"count\": 2, \"p50_us\": 1500, \"p95_us\": 1000000000, \"p99_us\": 1000000000, \"mean_us\": 500000750, \"max_us\": 1000000000}, \"hist\": {\"lo\": 0, \"hi\": 10000, \"buckets\": 3, \"counts\": [1, 0, 0], \"underflow\": 0, \"overflow\": 1}}}}]}}");
     let probe = |bit_identical, max_abs_delta| StreamProbe {
         bit_identical,
         classes: 10,
