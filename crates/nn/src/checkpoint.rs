@@ -7,10 +7,11 @@
 
 use crate::layer::Layer;
 use crate::seq::Sequential;
-use axnn_obs::json::{join, num_or_null, JsonValue};
+use axnn_obs::json::{join, num_or_null, Cursor, Event, JsonError};
 use axnn_tensor::Tensor;
 use std::error::Error;
 use std::fmt;
+use std::str::FromStr;
 
 /// A serializable snapshot of a network's parameters and buffers.
 ///
@@ -177,56 +178,129 @@ impl Checkpoint {
         )
     }
 
-    /// Decodes a checkpoint from JSON produced by [`Checkpoint::to_json`].
+    /// Decodes a checkpoint from JSON produced by [`Checkpoint::to_json`],
+    /// in one pass of an [`axnn_obs::json::Cursor`] that writes every
+    /// tensor's `data` and `shape` straight into their vectors. Member
+    /// order is free and the first occurrence of a duplicated key wins.
     ///
     /// # Errors
     ///
     /// Returns [`ParseCheckpointError`] on malformed JSON, missing fields,
     /// non-finite values (`null`, or a literal such as `1e39` that
-    /// overflows `f32`), or data/shape length mismatches.
+    /// overflows `f32`), or data/shape length mismatches. A syntax error
+    /// anywhere wins; then `params` is checked before `buffers`, and
+    /// within a tensor `data` before its values before `shape`.
     pub fn from_json(json: &str) -> Result<Self, ParseCheckpointError> {
-        fn tensor_from(
-            v: &JsonValue,
-            what: &str,
-            i: usize,
-        ) -> Result<Tensor, ParseCheckpointError> {
-            let data = v
-                .get("data")
-                .and_then(JsonValue::f32_array)
-                .ok_or_else(|| {
-                    ParseCheckpointError::new(format!("{what} {i}: missing or non-numeric 'data'"))
-                })?;
-            // An out-of-range literal such as `1e39` parses to ±inf.
-            if let Some(j) = data.iter().position(|x| !x.is_finite()) {
-                return Err(ParseCheckpointError::new(format!(
-                    "{what} {i}: 'data[{j}]' is not a finite f32"
-                )));
-            }
-            let shape = v
-                .get("shape")
-                .and_then(JsonValue::usize_array)
-                .ok_or_else(|| {
-                    ParseCheckpointError::new(format!("{what} {i}: missing or invalid 'shape'"))
-                })?;
-            Tensor::from_vec(data, &shape)
-                .map_err(|e| ParseCheckpointError::new(format!("{what} {i}: {e}")))
-        }
-        fn tensor_list(doc: &JsonValue, what: &str) -> Result<Vec<Tensor>, ParseCheckpointError> {
-            doc.get(what)
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| ParseCheckpointError::new(format!("missing '{what}' array")))?
-                .iter()
-                .enumerate()
-                .map(|(i, v)| tensor_from(v, what, i))
-                .collect()
-        }
-        let doc = JsonValue::parse(json.as_bytes())
-            .map_err(|e| ParseCheckpointError::new(e.to_string()))?;
+        let syntax = |e: JsonError| ParseCheckpointError::new(e.to_string());
+        let (params, buffers) = read_lists(&mut Cursor::new(json.as_bytes())).map_err(syntax)?;
+        let list = |list: Option<TensorList>, what: &str| {
+            list.flatten()
+                .unwrap_or_else(|| Err(format!("missing '{what}' array")))
+                .map_err(ParseCheckpointError::new)
+        };
         Ok(Self {
-            params: tensor_list(&doc, "params")?,
-            buffers: tensor_list(&doc, "buffers")?,
+            params: list(params, "params")?,
+            buffers: list(buffers, "buffers")?,
         })
     }
+}
+
+/// A tensor list as read: `None` when the member is not an array, else
+/// the tensors or the first tensor's error.
+type TensorList = Option<Result<Vec<Tensor>, String>>;
+
+/// Reads the whole document: the first `params` and `buffers` members,
+/// `None` when absent.
+fn read_lists(cur: &mut Cursor<'_>) -> Result<(Option<TensorList>, Option<TensorList>), JsonError> {
+    let (mut params, mut buffers) = (None, None);
+    let first = cur.next_event()?;
+    if first == Event::ObjStart {
+        while let Some(key) = cur.key_or_end()? {
+            let first = cur.next_event()?;
+            match &*key {
+                "params" if params.is_none() => params = Some(tensor_list(cur, first, "params")?),
+                "buffers" if buffers.is_none() => {
+                    buffers = Some(tensor_list(cur, first, "buffers")?)
+                }
+                _ => cur.skip(&first)?,
+            }
+        }
+    } else {
+        cur.skip(&first)?;
+    }
+    cur.finish()?;
+    Ok((params, buffers))
+}
+
+/// Reads the tensor list that `first` began. After the first bad tensor
+/// the rest is only validated.
+fn tensor_list(
+    cur: &mut Cursor<'_>,
+    first: Event<'_>,
+    what: &str,
+) -> Result<TensorList, JsonError> {
+    if first != Event::ArrStart {
+        cur.skip(&first)?;
+        return Ok(None);
+    }
+    let mut tensors = Ok(Vec::new());
+    loop {
+        let first = cur.next_event()?;
+        if first == Event::ArrEnd {
+            return Ok(Some(tensors));
+        }
+        match &mut tensors {
+            Ok(list) => match tensor(cur, first)? {
+                Ok(t) => list.push(t),
+                Err(e) => tensors = Err(format!("{what} {}: {e}", list.len())),
+            },
+            Err(_) => cur.skip(&first)?,
+        }
+    }
+}
+
+/// Reads the `{"data": [..], "shape": [..]}` tensor that `first` began.
+fn tensor(cur: &mut Cursor<'_>, first: Event<'_>) -> Result<Result<Tensor, String>, JsonError> {
+    // The first occurrence of each member; `Some(None)` is ill-typed.
+    let mut data: Option<Option<Vec<f32>>> = None;
+    let mut shape: Option<Option<Vec<usize>>> = None;
+    if first == Event::ObjStart {
+        while let Some(key) = cur.key_or_end()? {
+            let first = cur.next_event()?;
+            match &*key {
+                "data" if data.is_none() => data = Some(numbers(cur, first)?),
+                "shape" if shape.is_none() => shape = Some(numbers(cur, first)?),
+                _ => cur.skip(&first)?,
+            }
+        }
+    } else {
+        cur.skip(&first)?;
+    }
+    let Some(data) = data.flatten() else {
+        return Ok(Err("missing or non-numeric 'data'".to_string()));
+    };
+    // An out-of-range literal such as `1e39` parses to ±inf.
+    if let Some(j) = data.iter().position(|x| !x.is_finite()) {
+        return Ok(Err(format!("'data[{j}]' is not a finite f32")));
+    }
+    let Some(shape) = shape.flatten() else {
+        return Ok(Err("missing or invalid 'shape'".to_string()));
+    };
+    Ok(Tensor::from_vec(data, &shape).map_err(|e| e.to_string()))
+}
+
+/// Reads the number array that `first` began, each token through
+/// `str::parse`; `None` (with the value consumed) when it is not an array
+/// of such numbers.
+fn numbers<T: FromStr>(
+    cur: &mut Cursor<'_>,
+    first: Event<'_>,
+) -> Result<Option<Vec<T>>, JsonError> {
+    if first != Event::ArrStart {
+        cur.skip(&first)?;
+        return Ok(None);
+    }
+    cur.number_array(|t| t.parse().ok())
 }
 
 #[cfg(test)]
@@ -332,6 +406,278 @@ mod tests {
         // Underflow to zero is finite and stays accepted.
         let tiny = r#"{"params":[{"data":[1e-50],"shape":[1]}],"buffers":[]}"#;
         assert!(Checkpoint::from_json(tiny).is_ok());
+    }
+
+    /// The tree-based decoder `Checkpoint::from_json` replaced: the oracle
+    /// the cursor-based one must match result for result.
+    fn reference_from_json(json: &str) -> Result<Checkpoint, ParseCheckpointError> {
+        use axnn_obs::json::JsonValue;
+        fn tensor_from(
+            v: &JsonValue,
+            what: &str,
+            i: usize,
+        ) -> Result<Tensor, ParseCheckpointError> {
+            let data = v
+                .get("data")
+                .and_then(JsonValue::f32_array)
+                .ok_or_else(|| {
+                    ParseCheckpointError::new(format!("{what} {i}: missing or non-numeric 'data'"))
+                })?;
+            if let Some(j) = data.iter().position(|x| !x.is_finite()) {
+                return Err(ParseCheckpointError::new(format!(
+                    "{what} {i}: 'data[{j}]' is not a finite f32"
+                )));
+            }
+            let shape = v
+                .get("shape")
+                .and_then(|s| {
+                    s.as_array()?
+                        .iter()
+                        .map(JsonValue::as_usize)
+                        .collect::<Option<Vec<_>>>()
+                })
+                .ok_or_else(|| {
+                    ParseCheckpointError::new(format!("{what} {i}: missing or invalid 'shape'"))
+                })?;
+            Tensor::from_vec(data, &shape)
+                .map_err(|e| ParseCheckpointError::new(format!("{what} {i}: {e}")))
+        }
+        fn tensor_list(doc: &JsonValue, what: &str) -> Result<Vec<Tensor>, ParseCheckpointError> {
+            doc.get(what)
+                .and_then(JsonValue::as_array)
+                .ok_or_else(|| ParseCheckpointError::new(format!("missing '{what}' array")))?
+                .iter()
+                .enumerate()
+                .map(|(i, v)| tensor_from(v, what, i))
+                .collect()
+        }
+        let doc = JsonValue::parse(json.as_bytes())
+            .map_err(|e| ParseCheckpointError::new(e.to_string()))?;
+        Ok(Checkpoint {
+            params: tensor_list(&doc, "params")?,
+            buffers: tensor_list(&doc, "buffers")?,
+        })
+    }
+
+    /// Every tensor's shape and value bits, or the error text.
+    fn fingerprint(r: &Result<Checkpoint, ParseCheckpointError>) -> String {
+        let list = |ts: &[Tensor]| -> Vec<(Vec<usize>, Vec<u32>)> {
+            ts.iter()
+                .map(|t| {
+                    let bits = t.as_slice().iter().map(|x| x.to_bits()).collect();
+                    (t.shape().to_vec(), bits)
+                })
+                .collect()
+        };
+        match r {
+            Ok(c) => format!("Ok({:?} {:?})", list(&c.params), list(&c.buffers)),
+            Err(e) => format!("Err({e})"),
+        }
+    }
+
+    #[test]
+    fn cursor_decode_matches_the_tree_decoder() {
+        const TOKENS: [&str; 14] = [
+            "0", "1", "2", "3", "-0", "1e2", "01", "0.5", "-1", "1e39", "null", "\"2\"", "[]", "{}",
+        ];
+        const MUTANTS: &[u8] = b"{}[],:\" 0123-.enul\\\xff";
+        axnn_rng::cases(1024, |mut rng| {
+            let ws = |rng: &mut Rng| *rng.choose(&["", "", " ", "\n "]);
+            let number = |rng: &mut Rng| -> String {
+                if rng.gen_bool(0.9) {
+                    rng.normal(0.0, 1.0).to_string()
+                } else {
+                    rng.choose(&TOKENS).to_string()
+                }
+            };
+            let tensor = |rng: &mut Rng| -> String {
+                let dims: Vec<usize> = (0..rng.gen_range(0..3usize))
+                    .map(|_| rng.gen_range(0..4usize))
+                    .collect();
+                let mut len = dims.iter().product::<usize>();
+                if rng.gen_bool(0.1) {
+                    len += 1;
+                }
+                let data: Vec<String> = (0..len).map(|_| number(rng)).collect();
+                let mut shape: Vec<String> = dims.iter().map(usize::to_string).collect();
+                if rng.gen_bool(0.05) {
+                    shape.push(rng.choose(&TOKENS).to_string());
+                }
+                let sep = format!(",{}", ws(rng));
+                let mut members = vec![
+                    format!("\"data\":{}[{}]", ws(rng), data.join(&sep)),
+                    format!("\"shape\":[{}]", shape.join(",")),
+                ];
+                if rng.gen_bool(0.2) {
+                    members.push(format!("\"extra\":{}", rng.choose(&TOKENS)));
+                }
+                if rng.gen_bool(0.1) {
+                    members.push(format!("\"data\":{}", rng.choose(&TOKENS)));
+                }
+                if rng.gen_bool(0.5) {
+                    members.reverse();
+                }
+                format!("{{{}}}", members.join(","))
+            };
+            let list = |rng: &mut Rng| -> String {
+                let n = rng.gen_range(0..4usize);
+                let items: Vec<String> = (0..n).map(|_| tensor(rng)).collect();
+                format!("[{}{}]", ws(rng), items.join(","))
+            };
+            let mut members = vec![
+                format!("\"params\":{}", list(&mut rng)),
+                format!("\"buffers\":{}", list(&mut rng)),
+            ];
+            if rng.gen_bool(0.1) {
+                members.remove(rng.gen_range(0..2usize));
+            }
+            if rng.gen_bool(0.2) {
+                members.push(format!("\"params\":{}", rng.choose(&TOKENS)));
+            }
+            if rng.gen_bool(0.5) {
+                members.reverse();
+            }
+            let doc = format!("{}{{{}}}", ws(&mut rng), members.join(","));
+            let mut docs = vec![doc.clone().into_bytes()];
+            let mut mutated = doc.into_bytes();
+            for _ in 0..4 {
+                let at = rng.gen_range(0..=mutated.len());
+                let byte = *rng.choose(MUTANTS);
+                match rng.gen_range(0..4u32) {
+                    0 => mutated.truncate(at),
+                    1 if at < mutated.len() => mutated[at] = byte,
+                    2 => mutated.insert(at, byte),
+                    _ if at < mutated.len() => {
+                        mutated.remove(at);
+                    }
+                    _ => mutated.push(byte),
+                }
+                docs.push(mutated.clone());
+            }
+            for doc in &docs {
+                // `from_json` takes a `str`; keep the documents that are.
+                let Ok(doc) = std::str::from_utf8(doc) else {
+                    continue;
+                };
+                assert_eq!(
+                    fingerprint(&Checkpoint::from_json(doc)),
+                    fingerprint(&reference_from_json(doc)),
+                    "{doc}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn every_checkpoint_error_message_is_pinned() {
+        let t = |data: &str, shape: &str| format!("{{\"data\":{data},\"shape\":{shape}}}");
+        let ok = t("[1,2]", "[2]");
+        let doc = |params: &str, buffers: &str| {
+            format!("{{\"params\":[{params}],\"buffers\":[{buffers}]}}")
+        };
+        let cases: Vec<(String, &str)> = vec![
+            (
+                "{\"params\":[".into(),
+                "checkpoint parse error: json error at byte 11: unexpected end of input",
+            ),
+            (
+                "{\"params\":[],\"buffers\":[]}]".into(),
+                "checkpoint parse error: json error at byte 26: trailing characters after document",
+            ),
+            ("[1]".into(), "checkpoint parse error: missing 'params' array"),
+            (
+                "{\"buffers\":[]}".into(),
+                "checkpoint parse error: missing 'params' array",
+            ),
+            (
+                "{\"params\":{},\"buffers\":[]}".into(),
+                "checkpoint parse error: missing 'params' array",
+            ),
+            (
+                "{\"params\":[]}".into(),
+                "checkpoint parse error: missing 'buffers' array",
+            ),
+            (
+                doc(&format!("{ok},3"), ""),
+                "checkpoint parse error: params 1: missing or non-numeric 'data'",
+            ),
+            (
+                doc(&t("[1,\"2\"]", "[2]"), ""),
+                "checkpoint parse error: params 0: missing or non-numeric 'data'",
+            ),
+            (
+                doc("{\"shape\":[2]}", ""),
+                "checkpoint parse error: params 0: missing or non-numeric 'data'",
+            ),
+            (
+                doc(&t("[1,2e39]", "[2]"), ""),
+                "checkpoint parse error: params 0: 'data[1]' is not a finite f32",
+            ),
+            (
+                doc(&t("[1,2]", "[-2]"), ""),
+                "checkpoint parse error: params 0: missing or invalid 'shape'",
+            ),
+            (
+                doc(&t("[1,2]", "2"), ""),
+                "checkpoint parse error: params 0: missing or invalid 'shape'",
+            ),
+            (
+                doc(&t("[1,2]", "[3]"), ""),
+                "checkpoint parse error: params 0: shape error: buffer of length 2 cannot form shape [3] (3 elements)",
+            ),
+            (
+                doc(&ok, &format!("{ok},{}", t("[1]", "[1,2]"))),
+                "checkpoint parse error: buffers 1: shape error: buffer of length 1 cannot form shape [1, 2] (2 elements)",
+            ),
+            // Precedence: `params` before `buffers` whatever the document
+            // order, and within a tensor `data` before non-finite before
+            // `shape`, whatever the member order.
+            (
+                format!(
+                    "{{\"buffers\":[{}],\"params\":[{}]}}",
+                    t("[]", "[1]"),
+                    t("[]", "[2]")
+                ),
+                "checkpoint parse error: params 0: shape error: buffer of length 0 cannot form shape [2] (2 elements)",
+            ),
+            (
+                doc("{\"shape\":\"x\",\"data\":[1e39,\"a\"]}", ""),
+                "checkpoint parse error: params 0: missing or non-numeric 'data'",
+            ),
+            (
+                doc("{\"shape\":\"x\",\"data\":[1,-1e39]}", ""),
+                "checkpoint parse error: params 0: 'data[1]' is not a finite f32",
+            ),
+            (
+                doc(&t("[1e39]", "[1]"), &t("[\"a\"]", "[1]")),
+                "checkpoint parse error: params 0: 'data[0]' is not a finite f32",
+            ),
+        ];
+        for (json, want) in &cases {
+            assert_eq!(
+                Checkpoint::from_json(json).unwrap_err().to_string(),
+                *want,
+                "{json}"
+            );
+        }
+        // First occurrence wins; a later ill-typed duplicate is ignored.
+        let dup = r#"{"params":[{"data":[1],"shape":[1],"data":"x","shape":null}],
+            "buffers":[],"params":7,"buffers":{}}"#;
+        let ckpt = Checkpoint::from_json(dup).unwrap();
+        assert_eq!((ckpt.params.len(), ckpt.buffers.len()), (1, 0));
+        assert_eq!(ckpt.params[0], Tensor::from_vec(vec![1.0], &[1]).unwrap());
+    }
+
+    #[test]
+    fn shapes_whose_element_count_overflows_are_rejected() {
+        // Regression: the product wrapped to 0 in release builds, so this
+        // document restored an empty 2^63 x 2 tensor.
+        let doc = r#"{"params": [{"shape": [9223372036854775808, 2], "data": []}], "buffers": []}"#;
+        assert_eq!(
+            Checkpoint::from_json(doc).unwrap_err().to_string(),
+            "checkpoint parse error: params 0: shape error: shape [9223372036854775808, 2] \
+             has more elements than a usize can count"
+        );
     }
 
     #[test]

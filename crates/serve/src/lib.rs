@@ -175,6 +175,9 @@ mod tests {
             window.get("per_replica").unwrap().as_array().unwrap().len(),
             2
         );
+        // Every frame is timed through decode, the metrics command too.
+        let decode = window.get("decode_us").unwrap();
+        assert_eq!(decode.get("count").unwrap().as_u64(), Some(7));
 
         let tail = client.trace_tail(4).unwrap();
         let doc = axnn_obs::json::JsonValue::parse(tail.as_bytes()).unwrap();

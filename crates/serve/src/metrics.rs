@@ -31,7 +31,7 @@ use std::time::Instant;
 
 /// Version of the `{"cmd": "metrics"}` snapshot schema (bumped on any
 /// key-set change, like the RunProfile's `schema_version`).
-pub const METRICS_SCHEMA_VERSION: u64 = 2;
+pub const METRICS_SCHEMA_VERSION: u64 = 3;
 
 /// Capacity of the per-server trace ring: old records are evicted in FIFO
 /// order once this many are held.
@@ -118,6 +118,9 @@ pub struct JobObservation {
 struct WindowsInner {
     queue_wait_us: HistWindow,
     compute_us: HistWindow,
+    /// Server-side wire decode time; recorded per request on the
+    /// connection thread, before micro-batching.
+    decode_us: HistWindow,
     /// Server-side raw-frame preprocessing time; recorded per `raw_frame`
     /// request on the connection thread, before micro-batching.
     preprocess_us: HistWindow,
@@ -170,6 +173,7 @@ impl MetricsPlane {
             windows: Mutex::new(WindowsInner {
                 queue_wait_us: hist(crate::server::queue_wait_spec()),
                 compute_us: hist(crate::server::compute_spec()),
+                decode_us: hist(crate::server::decode_time_spec()),
                 preprocess_us: hist(crate::server::preprocess_time_spec()),
                 batch_size: hist(crate::server::batch_size_spec()),
                 ok: CounterWindow::new(window),
@@ -225,6 +229,15 @@ impl MetricsPlane {
         }
         self.rejected_total.fetch_add(1, Ordering::Relaxed);
         lock(&self.windows).rejected.add(self.now_ms(), 1);
+    }
+
+    /// Records one server-side wire decode duration. Runs on the
+    /// connection thread, one short lock per request.
+    pub fn note_decode(&self, us: f64) {
+        if !self.enabled() {
+            return;
+        }
+        lock(&self.windows).decode_us.record(self.now_ms(), us);
     }
 
     /// Records one server-side raw-frame preprocessing duration. Runs on
@@ -325,7 +338,7 @@ impl MetricsPlane {
         let now = self.now_ms();
         let uptime = now.max(1);
         // One lock, merged copies out, lock released before formatting.
-        let (queue_wait, compute, preprocess, batch_size, ok_w, rej_w, per_replica) = {
+        let (queue_wait, compute, decode, preprocess, batch_size, ok_w, rej_w, per_replica) = {
             let w = lock(&self.windows);
             let covered = w.ok.window().covered_millis(uptime);
             let per: Vec<(u64, u64, u64)> = w
@@ -336,6 +349,7 @@ impl MetricsPlane {
             (
                 w.queue_wait_us.merged(now),
                 w.compute_us.merged(now),
+                w.decode_us.merged(now),
                 w.preprocess_us.merged(now),
                 w.batch_size.merged(now),
                 (w.ok.total(now), covered),
@@ -396,7 +410,8 @@ impl MetricsPlane {
              \"rejected\": {}, \"batches\": {}, \"last_trace_id\": {}}}, \
              \"window\": {{\"covered_ms\": {covered_ms}, \"ok\": {ok_in_window}, \
              \"rejected\": {rej_w}, \"rps\": {}, \"reject_rps\": {}, \
-             \"queue_wait_us\": {}, \"compute_us\": {}, \"preprocess_us\": {}, \
+             \"queue_wait_us\": {}, \"compute_us\": {}, \"decode_us\": {}, \
+             \"preprocess_us\": {}, \
              \"batch_size\": {}, \"per_replica\": [{per_replica}]}}, \
              \"totals_per_replica\": [{totals_per_replica}], \"health\": [{health}]}}",
             self.enabled(),
@@ -411,6 +426,7 @@ impl MetricsPlane {
             num(reject_rps),
             hist_summary_json(&queue_wait),
             hist_summary_json(&compute),
+            hist_summary_json(&decode),
             hist_summary_json(&preprocess),
             hist_summary_json(&batch_size),
         )
@@ -535,6 +551,7 @@ mod tests {
         plane.note_rejected();
         plane.note_preprocess(350.0);
         plane.note_preprocess(650.0);
+        plane.note_decode(80.0);
         let ctx = SnapshotContext {
             replicas: 2,
             generation: 3,
@@ -569,7 +586,69 @@ mod tests {
         let pp = window.get("preprocess_us").unwrap();
         assert_eq!(pp.get("count").unwrap().as_u64(), Some(2));
         assert_eq!(pp.get("mean").unwrap().as_f64(), Some(500.0));
+        let decode = window.get("decode_us").unwrap();
+        assert_eq!(decode.get("count").unwrap().as_u64(), Some(1));
+        assert_eq!(decode.get("mean").unwrap().as_f64(), Some(80.0));
         assert!(doc.get("health").unwrap().as_array().is_some());
+    }
+
+    /// The schema's key set and order (its values are timings): a change
+    /// here needs a `METRICS_SCHEMA_VERSION` bump.
+    #[test]
+    fn snapshot_keys_are_pinned() {
+        fn keys(v: &JsonValue) -> Vec<&str> {
+            match v {
+                JsonValue::Obj(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
+                _ => Vec::new(),
+            }
+        }
+        let plane = MetricsPlane::new(1, WindowSpec::serve());
+        let ctx = SnapshotContext {
+            replicas: 1,
+            generation: 0,
+            draining: false,
+        };
+        let doc = JsonValue::parse(plane.snapshot_json(&ctx).as_bytes()).unwrap();
+        assert_eq!(METRICS_SCHEMA_VERSION, 3);
+        assert_eq!(
+            keys(&doc),
+            [
+                "status",
+                "schema_version",
+                "uptime_ms",
+                "enabled",
+                "replicas",
+                "generation",
+                "draining",
+                "totals",
+                "window",
+                "totals_per_replica",
+                "health"
+            ]
+        );
+        let window = doc.get("window").unwrap();
+        assert_eq!(
+            keys(window),
+            [
+                "covered_ms",
+                "ok",
+                "rejected",
+                "rps",
+                "reject_rps",
+                "queue_wait_us",
+                "compute_us",
+                "decode_us",
+                "preprocess_us",
+                "batch_size",
+                "per_replica"
+            ]
+        );
+        for stage in ["queue_wait_us", "compute_us", "decode_us", "preprocess_us"] {
+            assert_eq!(
+                keys(window.get(stage).unwrap()),
+                ["count", "mean", "p50", "p99", "min", "max"]
+            );
+        }
     }
 
     #[test]

@@ -2,13 +2,17 @@
 //!
 //! Every message — request or response — is one JSON object preceded by its
 //! byte length as a big-endian `u32`. Length prefixing keeps framing trivial
-//! for both sides (no streaming JSON parser needed) and lets a reader
-//! reject oversized frames before allocating.
+//! for both sides and lets a reader reject oversized frames before
+//! allocating.
 //!
 //! Both directions use the workspace's dependency-free JSON: messages are
 //! written and parsed with [`axnn_obs::json`], so the bytes on the wire
 //! never depend on an environment-provided serializer and the protocol
-//! stays available in fully offline builds.
+//! stays available in fully offline builds. [`Request::parse`], on the
+//! serving path, walks the JSON pull cursor in one pass and builds no
+//! document tree: a frame's pixels go straight into their `Vec<u8>` or
+//! `Vec<f32>`. Replies ([`ResponseMsg::parse`]) are small and read by key
+//! from a [`JsonValue`] tree.
 //!
 //! ## Request forms
 //!
@@ -53,8 +57,10 @@
 //! the batch-invariance guarantee survives the wire.
 
 use axnn_data::resize::{Filter, FrameData, PreprocessSpec, RawFrame};
-use axnn_obs::json::{join, num, string, JsonValue};
+use axnn_obs::json::{join, num, string, Cursor, Event, JsonError, JsonValue};
 use std::io::{self, Read, Write};
+use std::ops::Range;
+use std::str::FromStr;
 
 /// Upper bound on one frame's payload; a corrupt or hostile length prefix
 /// must not cause a multi-gigabyte allocation.
@@ -130,69 +136,55 @@ pub struct Request {
 impl Request {
     /// Parses a request frame. Every field is optional; unknown fields are
     /// ignored so the protocol can grow without breaking old servers.
+    ///
+    /// One pass of an [`axnn_obs::json::Cursor`] builds no document tree:
+    /// `input` and the `raw_frame` pixels go straight into their vectors.
+    /// The first occurrence of a duplicated key wins. A syntax error
+    /// anywhere beats every semantic error, and semantic errors are
+    /// reported in field order (`id`, `input`, `raw_frame`, `cmd`, `path`,
+    /// `n`, `format`) whatever the document order.
     pub fn parse(payload: &[u8]) -> Result<Request, String> {
-        let doc = JsonValue::parse(payload).map_err(|e| format!("malformed request: {e}"))?;
-        if !matches!(doc, JsonValue::Obj(_)) {
+        let syntax = |e: JsonError| format!("malformed request: {e}");
+        let mut cur = Cursor::new(payload);
+        let first = cur.next_event().map_err(syntax)?;
+        if first != Event::ObjStart {
+            cur.skip(&first)
+                .and_then(|()| cur.finish())
+                .map_err(syntax)?;
             return Err("malformed request: not a JSON object".to_string());
         }
-        let id = match doc.get("id") {
-            None => 0,
-            Some(v) => v
-                .as_u64()
-                .ok_or_else(|| "malformed request: 'id' is not a u64".to_string())?,
+        let mut m = RequestMembers::default();
+        m.read(&mut cur).map_err(syntax)?;
+        let bad = |what: &str, ty: &str| format!("malformed request: '{what}' is not {ty}");
+        let id = match m.id {
+            Member::Absent => 0,
+            Member::Value(id) => id,
+            Member::Null | Member::Wrong => return Err(bad("id", "a u64")),
         };
-        let input = match doc.get("input") {
-            None => Vec::new(),
-            Some(v) => v
-                .f32_array()
-                .ok_or_else(|| "malformed request: 'input' is not a number array".to_string())?,
+        let input = match m.input {
+            Member::Absent => Vec::new(),
+            Member::Value(input) => input,
+            Member::Null | Member::Wrong => return Err(bad("input", "a number array")),
         };
         if input.iter().any(|v| !v.is_finite()) {
             return Err("malformed request: 'input' holds a non-finite value".to_string());
         }
-        let raw_frame = match doc.get("raw_frame") {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => Some(parse_raw_frame(v)?),
-        };
-        let cmd = match doc.get("cmd") {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or_else(|| "malformed request: 'cmd' is not a string".to_string())?
-                    .to_string(),
-            ),
-        };
-        let path = match doc.get("path") {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or_else(|| "malformed request: 'path' is not a string".to_string())?
-                    .to_string(),
-            ),
-        };
-        let n = match doc.get("n") {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => Some(
-                v.as_usize()
-                    .ok_or_else(|| "malformed request: 'n' is not a usize".to_string())?,
-            ),
-        };
-        let format = match doc.get("format") {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or_else(|| "malformed request: 'format' is not a string".to_string())?
-                    .to_string(),
-            ),
+        let raw_frame = match m.raw_frame {
+            Member::Absent | Member::Null => None,
+            Member::Value(frame) => Some(frame.into_frame(payload)?),
+            Member::Wrong => return Err(bad("raw_frame", "an object")),
         };
         Ok(Request {
             id,
             input,
             raw_frame,
-            cmd,
-            path,
-            n,
-            format,
+            cmd: m.cmd.optional().ok_or_else(|| bad("cmd", "a string"))?,
+            path: m.path.optional().ok_or_else(|| bad("path", "a string"))?,
+            n: m.n.optional().ok_or_else(|| bad("n", "a usize"))?,
+            format: m
+                .format
+                .optional()
+                .ok_or_else(|| bad("format", "a string"))?,
         })
     }
 
@@ -245,58 +237,249 @@ impl Request {
     }
 }
 
-/// Parses the `"raw_frame"` request member: `height`/`width`/`channels`
-/// dimensions, a `dtype` tag (`"u8"` or `"f32"`, default `"f32"`), and the
-/// interleaved pixel `data` array. Dimension/length consistency is left to
-/// [`RawFrame::validate`] on the serving path so the error carries the
-/// request id.
-fn parse_raw_frame(v: &JsonValue) -> Result<RawFrame, String> {
-    if !matches!(v, JsonValue::Obj(_)) {
-        return Err("malformed request: 'raw_frame' is not an object".to_string());
+/// What the first occurrence of a member held.
+#[derive(Default)]
+enum Member<T> {
+    #[default]
+    Absent,
+    Null,
+    Value(T),
+    /// Present with the wrong type.
+    Wrong,
+}
+
+impl<T> Member<T> {
+    fn is_absent(&self) -> bool {
+        matches!(self, Member::Absent)
     }
-    let dim = |key: &str| {
-        v.get(key)
-            .and_then(JsonValue::as_usize)
-            .ok_or_else(|| format!("malformed request: 'raw_frame.{key}' is not a usize"))
-    };
-    let (height, width, channels) = (dim("height")?, dim("width")?, dim("channels")?);
-    let dtype = match v.get("dtype") {
-        None | Some(JsonValue::Null) => "f32",
-        Some(t) => t
-            .as_str()
-            .ok_or_else(|| "malformed request: 'raw_frame.dtype' is not a string".to_string())?,
-    };
-    let data = v
-        .get("data")
-        .ok_or_else(|| "malformed request: 'raw_frame.data' is missing".to_string())?;
-    let data = match dtype {
-        "u8" => {
-            let arr = data
-                .as_array()
-                .ok_or_else(|| "malformed request: 'raw_frame.data' is not an array".to_string())?;
-            let mut bytes = Vec::with_capacity(arr.len());
-            for e in arr {
-                let b = e.as_u64().filter(|&b| b <= 255).ok_or_else(|| {
-                    "malformed request: u8 'raw_frame.data' holds a non-byte value".to_string()
-                })?;
-                bytes.push(b as u8);
+
+    /// `Some(None)` when absent or null, `Some(Some(v))` when well-typed,
+    /// `None` when ill-typed.
+    fn optional(self) -> Option<Option<T>> {
+        match self {
+            Member::Absent | Member::Null => Some(None),
+            Member::Value(v) => Some(Some(v)),
+            Member::Wrong => None,
+        }
+    }
+
+    /// Reads a number member from the value that `first` began.
+    fn number(cur: &mut Cursor<'_>, first: Event<'_>) -> Result<Self, JsonError>
+    where
+        T: FromStr,
+    {
+        Ok(match first {
+            Event::Num(t) => t.parse().map_or(Member::Wrong, Member::Value),
+            Event::Null => Member::Null,
+            other => {
+                cur.skip(&other)?;
+                Member::Wrong
             }
-            FrameData::U8(bytes)
+        })
+    }
+}
+
+impl Member<String> {
+    /// Reads a string member from the value that `first` began.
+    fn string(cur: &mut Cursor<'_>, first: Event<'_>) -> Result<Self, JsonError> {
+        Ok(match first {
+            Event::Str(s) => Member::Value(s.into_owned()),
+            Event::Null => Member::Null,
+            other => {
+                cur.skip(&other)?;
+                Member::Wrong
+            }
+        })
+    }
+}
+
+/// The first occurrence of every request member, read in one pass.
+#[derive(Default)]
+struct RequestMembers {
+    id: Member<u64>,
+    input: Member<Vec<f32>>,
+    raw_frame: Member<FrameMembers>,
+    cmd: Member<String>,
+    path: Member<String>,
+    n: Member<usize>,
+    format: Member<String>,
+}
+
+impl RequestMembers {
+    /// Reads the members of the object just opened, then checks that the
+    /// document ends there.
+    fn read(&mut self, cur: &mut Cursor<'_>) -> Result<(), JsonError> {
+        while let Some(key) = cur.key_or_end()? {
+            let first = cur.next_event()?;
+            match &*key {
+                "id" if self.id.is_absent() => self.id = Member::number(cur, first)?,
+                "input" if self.input.is_absent() => {
+                    self.input = match first {
+                        Event::ArrStart => cur
+                            .number_array(f32_token)?
+                            .map_or(Member::Wrong, Member::Value),
+                        other => {
+                            cur.skip(&other)?;
+                            Member::Wrong
+                        }
+                    }
+                }
+                "raw_frame" if self.raw_frame.is_absent() => {
+                    self.raw_frame = match first {
+                        Event::ObjStart => Member::Value(FrameMembers::read(cur)?),
+                        Event::Null => Member::Null,
+                        other => {
+                            cur.skip(&other)?;
+                            Member::Wrong
+                        }
+                    }
+                }
+                "cmd" if self.cmd.is_absent() => self.cmd = Member::string(cur, first)?,
+                "path" if self.path.is_absent() => self.path = Member::string(cur, first)?,
+                "n" if self.n.is_absent() => self.n = Member::number(cur, first)?,
+                "format" if self.format.is_absent() => self.format = Member::string(cur, first)?,
+                _ => cur.skip(&first)?,
+            }
         }
-        "f32" => FrameData::F32(data.f32_array().ok_or_else(|| {
-            "malformed request: 'raw_frame.data' is not a number array".to_string()
-        })?),
-        other => {
-            return Err(format!(
-                "malformed request: 'raw_frame.dtype' must be 'u8' or 'f32', got '{other}'"
-            ))
+        cur.finish()
+    }
+}
+
+/// A number token as `f32`, exactly as `str::parse` reads it.
+fn f32_token(t: &str) -> Option<f32> {
+    t.parse().ok()
+}
+
+/// The first occurrence of every `"raw_frame"` member: `height`/`width`/
+/// `channels` dimensions, a `dtype` tag (`"u8"` or `"f32"`, default
+/// `"f32"`), and the interleaved pixel `data` array.
+#[derive(Default)]
+struct FrameMembers {
+    height: Member<usize>,
+    width: Member<usize>,
+    channels: Member<usize>,
+    dtype: Member<String>,
+    data: Pixels,
+}
+
+/// The `data` member, decoded as soon as its dtype is known.
+#[derive(Default)]
+enum Pixels {
+    #[default]
+    Absent,
+    Decoded(Result<FrameData, String>),
+    /// Came before a usable `dtype`: its byte span in the payload.
+    Later(Range<usize>),
+}
+
+impl FrameMembers {
+    /// Reads the members of the `"raw_frame"` object just opened. The
+    /// pixels go straight into their vector once the dtype is known; when
+    /// `data` comes before `dtype` its span is kept for [`Self::into_frame`].
+    fn read(cur: &mut Cursor<'_>) -> Result<Self, JsonError> {
+        let mut m = FrameMembers::default();
+        while let Some(key) = cur.key_or_end()? {
+            let start = cur.offset();
+            let first = cur.next_event()?;
+            match &*key {
+                "height" if m.height.is_absent() => m.height = Member::number(cur, first)?,
+                "width" if m.width.is_absent() => m.width = Member::number(cur, first)?,
+                "channels" if m.channels.is_absent() => m.channels = Member::number(cur, first)?,
+                "dtype" if m.dtype.is_absent() => m.dtype = Member::string(cur, first)?,
+                "data" if matches!(m.data, Pixels::Absent) => {
+                    m.data = match m.known_dtype() {
+                        Some(dtype) => Pixels::Decoded(frame_data(cur, first, dtype)?),
+                        None => {
+                            cur.skip(&first)?;
+                            Pixels::Later(start..cur.offset())
+                        }
+                    }
+                }
+                _ => cur.skip(&first)?,
+            }
         }
-    };
-    Ok(RawFrame {
-        height,
-        width,
-        channels,
-        data,
+        Ok(m)
+    }
+
+    /// The dtype, once a `dtype` member (or its null) has settled it to
+    /// one the server decodes.
+    fn known_dtype(&self) -> Option<&'static str> {
+        match &self.dtype {
+            Member::Null => Some("f32"),
+            Member::Value(d) if d == "u8" => Some("u8"),
+            Member::Value(d) if d == "f32" => Some("f32"),
+            _ => None,
+        }
+    }
+
+    /// Checks the members in field order and assembles the frame.
+    /// Dimension/length consistency is left to [`RawFrame::validate`] on
+    /// the serving path so the error carries the request id.
+    fn into_frame(self, payload: &[u8]) -> Result<RawFrame, String> {
+        let dim = |m: Member<usize>, what: &str| match m {
+            Member::Value(v) => Ok(v),
+            _ => Err(format!(
+                "malformed request: 'raw_frame.{what}' is not a usize"
+            )),
+        };
+        let height = dim(self.height, "height")?;
+        let width = dim(self.width, "width")?;
+        let channels = dim(self.channels, "channels")?;
+        let dtype = match &self.dtype {
+            Member::Absent | Member::Null => "f32",
+            Member::Value(d) => d.as_str(),
+            Member::Wrong => {
+                return Err("malformed request: 'raw_frame.dtype' is not a string".to_string())
+            }
+        };
+        let data = match self.data {
+            Pixels::Absent => {
+                return Err("malformed request: 'raw_frame.data' is missing".to_string())
+            }
+            Pixels::Decoded(data) => data?,
+            Pixels::Later(_) if dtype != "u8" && dtype != "f32" => {
+                return Err(format!(
+                    "malformed request: 'raw_frame.dtype' must be 'u8' or 'f32', got '{dtype}'"
+                ))
+            }
+            Pixels::Later(span) => {
+                // The span was validated in the first pass.
+                let mut late = Cursor::new(&payload[span]);
+                late.next_event()
+                    .and_then(|first| frame_data(&mut late, first, dtype))
+                    .map_err(|e| format!("malformed request: {e}"))??
+            }
+        };
+        Ok(RawFrame {
+            height,
+            width,
+            channels,
+            data,
+        })
+    }
+}
+
+/// Decodes the `data` value that `first` began as `dtype` pixels (`"u8"`
+/// or `"f32"`; other tags are refused before the data is looked at).
+fn frame_data(
+    cur: &mut Cursor<'_>,
+    first: Event<'_>,
+    dtype: &str,
+) -> Result<Result<FrameData, String>, JsonError> {
+    let is_array = first == Event::ArrStart;
+    if !is_array {
+        cur.skip(&first)?;
+    }
+    Ok(match (dtype, is_array) {
+        ("u8", true) => cur.byte_array()?.map(FrameData::U8).ok_or_else(|| {
+            "malformed request: u8 'raw_frame.data' holds a non-byte value".to_string()
+        }),
+        ("u8", false) => Err("malformed request: 'raw_frame.data' is not an array".to_string()),
+        (_, true) => cur
+            .number_array(f32_token)?
+            .map(FrameData::F32)
+            .ok_or_else(|| "malformed request: 'raw_frame.data' is not a number array".to_string()),
+        (_, false) => Err("malformed request: 'raw_frame.data' is not a number array".to_string()),
     })
 }
 
@@ -825,5 +1008,533 @@ mod tests {
             FrameData::F32(vec![0.5]),
             "absent dtype means f32"
         );
+    }
+
+    /// Every field of a parse result, f32s as bits, so two results compare
+    /// bit for bit.
+    fn fingerprint(r: &Result<Request, String>) -> String {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        match r {
+            Err(e) => format!("Err({e})"),
+            Ok(q) => format!(
+                "Ok(id {} input {:?} frame {:?} cmd {:?} path {:?} n {:?} format {:?})",
+                q.id,
+                bits(&q.input),
+                q.raw_frame.as_ref().map(|f| {
+                    let data = match &f.data {
+                        FrameData::U8(b) => format!("u8 {b:?}"),
+                        FrameData::F32(v) => format!("f32 {:?}", bits(v)),
+                    };
+                    (f.height, f.width, f.channels, data)
+                }),
+                q.cmd,
+                q.path,
+                q.n,
+                q.format,
+            ),
+        }
+    }
+
+    /// The tree-based decoder `Request::parse` replaced: the oracle the
+    /// cursor-based one must match result for result.
+    fn reference_parse(payload: &[u8]) -> Result<Request, String> {
+        let doc = JsonValue::parse(payload).map_err(|e| format!("malformed request: {e}"))?;
+        if !matches!(doc, JsonValue::Obj(_)) {
+            return Err("malformed request: not a JSON object".to_string());
+        }
+        let id = match doc.get("id") {
+            None => 0,
+            Some(v) => v
+                .as_u64()
+                .ok_or_else(|| "malformed request: 'id' is not a u64".to_string())?,
+        };
+        let input = match doc.get("input") {
+            None => Vec::new(),
+            Some(v) => v
+                .f32_array()
+                .ok_or_else(|| "malformed request: 'input' is not a number array".to_string())?,
+        };
+        if input.iter().any(|v| !v.is_finite()) {
+            return Err("malformed request: 'input' holds a non-finite value".to_string());
+        }
+        let raw_frame = match doc.get("raw_frame") {
+            None | Some(JsonValue::Null) => None,
+            Some(v) => Some(reference_raw_frame(v)?),
+        };
+        let string = |key: &str| match doc.get(key) {
+            None | Some(JsonValue::Null) => Ok(None),
+            Some(v) => v
+                .as_str()
+                .map(|s| Some(s.to_string()))
+                .ok_or_else(|| format!("malformed request: '{key}' is not a string")),
+        };
+        let cmd = string("cmd")?;
+        let path = string("path")?;
+        let n = match doc.get("n") {
+            None | Some(JsonValue::Null) => None,
+            Some(v) => Some(
+                v.as_usize()
+                    .ok_or_else(|| "malformed request: 'n' is not a usize".to_string())?,
+            ),
+        };
+        let format = string("format")?;
+        Ok(Request {
+            id,
+            input,
+            raw_frame,
+            cmd,
+            path,
+            n,
+            format,
+        })
+    }
+
+    fn reference_raw_frame(v: &JsonValue) -> Result<RawFrame, String> {
+        if !matches!(v, JsonValue::Obj(_)) {
+            return Err("malformed request: 'raw_frame' is not an object".to_string());
+        }
+        let dim = |key: &str| {
+            v.get(key)
+                .and_then(JsonValue::as_usize)
+                .ok_or_else(|| format!("malformed request: 'raw_frame.{key}' is not a usize"))
+        };
+        let (height, width, channels) = (dim("height")?, dim("width")?, dim("channels")?);
+        let dtype = match v.get("dtype") {
+            None | Some(JsonValue::Null) => "f32",
+            Some(t) => t.as_str().ok_or_else(|| {
+                "malformed request: 'raw_frame.dtype' is not a string".to_string()
+            })?,
+        };
+        let data = v
+            .get("data")
+            .ok_or_else(|| "malformed request: 'raw_frame.data' is missing".to_string())?;
+        let data = match dtype {
+            "u8" => {
+                let arr = data.as_array().ok_or_else(|| {
+                    "malformed request: 'raw_frame.data' is not an array".to_string()
+                })?;
+                let mut bytes = Vec::with_capacity(arr.len());
+                for e in arr {
+                    let b = e.as_u64().filter(|&b| b <= 255).ok_or_else(|| {
+                        "malformed request: u8 'raw_frame.data' holds a non-byte value".to_string()
+                    })?;
+                    bytes.push(b as u8);
+                }
+                FrameData::U8(bytes)
+            }
+            "f32" => FrameData::F32(data.f32_array().ok_or_else(|| {
+                "malformed request: 'raw_frame.data' is not a number array".to_string()
+            })?),
+            other => {
+                return Err(format!(
+                    "malformed request: 'raw_frame.dtype' must be 'u8' or 'f32', got '{other}'"
+                ))
+            }
+        };
+        Ok(RawFrame {
+            height,
+            width,
+            channels,
+            data,
+        })
+    }
+
+    /// Random request documents for the differential test: both dtypes
+    /// and `input`, shuffled keys, duplicates, unknown nested members,
+    /// random whitespace and boundary number tokens.
+    struct Gen(axnn_rng::Rng);
+
+    impl Gen {
+        const BOUNDARY: [&'static str; 16] = [
+            "0",
+            "9",
+            "10",
+            "99",
+            "100",
+            "255",
+            "256",
+            "-0",
+            "1e2",
+            "01",
+            "1.5",
+            "-1",
+            "1e39",
+            "0.1",
+            "18446744073709551615",
+            "18446744073709551616",
+        ];
+
+        fn ws(&mut self) -> &'static str {
+            const WS: [&str; 8] = ["", "", "", " ", " ", "\n", "\t ", "\r\n  "];
+            self.0.choose::<&str>(&WS)
+        }
+
+        fn number(&mut self) -> String {
+            match self.0.gen_range(0..4u32) {
+                0 => self.0.choose(&Self::BOUNDARY).to_string(),
+                1 => self.0.gen_range(0..300u32).to_string(),
+                2 => self.0.normal(0.0, 2.0).to_string(),
+                _ => f32::from_bits(self.0.gen()).to_string(),
+            }
+        }
+
+        fn string(&mut self) -> String {
+            let s = *self.0.choose(&[
+                "ping",
+                "u8",
+                "f32",
+                "u16",
+                "",
+                "a\\\"b",
+                "\\u00e9",
+                "caf\u{e9}",
+            ]);
+            format!("\"{s}\"")
+        }
+
+        /// Any JSON value, nested up to `depth` more levels.
+        fn value(&mut self, depth: u32) -> String {
+            match self.0.gen_range(0..if depth == 0 { 4 } else { 6u32 }) {
+                0 => self.number(),
+                1 => self.string(),
+                2 => self.0.choose(&["null", "true", "false"]).to_string(),
+                3 => self.array(|g| g.number()),
+                4 => {
+                    let n = self.0.gen_range(0..3usize);
+                    let items: Vec<String> = (0..n).map(|_| self.value(depth - 1)).collect();
+                    self.list('[', items, ']')
+                }
+                _ => {
+                    let n = self.0.gen_range(0..3usize);
+                    let members: Vec<(String, String)> = (0..n)
+                        .map(|_| (self.key_name(), self.value(depth - 1)))
+                        .collect();
+                    self.object(members)
+                }
+            }
+        }
+
+        fn key_name(&mut self) -> String {
+            let k = *self.0.choose(&[
+                "id",
+                "input",
+                "raw_frame",
+                "cmd",
+                "path",
+                "n",
+                "format",
+                "height",
+                "width",
+                "channels",
+                "dtype",
+                "data",
+                "extra",
+                "i\\u0064",
+            ]);
+            k.to_string()
+        }
+
+        fn list(&mut self, open: char, items: Vec<String>, close: char) -> String {
+            let mut out = format!("{open}{}", self.ws());
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out += &format!("{},{}", self.ws(), self.ws());
+                }
+                out += item;
+            }
+            out += &format!("{}{close}", self.ws());
+            out
+        }
+
+        fn array(&mut self, mut item: impl FnMut(&mut Self) -> String) -> String {
+            let n = self.0.gen_range(0..6usize);
+            let items: Vec<String> = (0..n).map(|_| item(self)).collect();
+            self.list('[', items, ']')
+        }
+
+        fn object(&mut self, mut members: Vec<(String, String)>) -> String {
+            // Shuffle, then sometimes repeat a member with another value.
+            for i in (1..members.len()).rev() {
+                members.swap(i, self.0.gen_range(0..=i));
+            }
+            if !members.is_empty() && self.0.gen_bool(0.3) {
+                let k = members[self.0.gen_range(0..members.len())].0.clone();
+                let v = self.value(1);
+                let at = self.0.gen_range(0..=members.len());
+                members.insert(at, (k, v));
+            }
+            let items = members
+                .into_iter()
+                .map(|(k, v)| format!("\"{k}\"{}:{}{v}", self.ws(), self.ws()))
+                .collect();
+            self.list('{', items, '}')
+        }
+
+        /// A value for a known member: mostly well-typed, sometimes not.
+        fn member(&mut self, key: &str) -> String {
+            if self.0.gen_bool(0.08) {
+                return self.value(2);
+            }
+            let rare = self.0.gen_bool(0.1);
+            match key {
+                "id" | "n" | "height" | "width" | "channels" if !rare => {
+                    self.0.gen_range(0..64u32).to_string()
+                }
+                "id" | "n" | "height" | "width" | "channels" => self.number(),
+                "input" => self.array(|g| g.number()),
+                "dtype" if !rare => self
+                    .0
+                    .choose(&["\"u8\"", "\"u8\"", "\"f32\"", "null"])
+                    .to_string(),
+                "cmd" | "path" | "format" | "dtype" => self.string(),
+                "data" => self.array(|g| match g.0.gen_range(0..20u32) {
+                    0 => g.value(1),
+                    1..=3 => g.number(),
+                    _ => g.0.gen_range(0..=255u32).to_string(),
+                }),
+                _ => self.value(2),
+            }
+        }
+
+        fn raw_frame(&mut self) -> String {
+            let mut members = Vec::new();
+            for key in ["height", "width", "channels", "dtype", "data"] {
+                if self.0.gen_bool(0.95) {
+                    let v = self.member(key);
+                    members.push((key.to_string(), v));
+                }
+            }
+            if self.0.gen_bool(0.3) {
+                let v = self.value(2);
+                members.push(("extra".to_string(), v));
+            }
+            self.object(members)
+        }
+
+        fn request(&mut self) -> String {
+            let mut members = Vec::new();
+            for key in ["id", "input", "raw_frame", "cmd", "path", "n", "format"] {
+                if self.0.gen_bool(if key == "raw_frame" { 0.7 } else { 0.35 }) {
+                    let v = if key == "raw_frame" && self.0.gen_bool(0.8) {
+                        self.raw_frame()
+                    } else {
+                        self.member(key)
+                    };
+                    members.push((key.to_string(), v));
+                }
+            }
+            if self.0.gen_bool(0.3) {
+                let v = self.value(3);
+                members.push((self.key_name(), v));
+            }
+            let doc = self.object(members);
+            format!("{}{doc}{}", self.ws(), self.ws())
+        }
+
+        /// Truncates, flips, inserts or deletes one byte.
+        fn mutate(&mut self, doc: &[u8]) -> Vec<u8> {
+            const BYTES: &[u8] = b"{}[],:\"\\ 0159-.eEtnu\x00\xff\xc3";
+            let mut out = doc.to_vec();
+            let at = self.0.gen_range(0..=out.len());
+            let byte = if self.0.gen_bool(0.8) {
+                *self.0.choose(BYTES)
+            } else {
+                self.0.gen()
+            };
+            match self.0.gen_range(0..4u32) {
+                0 => out.truncate(at),
+                1 if at < out.len() => out[at] = byte,
+                2 => out.insert(at, byte),
+                _ if at < out.len() => {
+                    out.remove(at);
+                }
+                _ => out.push(byte),
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn cursor_decode_matches_the_tree_decoder() {
+        axnn_rng::cases(2048, |rng| {
+            let mut g = Gen(rng);
+            let doc = g.request().into_bytes();
+            let mut docs = vec![doc.clone()];
+            let mut mutated = doc;
+            for _ in 0..4 {
+                mutated = g.mutate(&mutated);
+                docs.push(mutated.clone());
+            }
+            for doc in &docs {
+                assert_eq!(
+                    fingerprint(&Request::parse(doc)),
+                    fingerprint(&reference_parse(doc)),
+                    "{}",
+                    String::from_utf8_lossy(doc)
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn every_request_error_message_is_pinned() {
+        let frame = |members: &str| format!("{{\"raw_frame\": {{{members}}}}}");
+        let dims = "\"height\": 1, \"width\": 2, \"channels\": 1";
+        let cases: Vec<(String, &str)> = vec![
+            (
+                "{\"id\": 1,".into(),
+                "malformed request: json error at byte 9: expected '\"'",
+            ),
+            (
+                "[1, 2".into(),
+                "malformed request: json error at byte 5: expected ',' or ']' in array",
+            ),
+            (
+                "{\"cmd\": \"ping\"} x".into(),
+                "malformed request: json error at byte 16: trailing characters after document",
+            ),
+            ("[1, 2]".into(), "malformed request: not a JSON object"),
+            ("\"ping\"".into(), "malformed request: not a JSON object"),
+            (
+                "{\"id\": -1}".into(),
+                "malformed request: 'id' is not a u64",
+            ),
+            (
+                "{\"id\": null}".into(),
+                "malformed request: 'id' is not a u64",
+            ),
+            (
+                "{\"input\": [1, \"x\"]}".into(),
+                "malformed request: 'input' is not a number array",
+            ),
+            (
+                "{\"input\": null}".into(),
+                "malformed request: 'input' is not a number array",
+            ),
+            (
+                "{\"input\": [0.5, 1e39]}".into(),
+                "malformed request: 'input' holds a non-finite value",
+            ),
+            (
+                "{\"raw_frame\": [1]}".into(),
+                "malformed request: 'raw_frame' is not an object",
+            ),
+            (
+                frame("\"width\": 2, \"channels\": 1, \"data\": []"),
+                "malformed request: 'raw_frame.height' is not a usize",
+            ),
+            (
+                frame("\"height\": 1, \"width\": -2, \"channels\": 1, \"data\": []"),
+                "malformed request: 'raw_frame.width' is not a usize",
+            ),
+            (
+                frame("\"height\": 1, \"width\": 2, \"channels\": \"3\", \"data\": []"),
+                "malformed request: 'raw_frame.channels' is not a usize",
+            ),
+            (
+                frame(&format!("{dims}, \"dtype\": 8, \"data\": []")),
+                "malformed request: 'raw_frame.dtype' is not a string",
+            ),
+            (
+                frame(&format!("{dims}, \"dtype\": \"u16\"")),
+                "malformed request: 'raw_frame.data' is missing",
+            ),
+            (
+                frame(&format!("{dims}, \"dtype\": \"u8\", \"data\": {{}}")),
+                "malformed request: 'raw_frame.data' is not an array",
+            ),
+            (
+                frame(&format!("{dims}, \"dtype\": \"u8\", \"data\": [0, 1.0]")),
+                "malformed request: u8 'raw_frame.data' holds a non-byte value",
+            ),
+            (
+                frame(&format!("{dims}, \"dtype\": \"u8\", \"data\": [256, 0]")),
+                "malformed request: u8 'raw_frame.data' holds a non-byte value",
+            ),
+            (
+                frame(&format!("{dims}, \"dtype\": \"u8\", \"data\": [-0, [0]]")),
+                "malformed request: u8 'raw_frame.data' holds a non-byte value",
+            ),
+            (
+                frame(&format!("{dims}, \"dtype\": \"f32\", \"data\": null")),
+                "malformed request: 'raw_frame.data' is not a number array",
+            ),
+            (
+                frame(&format!("{dims}, \"data\": [0.5, true]")),
+                "malformed request: 'raw_frame.data' is not a number array",
+            ),
+            (
+                frame(&format!("{dims}, \"dtype\": \"u16\", \"data\": [1]")),
+                "malformed request: 'raw_frame.dtype' must be 'u8' or 'f32', got 'u16'",
+            ),
+            (
+                "{\"cmd\": 1}".into(),
+                "malformed request: 'cmd' is not a string",
+            ),
+            (
+                "{\"cmd\": \"reload\", \"path\": []}".into(),
+                "malformed request: 'path' is not a string",
+            ),
+            (
+                "{\"cmd\": \"trace\", \"n\": 1.5}".into(),
+                "malformed request: 'n' is not a usize",
+            ),
+            (
+                "{\"cmd\": \"metrics\", \"format\": {}}".into(),
+                "malformed request: 'format' is not a string",
+            ),
+            // Precedence: a syntax error anywhere beats every semantic
+            // error, and semantic errors come in field order, not
+            // document order.
+            (
+                "{\"id\": \"x\", \"cmd\": \"ping\", ]".into(),
+                "malformed request: json error at byte 27: expected '\"'",
+            ),
+            (
+                "{\"cmd\": 5, \"id\": \"x\"}".into(),
+                "malformed request: 'id' is not a u64",
+            ),
+            (
+                "{\"format\": 1, \"raw_frame\": 2, \"input\": [\"a\"]}".into(),
+                "malformed request: 'input' is not a number array",
+            ),
+            (
+                frame(&format!(
+                    "\"dtype\": 1, {dims}, \"data\": [], \"height\": \"x\""
+                )),
+                "malformed request: 'raw_frame.dtype' is not a string",
+            ),
+            (
+                frame(&format!("\"data\": [256], {dims}, \"dtype\": \"u8\"")),
+                "malformed request: u8 'raw_frame.data' holds a non-byte value",
+            ),
+        ];
+        for (doc, want) in &cases {
+            assert_eq!(Request::parse(doc.as_bytes()).unwrap_err(), *want, "{doc}");
+        }
+        // First occurrence wins; a later ill-typed duplicate is ignored.
+        let req = Request::parse(
+            b"{\"id\": 3, \"id\": \"x\", \"cmd\": \"ping\", \"cmd\": 7, \"n\": null, \"n\": -1}",
+        )
+        .unwrap();
+        assert_eq!((req.id, req.cmd.as_deref(), req.n), (3, Some("ping"), None));
+        // `dtype` may follow `data`, for both dtypes.
+        for (dtype, data) in [
+            ("u8", FrameData::U8(vec![0, 255])),
+            ("f32", FrameData::F32(vec![256.0, 100.0])),
+        ] {
+            let values = if dtype == "u8" { "0, 255" } else { "256, 1e2" };
+            let doc = frame(&format!(
+                "\"data\": [{values}], {dims}, \"dtype\": \"{dtype}\", \"data\": 7"
+            ));
+            let req = Request::parse(doc.as_bytes()).unwrap_or_else(|e| panic!("{doc}: {e}"));
+            let want = RawFrame {
+                height: 1,
+                width: 2,
+                channels: 1,
+                data,
+            };
+            assert_eq!(req.raw_frame, Some(want), "{doc}");
+        }
     }
 }

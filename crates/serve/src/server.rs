@@ -86,6 +86,12 @@ pub fn compute_spec() -> axnn_obs::HistSpec {
     axnn_obs::HistSpec::new(0.0, 200_000.0, 64)
 }
 
+/// Hist geometry for per-request wire decode (`Request::parse`) time,
+/// microseconds.
+pub fn decode_time_spec() -> axnn_obs::HistSpec {
+    axnn_obs::HistSpec::new(0.0, 2_000.0, 80)
+}
+
 /// Hist geometry for per-request raw-frame preprocessing time,
 /// microseconds.
 pub fn preprocess_time_spec() -> axnn_obs::HistSpec {
@@ -536,7 +542,17 @@ fn handle_conn(stream: TcpStream, shared: &Shared, input_len: usize, classes: us
 }
 
 fn dispatch(payload: &[u8], shared: &Shared, input_len: usize, classes: usize) -> Response {
-    let req = match Request::parse(payload) {
+    // Wire decode is the first stage of every request, timed like
+    // preprocessing: here on the connection thread, malformed frames too.
+    let started = Instant::now();
+    let parsed = {
+        let _s = axnn_obs::span("serve:decode");
+        Request::parse(payload)
+    };
+    let us = started.elapsed().as_secs_f64() * 1e6;
+    axnn_obs::record_value("serve:decode_us", decode_time_spec(), us);
+    shared.metrics.note_decode(us);
+    let req = match parsed {
         Ok(req) => req,
         Err(detail) => return Response::Error { id: 0, detail },
     };

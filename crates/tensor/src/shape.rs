@@ -12,6 +12,15 @@ pub fn numel(shape: &[usize]) -> usize {
     shape.iter().product()
 }
 
+/// Like [`numel`], but `None` when the element count does not fit in a
+/// `usize` (a shape with a zero dimension counts zero elements).
+pub(crate) fn checked_numel(shape: &[usize]) -> Option<usize> {
+    if shape.contains(&0) {
+        return Some(0);
+    }
+    shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d))
+}
+
 /// Computes row-major strides for `shape`.
 ///
 /// The last dimension is contiguous (stride 1).
@@ -49,6 +58,14 @@ mod tests {
     #[test]
     fn numel_with_zero_dim_is_zero() {
         assert_eq!(numel(&[3, 0, 2]), 0);
+    }
+
+    #[test]
+    fn checked_numel_refuses_only_real_overflow() {
+        assert_eq!(checked_numel(&[2, 3, 4]), Some(24));
+        assert_eq!(checked_numel(&[]), Some(1));
+        assert_eq!(checked_numel(&[usize::MAX, 2]), None);
+        assert_eq!(checked_numel(&[usize::MAX, 2, 0]), Some(0));
     }
 
     #[test]

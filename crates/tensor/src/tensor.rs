@@ -1,6 +1,6 @@
 //! The dense `f32` tensor type.
 
-use crate::shape::{flat_index, numel, strides_for};
+use crate::shape::{checked_numel, flat_index, numel, strides_for};
 use crate::ShapeError;
 use std::fmt;
 
@@ -70,14 +70,15 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`ShapeError`] if `data.len()` does not equal the element
-    /// count implied by `shape`.
+    /// count implied by `shape`, or if that count overflows a `usize`.
     pub fn from_vec(data: Vec<f32>, shape: &[usize]) -> Result<Self, ShapeError> {
-        if data.len() != numel(shape) {
+        let elements = element_count(shape)?;
+        if data.len() != elements {
             return Err(ShapeError::new(format!(
                 "buffer of length {} cannot form shape {:?} ({} elements)",
                 data.len(),
                 shape,
-                numel(shape)
+                elements
             )));
         }
         Ok(Self {
@@ -152,15 +153,17 @@ impl Tensor {
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] if the new shape has a different element count.
+    /// Returns [`ShapeError`] if the new shape has a different element
+    /// count, or one that overflows a `usize`.
     pub fn reshape(&self, shape: &[usize]) -> Result<Self, ShapeError> {
-        if numel(shape) != self.data.len() {
+        let elements = element_count(shape)?;
+        if elements != self.data.len() {
             return Err(ShapeError::new(format!(
                 "cannot reshape {:?} ({} elements) to {:?} ({} elements)",
                 self.shape,
                 self.data.len(),
                 shape,
-                numel(shape)
+                elements
             )));
         }
         Ok(Self {
@@ -415,6 +418,16 @@ impl Tensor {
     }
 }
 
+/// The element count of `shape`, or an error naming a shape whose count
+/// overflows a `usize` (where `numel` would wrap).
+fn element_count(shape: &[usize]) -> Result<usize, ShapeError> {
+    checked_numel(shape).ok_or_else(|| {
+        ShapeError::new(format!(
+            "shape {shape:?} has more elements than a usize can count"
+        ))
+    })
+}
+
 impl Default for Tensor {
     /// An empty 1-D tensor.
     fn default() -> Self {
@@ -450,6 +463,26 @@ mod tests {
     fn from_vec_checks_length() {
         assert!(Tensor::from_vec(vec![1.0, 2.0], &[3]).is_err());
         assert!(Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).is_ok());
+    }
+
+    #[test]
+    fn shapes_whose_element_count_overflows_are_rejected() {
+        // Regression: the product wrapped to 0 (release) and an empty
+        // buffer formed a 2^63 x 2 tensor; debug builds panicked.
+        let huge = [1usize << 63, 2];
+        let err = Tensor::from_vec(Vec::new(), &huge).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("shape error: shape {huge:?} has more elements than a usize can count")
+        );
+        let err = Tensor::from_vec(vec![1.0; 2], &[usize::MAX, 3, 5]).unwrap_err();
+        assert!(
+            err.to_string().contains("more elements than a usize"),
+            "{err}"
+        );
+        assert!(Tensor::zeros(&[0]).reshape(&huge).is_err());
+        // A zero dimension still makes an empty tensor, however large the rest.
+        assert!(Tensor::from_vec(Vec::new(), &[usize::MAX, 0, 2]).is_ok());
     }
 
     #[test]

@@ -175,8 +175,8 @@ echo "tier1: hot-swap smoke OK"
 
 # Observability-plane smoke: a loaded server must answer the `metrics` and
 # `trace` protocol commands live — `obs top --once --json` reports nonzero
-# window throughput and per-replica batch counts, and `obs tail --once`
-# prints well-formed trace records.
+# window throughput, a server-timed wire-decode window and per-replica
+# batch counts, and `obs tail --once` prints well-formed trace records.
 serve_up "observability serve" "$OBS_TMP/serve_obs.out" --replicas 2 --queue-cap 64
 target/release/axnn loadgen --addr "$ADDR" --connections 4 --requests 8 >/dev/null
 target/release/axnn obs top "$ADDR" --once --json >"$OBS_TMP/top.json"
@@ -188,6 +188,10 @@ if grep -q '"rps": 0[,}]' "$OBS_TMP/top.json"; then
     echo "tier1: metrics window reports zero throughput right after a burst" >&2
     exit 1
 fi
+grep -q '"decode_us": {"count": [1-9]' "$OBS_TMP/top.json" || {
+    echo "tier1: metrics snapshot lacks a nonzero decode_us window" >&2
+    exit 1
+}
 grep -q '"per_replica": \[{"replica": 0' "$OBS_TMP/top.json" || {
     echo "tier1: metrics snapshot lacks the per-replica section" >&2
     exit 1

@@ -523,7 +523,13 @@ pub fn render_top(snapshot: &str) -> Result<String, String> {
         f64_of(window, "rps"),
         f64_of(window, "reject_rps"),
     );
-    for key in ["queue_wait_us", "compute_us", "batch_size"] {
+    for key in [
+        "decode_us",
+        "preprocess_us",
+        "queue_wait_us",
+        "compute_us",
+        "batch_size",
+    ] {
         if let Some(h) = window.get(key) {
             let _ = writeln!(
                 out,
@@ -837,13 +843,14 @@ mod tests {
 
     #[test]
     fn top_renders_a_metrics_snapshot() {
-        let snap = r#"{"status": "metrics", "schema_version": 1, "uptime_ms": 2500,
+        let snap = r#"{"status": "metrics", "schema_version": 3, "uptime_ms": 2500,
             "enabled": true, "replicas": 2, "generation": 1, "draining": false,
             "totals": {"ok": 64, "rejected": 3, "batches": 20, "last_trace_id": 67},
             "window": {"covered_ms": 2500, "ok": 64, "rejected": 3, "rps": 25.6,
                 "reject_rps": 1.2,
                 "queue_wait_us": {"count": 64, "mean": 800.0, "p50": 750.0, "p99": 1900.0, "min": 10.0, "max": 2000.0},
                 "compute_us": {"count": 20, "mean": 5000.0, "p50": 4800.0, "p99": 9000.0, "min": 100.0, "max": 9500.0},
+                "decode_us": {"count": 70, "mean": 95.5, "p50": 90.0, "p99": 180.0, "min": 8.0, "max": 210.0},
                 "batch_size": {"count": 20, "mean": 3.2, "p50": 3.0, "p99": 4.0, "min": 1.0, "max": 4.0},
                 "per_replica": [{"replica": 0, "batches": 12, "plan_cache_hits": 11,
                     "plan_cache_misses": 1, "plan_cache_hit_ratio": 0.9166}]},
@@ -852,6 +859,10 @@ mod tests {
         assert!(text.contains("rps 25.6"), "{text}");
         assert!(text.contains("replicas 2"), "{text}");
         assert!(text.contains("queue_wait_us"), "{text}");
+        assert!(
+            text.contains("decode_us      p50       90.0  p99      180.0"),
+            "{text}"
+        );
         assert!(text.contains("ok 64 | rejected 3"), "{text}");
         assert!(render_top("{\"status\": \"pong\"}").is_err());
     }
