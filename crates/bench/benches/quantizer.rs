@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the quantization substrate: tensor fake-quant,
-//! code extraction, MinPropQE calibration, and the power-of-two rounding
-//! ablation (pow2 vs exact step).
+//! code extraction and LUT offsets (at 64 k and column-matrix size),
+//! MinPropQE calibration, and the power-of-two rounding ablation (pow2 vs
+//! exact step).
 
 use axnn_bench::timing::bench;
 use axnn_quant::{min_prop_qe, round_step_pow2, QuantSpec, Quantizer};
@@ -18,6 +19,22 @@ fn bench_quantizer() {
     });
     bench("quantizer/quantize_codes_64k", 30, || {
         black_box(q.quantize_tensor(black_box(&t)));
+    });
+
+    // Column-matrix size: the im2col matrices of one batch-32 forward of
+    // ResNet-20 w0.25 on 16×16 inputs add up to about 3.2 M elements.
+    let col = init::uniform(&[392, 8192], -2.0, 2.0, &mut rng);
+    bench("quantizer/fake_quant_3m", 10, || {
+        black_box(q.fake_quant_tensor(black_box(&col)));
+    });
+    bench("quantizer/quantize_codes_3m", 10, || {
+        black_box(q.quantize_tensor(black_box(&col)));
+    });
+    // The approximate executors' pass: codes straight into u8 LUT offsets.
+    let mut offsets = vec![0u8; col.len()];
+    bench("quantizer/lut_offsets_3m", 10, || {
+        q.map_codes(black_box(col.as_slice()), &mut offsets, |c| (c + 128) as u8);
+        black_box(&offsets);
     });
     bench("quantizer/round_step_pow2", 30, || {
         black_box(round_step_pow2(black_box(0.013)));

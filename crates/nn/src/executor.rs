@@ -19,9 +19,12 @@ pub struct ExecOutput {
     /// Output matrix `[OC, M]` — possibly quantized/approximate.
     pub y: Tensor,
     /// Effective weight matrix used for the STE backward (e.g. the
-    /// quantize-dequantized weights). Shape `[OC, K]`.
+    /// quantize-dequantized weights). Shape `[OC, K]` in [`Mode::Train`];
+    /// outside it an executor may return an empty tensor instead, since
+    /// only the backward reads it.
     pub wmat_eff: Tensor,
-    /// Effective input (column) matrix for the STE backward. Shape `[K, M]`.
+    /// Effective input (column) matrix for the STE backward. Shape `[K, M]`
+    /// in [`Mode::Train`]; like `wmat_eff`, possibly empty outside it.
     pub col_eff: Tensor,
     /// Optional elementwise factor applied to the upstream gradient
     /// `∂C/∂ỹ` before the GEMM backward products — the `(1 + K)` matrix of

@@ -215,6 +215,20 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// The registry entry under `label`, created with `init` on first use. The
+/// lookup is by `&str`, so a label's key is allocated once, not on every
+/// record under the registry lock.
+fn entry<'a, V>(
+    reg: &'a mut BTreeMap<String, V>,
+    label: &str,
+    init: impl FnOnce() -> V,
+) -> &'a mut V {
+    if !reg.contains_key(label) {
+        reg.insert(label.to_string(), init());
+    }
+    reg.get_mut(label).expect("inserted above")
+}
+
 /// Clears all counters, span statistics, histograms, ratios and events
 /// (typically before a run that will be captured into a [`RunProfile`]),
 /// and bumps the reset epoch so spans still open across the reset are
@@ -240,9 +254,7 @@ pub fn record_value(label: &str, spec: HistSpec, x: f64) {
         return;
     }
     let mut reg = lock(hist_registry());
-    reg.entry(label.to_string())
-        .or_insert_with(|| Hist::new(spec))
-        .record(x);
+    entry(&mut reg, label, || Hist::new(spec)).record(x);
 }
 
 /// Records a batch of values under `label` with one registry lock.
@@ -252,9 +264,7 @@ pub fn record_values(label: &str, spec: HistSpec, xs: impl IntoIterator<Item = f
         return;
     }
     let mut reg = lock(hist_registry());
-    reg.entry(label.to_string())
-        .or_insert_with(|| Hist::new(spec))
-        .record_all(xs);
+    entry(&mut reg, label, || Hist::new(spec)).record_all(xs);
 }
 
 /// Merges a locally accumulated histogram (e.g. a per-shard `Hist`) into
@@ -264,9 +274,7 @@ pub fn merge_hist(label: &str, h: &Hist) {
         return;
     }
     let mut reg = lock(hist_registry());
-    reg.entry(label.to_string())
-        .or_insert_with(|| Hist::new(h.spec()))
-        .merge(h);
+    entry(&mut reg, label, || Hist::new(h.spec())).merge(h);
 }
 
 /// Adds `hits` out of `total` observations to the ratio registered under
@@ -277,7 +285,7 @@ pub fn record_ratio(label: &str, hits: u64, total: u64) {
         return;
     }
     let mut reg = lock(ratio_registry());
-    let r = reg.entry(label.to_string()).or_default();
+    let r = entry(&mut reg, label, RatioStat::default);
     r.hits += hits;
     r.total += total;
 }

@@ -1,7 +1,9 @@
 //! The approximate-multiplier layer executor.
 
 use crate::error_model::PiecewiseLinearError;
-use crate::gemm::{approx_matmul, approx_matmul_with_adder};
+use crate::gemm::{
+    approx_matmul_offsets, approx_matmul_with_adder_offsets, dequantize_offsets, lut_offsets,
+};
 use crate::signed_lut::SignedLut;
 use axnn_axmul::adder::Adder;
 use axnn_axmul::Multiplier;
@@ -110,14 +112,13 @@ impl ApproxExecutor {
     /// residual histogram (ε − f(y_q), what the drift monitor pools) and
     /// the K-mask linear-region coverage. `y_codes` is the exact quantized
     /// output in code units when the GE path already computed it;
-    /// otherwise the sampled path computes its own reference GEMM
-    /// (observation only — deliberately not counted as run work).
+    /// otherwise the sampled path fake-quantizes the operands and computes
+    /// its own reference GEMM (observation only — deliberately not counted
+    /// as run work).
     #[allow(clippy::too_many_arguments)]
     fn record_health(
         &mut self,
         y: &Tensor,
-        w_eff: &Tensor,
-        col_eff: &Tensor,
         wmat: &Tensor,
         col: &Tensor,
         wq: &Quantizer,
@@ -139,7 +140,7 @@ impl ApproxExecutor {
         let codes = match y_codes {
             Some(t) => t,
             None => {
-                let mut t = gemm::matmul(w_eff, col_eff);
+                let mut t = gemm::matmul(&wq.fake_quant_tensor(wmat), &xq.fake_quant_tensor(col));
                 t.scale(1.0 / scale);
                 computed = t;
                 &computed
@@ -183,8 +184,8 @@ impl LayerExecutor for ApproxExecutor {
         self.x_quantizer = self.frozen_x_quantizer();
         let xq = batch_x_quantizer(self.x_quantizer, col, self.x_spec);
 
-        let (w_codes, w_eff) = wq.quantize_tensor(wmat);
-        let (x_codes, col_eff) = xq.quantize_tensor(col);
+        let w_codes = wq.quantize_codes(wmat);
+        let xi = lut_offsets(&xq, col.as_slice());
         let (oc, k) = (wmat.shape()[0], wmat.shape()[1]);
         let m = col.shape()[1];
         let scale = wq.step() * xq.step();
@@ -192,10 +193,21 @@ impl LayerExecutor for ApproxExecutor {
             &self.lut,
             self.adder.as_deref(),
             &w_codes,
-            &x_codes,
+            &xi,
             [oc, k, m],
             scale,
         );
+
+        // The STE operands only feed the Train backward (and GE below), so
+        // eval and calibration passes skip them.
+        let (w_eff, col_eff) = if mode == Mode::Train {
+            (
+                wq.fake_quant_tensor(wmat),
+                dequantize_offsets(&xq, &xi, col.shape()),
+            )
+        } else {
+            (Tensor::zeros(&[0, 0]), Tensor::zeros(&[0, 0]))
+        };
 
         // GE needs f'(y) on the accurate quantized output y_q (eq. 10);
         // compute it only when training with a non-constant model. The
@@ -218,17 +230,7 @@ impl LayerExecutor for ApproxExecutor {
         };
 
         if axnn_obs::health_enabled() && !self.eps_label.is_empty() {
-            self.record_health(
-                &y,
-                &w_eff,
-                &col_eff,
-                wmat,
-                col,
-                &wq,
-                &xq,
-                scale,
-                ge_codes.as_ref(),
-            );
+            self.record_health(&y, wmat, col, &wq, &xq, scale, ge_codes.as_ref());
         }
 
         ExecOutput {
@@ -257,11 +259,10 @@ impl LayerExecutor for ApproxExecutor {
         // model only shapes the training backward (eq. 12), so it has no
         // part in the compiled core.
         let wq = self.weight_quantizer(wmat);
-        let (w_codes, _) = wq.quantize_tensor(wmat);
         Some(Box::new(ApproxBackend {
             lut: Arc::clone(&self.lut),
             adder: self.adder.clone(),
-            w_codes,
+            w_codes: wq.quantize_codes(wmat),
             wq_step: wq.step(),
             x_quantizer: self.frozen_x_quantizer(),
             x_spec: self.x_spec,
@@ -278,20 +279,20 @@ fn batch_x_quantizer(frozen: Option<Quantizer>, col: &Tensor, spec: QuantSpec) -
     batch_quantizer(frozen, col, spec).unwrap_or_else(|| Quantizer::with_step(1.0, spec))
 }
 
-/// The `[oc, k] x [k, m]` approximate GEMM over quantized codes:
-/// LUT-served products accumulated exactly, or through `adder` when one
-/// is attached, then rescaled by `scale`.
+/// The `[oc, k] x [k, m]` approximate GEMM over weight codes and
+/// activation LUT offsets: LUT-served products accumulated exactly, or
+/// through `adder` when one is attached, then rescaled by `scale`.
 fn approx_gemm(
     lut: &SignedLut,
     adder: Option<&dyn Adder>,
     w_codes: &[i32],
-    x_codes: &[i32],
+    xi: &[u8],
     [oc, k, m]: [usize; 3],
     scale: f32,
 ) -> Tensor {
     match adder {
-        Some(adder) => approx_matmul_with_adder(w_codes, x_codes, oc, k, m, lut, adder, scale),
-        None => approx_matmul(w_codes, x_codes, oc, k, m, lut, scale),
+        Some(adder) => approx_matmul_with_adder_offsets(w_codes, xi, oc, k, m, lut, adder, scale),
+        None => approx_matmul_offsets(w_codes, xi, oc, k, m, lut, scale),
     }
 }
 
@@ -323,18 +324,14 @@ impl axnn_nn::GemmBackend for ApproxBackend {
 
     fn forward(&mut self, col: &Tensor, bias: Option<&[f32]>, ep: gemm::Epilogue, out: &mut [f32]) {
         let xq = batch_x_quantizer(self.x_quantizer, col, self.x_spec);
-        let x_codes: Vec<i32> = col
-            .as_slice()
-            .iter()
-            .map(|&x| xq.quantize_code(x))
-            .collect();
+        let xi = lut_offsets(&xq, col.as_slice());
         let m = col.shape()[1];
         let scale = self.wq_step * xq.step();
         let y = approx_gemm(
             &self.lut,
             self.adder.as_deref(),
             &self.w_codes,
-            &x_codes,
+            &xi,
             [self.oc, self.k, m],
             scale,
         );
@@ -444,7 +441,7 @@ mod tests {
         let ya = approx.forward(&wmat, &col, Mode::Eval);
         let yq = quant.forward(&wmat, &col, Mode::Eval);
         for (a, b) in ya.y.as_slice().iter().zip(yq.y.as_slice()) {
-            assert!((a - b).abs() < 1e-3, "{a} vs {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
         assert_eq!(approx.kind(), ExecutorKind::Approximate);
     }
@@ -657,6 +654,29 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn ste_operands_are_the_fake_quantized_inputs_in_train_only() {
+        let mut rng = Rng::seed(81);
+        let wmat = init::uniform(&[3, 10], -0.5, 0.5, &mut rng);
+        let col = init::uniform(&[10, 7], -1.0, 1.0, &mut rng);
+        let mut ex = ApproxExecutor::new(lut(&TruncatedMul::new(5)), None);
+        let train = ex.forward(&wmat, &col, Mode::Train);
+        // Uncalibrated: both quantizers are the dynamic abs-max ones.
+        let wq = Quantizer::for_abs_max(wmat.abs_max(), QuantSpec::weights_4bit());
+        let xq = Quantizer::for_abs_max(col.abs_max(), QuantSpec::activations_8bit());
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&train.wmat_eff), bits(&wq.fake_quant_tensor(&wmat)));
+        assert_eq!(bits(&train.col_eff), bits(&xq.fake_quant_tensor(&col)));
+        assert_eq!(train.col_eff.shape(), col.shape());
+        for mode in [Mode::Eval, Mode::Calibrate] {
+            let out = ex.forward(&wmat, &col, mode);
+            assert!(
+                out.wmat_eff.is_empty() && out.col_eff.is_empty(),
+                "{mode:?}"
+            );
         }
     }
 

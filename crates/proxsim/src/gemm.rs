@@ -1,17 +1,19 @@
 //! Approximate integer GEMM over quantizer codes (paper eq. 4).
 //!
 //! The hot loops are organised around the w-major [`SignedLut`] layout:
-//! activation codes are packed once into `u8` table offsets (4× denser in
-//! cache than the incoming `i32` codes), and each weight code pins one
-//! contiguous 1 KiB LUT row while a whole activation stripe streams past
-//! it. Work is partitioned across threads by output row, so every output
-//! element is produced by exactly one thread with the same k-ascending
-//! accumulation order as the serial [`reference`](mod@reference) kernels —
-//! results are bit-identical for any thread count (and, since the
-//! accumulator is exact `i64`, for [`approx_matmul`] the order could not
-//! matter anyway).
+//! activations arrive as `u8` table offsets (`code + 128`, 4× denser in
+//! cache than `i32` codes; the executors quantize straight into them, the
+//! public `i32`-code entry points pack them once), and each weight code
+//! pins one contiguous 1 KiB LUT row while a whole activation stripe
+//! streams past it. Work is partitioned across threads by output row, so
+//! every output element is produced by exactly one thread with the same
+//! k-ascending accumulation order as the serial
+//! [`reference`](mod@reference) kernels — results are bit-identical for
+//! any thread count (and, since the accumulator is exact `i64`, for
+//! [`approx_matmul`] the order could not matter anyway).
 
 use crate::signed_lut::SignedLut;
+use axnn_quant::Quantizer;
 use axnn_tensor::Tensor;
 
 /// Weight rows sharing one streamed activation stripe per block.
@@ -42,6 +44,34 @@ fn pack_x(col_codes: &[i32]) -> Vec<u8> {
         .collect()
 }
 
+/// Quantizes activations straight into the `u8` LUT offsets (`code + 128`)
+/// the kernels consume: one [`Quantizer::map_codes`] pass, no `i32` codes
+/// in between.
+///
+/// # Panics
+///
+/// Panics if `xq` is wider than 8 bits (its codes would not fit an offset).
+pub(crate) fn lut_offsets(xq: &Quantizer, col: &[f32]) -> Vec<u8> {
+    assert!(
+        xq.spec().bits <= 8,
+        "LUT offsets need codes of at most 8 bits"
+    );
+    let mut xi = vec![0u8; col.len()];
+    xq.map_codes(col, &mut xi, |c| (c + 128) as u8);
+    xi
+}
+
+/// Dequantizes LUT offsets back to a tensor of `shape`: `(offset − 128) ·
+/// step`, the same bits as `xq.fake_quant_tensor` of the activations the
+/// offsets came from, without a second quantize pass.
+pub(crate) fn dequantize_offsets(xq: &Quantizer, xi: &[u8], shape: &[usize]) -> Tensor {
+    let deq = xi
+        .iter()
+        .map(|&o| xq.dequantize(i32::from(o) - 128))
+        .collect();
+    Tensor::from_vec(deq, shape).expect("one offset per element")
+}
+
 /// Computes `ỹᵢⱼ = Σₖ g̃(Wᵢₖ, Xₖⱼ)` over integer codes, accumulating in
 /// `i64`, and returns the result scaled by `scale = s_w · s_x` as an f32
 /// tensor of shape `[OC, M]`.
@@ -61,17 +91,30 @@ pub fn approx_matmul(
     lut: &SignedLut,
     scale: f32,
 ) -> Tensor {
+    approx_matmul_offsets(w_codes, &pack_x(col_codes), oc, k, m, lut, scale)
+}
+
+/// [`approx_matmul`] over activations already packed into `u8` LUT offsets
+/// (`[K, M]`, see [`lut_offsets`]).
+pub(crate) fn approx_matmul_offsets(
+    w_codes: &[i32],
+    xi: &[u8],
+    oc: usize,
+    k: usize,
+    m: usize,
+    lut: &SignedLut,
+    scale: f32,
+) -> Tensor {
     assert_eq!(w_codes.len(), oc * k, "weight code matrix size mismatch");
-    assert_eq!(col_codes.len(), k * m, "input code matrix size mismatch");
+    assert_eq!(xi.len(), k * m, "input code matrix size mismatch");
     let mut out = vec![0.0f32; oc * m];
     if oc == 0 || m == 0 {
         return Tensor::from_vec(out, &[oc, m]).expect("size computed above");
     }
     count_approx_ops(w_codes, m);
-    let xi = pack_x(col_codes);
     axnn_par::par_chunks_mut(&mut out, IB * m, |blk, out_blk| {
         let rows = out_blk.len() / m;
-        approx_rows(w_codes, &xi, blk * IB, rows, k, m, lut, scale, out_blk);
+        approx_rows(w_codes, xi, blk * IB, rows, k, m, lut, scale, out_blk);
     });
     Tensor::from_vec(out, &[oc, m]).expect("size computed above")
 }
@@ -223,14 +266,29 @@ pub fn approx_matmul_with_adder(
     adder: &dyn axnn_axmul::adder::Adder,
     scale: f32,
 ) -> Tensor {
+    approx_matmul_with_adder_offsets(w_codes, &pack_x(col_codes), oc, k, m, lut, adder, scale)
+}
+
+/// [`approx_matmul_with_adder`] over activations already packed into `u8`
+/// LUT offsets (`[K, M]`, see [`lut_offsets`]).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn approx_matmul_with_adder_offsets(
+    w_codes: &[i32],
+    xi: &[u8],
+    oc: usize,
+    k: usize,
+    m: usize,
+    lut: &SignedLut,
+    adder: &dyn axnn_axmul::adder::Adder,
+    scale: f32,
+) -> Tensor {
     assert_eq!(w_codes.len(), oc * k, "weight code matrix size mismatch");
-    assert_eq!(col_codes.len(), k * m, "input code matrix size mismatch");
+    assert_eq!(xi.len(), k * m, "input code matrix size mismatch");
     let mut out = vec![0.0f32; oc * m];
     if oc == 0 || m == 0 {
         return Tensor::from_vec(out, &[oc, m]).expect("size computed above");
     }
     count_approx_ops(w_codes, m);
-    let xi = pack_x(col_codes);
     axnn_par::par_chunks_mut(&mut out, m, |i, out_row| {
         let w_row_codes = &w_codes[i * k..(i + 1) * k];
         let mut acc = [0i64; JB];

@@ -32,9 +32,11 @@ impl ActRangeCalibrator {
         self.abs_max = self.abs_max.max(abs_max);
         let base_exp = (self.abs_max / spec.qmax() as f32).log2().ceil() as i32;
         let reference = gemm::matmul(wmat, col);
+        let mut deq = Tensor::zeros(col.shape());
         for e in (base_exp - 3)..=(base_exp + 1) {
             let q = Quantizer::with_step(2f32.powi(e), spec);
-            let err = (&gemm::matmul(wmat, &q.fake_quant_tensor(col)) - &reference).sq_norm();
+            q.fake_quant_into(col.as_slice(), deq.as_mut_slice());
+            let err = (&gemm::matmul(wmat, &deq) - &reference).sq_norm();
             let entry = self.scores.entry(e).or_insert((0.0, 0));
             entry.0 += err as f64;
             entry.1 += 1;
@@ -129,16 +131,13 @@ impl QuantExecutor {
         let mut out = wmat.clone();
         for r in 0..rows {
             let range = r * cols..(r + 1) * cols;
-            let abs_max = wmat.as_slice()[range.clone()]
-                .iter()
-                .fold(0.0f32, |m, &v| m.max(v.abs()));
+            let row = &wmat.as_slice()[range.clone()];
+            let abs_max = row.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
             if abs_max == 0.0 {
                 continue;
             }
             let q = Quantizer::for_abs_max(abs_max, self.w_spec);
-            for v in &mut out.as_mut_slice()[range] {
-                *v = q.fake_quant(*v);
-            }
+            q.fake_quant_into(row, &mut out.as_mut_slice()[range]);
         }
         out
     }
@@ -265,15 +264,13 @@ impl axnn_nn::GemmBackend for QuantBackend {
     fn forward(&mut self, col: &Tensor, bias: Option<&[f32]>, ep: gemm::Epilogue, out: &mut [f32]) {
         let col_eff: &Tensor = match &batch_quantizer(self.x_quantizer, col, self.x_spec) {
             Some(q) => {
-                // Same per-element fake-quant as `fake_quant_tensor`, into
-                // a reused buffer instead of a fresh allocation per call.
+                // The `fake_quant_tensor` kernel, into a reused buffer
+                // instead of a fresh allocation per call.
                 let mut scratch = match self.col_scratch.take() {
                     Some(t) if t.shape() == col.shape() => t,
                     _ => Tensor::zeros(col.shape()),
                 };
-                for (d, &v) in scratch.as_mut_slice().iter_mut().zip(col.as_slice()) {
-                    *d = q.fake_quant(v);
-                }
+                q.fake_quant_into(col.as_slice(), scratch.as_mut_slice());
                 self.col_scratch.insert(scratch)
             }
             None => col,

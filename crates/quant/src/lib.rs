@@ -9,8 +9,9 @@
 //!   quantization error (MinPropQE, paper ref. \[1\]),
 //! - step sizes rounded to the next power of two so scaling is a shift.
 //!
-//! The crate provides the scalar/tensor [`Quantizer`], the
-//! [`QuantExecutor`] that swaps into conv/FC layers via
+//! The crate provides the scalar/tensor [`Quantizer`] (one branch-free,
+//! auto-vectorising kernel, [`Quantizer::map_codes`], behind every quantize
+//! and fake-quant), the [`QuantExecutor`] that swaps into conv/FC layers via
 //! [`quantize_network`], and the straight-through estimator semantics: the
 //! executor's effective operands are the quantize-dequantized values, so the
 //! exact-GEMM backward in `axnn-nn` *is* the STE of the paper's eq. (5).

@@ -52,12 +52,19 @@ impl QuantSpec {
 
 /// A symmetric linear quantizer with a fixed step size.
 ///
-/// Codes are `clamp(round(x / step), −qmax, qmax)`; dequantization is
-/// `code · step`. There is no zero point (paper §III).
+/// Codes are `clamp(round(x / step), −qmax, qmax)` with rounding half away
+/// from zero (NaN maps to 0); dequantization is `code · step`. There is no
+/// zero point (paper §III). Every quantize and fake-quant in the workspace
+/// runs through one branch-free kernel, [`map_codes`](Self::map_codes); see
+/// DESIGN.md §6 for why it equals the formula above bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quantizer {
     spec: QuantSpec,
     step: f32,
+    /// `1 / step` when `step` is a normal power of two: the reciprocal is
+    /// then an exact power of two too, so `x · recip` rounds to the same
+    /// `f32` as `x / step`. `None` keeps the division (non-pow2 steps).
+    recip: Option<f32>,
 }
 
 impl Quantizer {
@@ -65,15 +72,26 @@ impl Quantizer {
     ///
     /// # Panics
     ///
-    /// Panics if `step` is not finite and positive.
+    /// Panics if `step` is not finite and positive, or if `spec.bits` is
+    /// outside `2..=24` (wider codes are not exact `f32` integers).
     pub fn with_step(step: f32, spec: QuantSpec) -> Self {
         assert!(step.is_finite() && step > 0.0, "step must be positive");
+        assert!(
+            (2..=24).contains(&spec.bits),
+            "quantizer width must be 2..=24 bits, got {}",
+            spec.bits
+        );
         let step = if spec.pow2_step {
             round_step_pow2(step)
         } else {
             step
         };
-        Self { spec, step }
+        let pow2 = step.is_normal() && step.to_bits() & 0x007f_ffff == 0;
+        Self {
+            spec,
+            step,
+            recip: pow2.then(|| 1.0 / step),
+        }
     }
 
     /// Creates a quantizer whose range covers `[−abs_max, abs_max]`,
@@ -81,7 +99,8 @@ impl Quantizer {
     ///
     /// # Panics
     ///
-    /// Panics if `abs_max` is not finite and positive.
+    /// Panics if `abs_max` is not finite and positive, or as
+    /// [`with_step`](Self::with_step) does.
     pub fn for_abs_max(abs_max: f32, spec: QuantSpec) -> Self {
         assert!(
             abs_max.is_finite() && abs_max > 0.0,
@@ -101,10 +120,41 @@ impl Quantizer {
     }
 
     /// Quantizes one value to its integer code.
+    #[inline]
     pub fn quantize_code(&self, x: f32) -> i32 {
-        let q = (x / self.step).round() as i64;
-        let m = self.spec.qmax() as i64;
-        q.clamp(-m, m) as i32
+        let qmax = self.spec.qmax() as f32;
+        match self.recip {
+            Some(r) => round_clamp(x * r, qmax),
+            None => round_clamp(x / self.step, qmax),
+        }
+    }
+
+    /// The quantization kernel: `out[i] = emit(code(xs[i]))` for every
+    /// element, with `code` exactly [`quantize_code`](Self::quantize_code).
+    /// The step is resolved once outside the loop and the per-element body
+    /// is branch-free, so the loop auto-vectorises for any inlined `emit`
+    /// (an `i32` code, a dequantized `f32`, a `u8` LUT offset).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` and `out` differ in length.
+    #[inline]
+    pub fn map_codes<T>(&self, xs: &[f32], out: &mut [T], emit: impl Fn(i32) -> T) {
+        assert_eq!(xs.len(), out.len(), "quantize input/output length mismatch");
+        let qmax = self.spec.qmax() as f32;
+        match self.recip {
+            Some(r) => {
+                for (o, &x) in out.iter_mut().zip(xs) {
+                    *o = emit(round_clamp(x * r, qmax));
+                }
+            }
+            None => {
+                let step = self.step;
+                for (o, &x) in out.iter_mut().zip(xs) {
+                    *o = emit(round_clamp(x / step, qmax));
+                }
+            }
+        }
     }
 
     /// Dequantizes one code.
@@ -117,14 +167,17 @@ impl Quantizer {
         self.dequantize(self.quantize_code(x))
     }
 
+    /// The integer codes of a tensor, row-major.
+    pub fn quantize_codes(&self, t: &Tensor) -> Vec<i32> {
+        let mut codes = vec![0i32; t.len()];
+        self.map_codes(t.as_slice(), &mut codes, |c| c);
+        codes
+    }
+
     /// Quantizes a tensor to integer codes (stored as exact `f32` integers
     /// alongside an `i32` vector for LUT indexing).
     pub fn quantize_tensor(&self, t: &Tensor) -> (Vec<i32>, Tensor) {
-        let codes: Vec<i32> = t
-            .as_slice()
-            .iter()
-            .map(|&x| self.quantize_code(x))
-            .collect();
+        let codes = self.quantize_codes(t);
         let deq = Tensor::from_vec(
             codes.iter().map(|&c| self.dequantize(c)).collect(),
             t.shape(),
@@ -133,9 +186,20 @@ impl Quantizer {
         (codes, deq)
     }
 
+    /// Quantize-dequantizes `xs` into `out` (same length), one kernel pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` and `out` differ in length.
+    pub fn fake_quant_into(&self, xs: &[f32], out: &mut [f32]) {
+        self.map_codes(xs, out, |c| self.dequantize(c));
+    }
+
     /// Quantize-dequantizes a whole tensor.
     pub fn fake_quant_tensor(&self, t: &Tensor) -> Tensor {
-        t.map(|x| self.fake_quant(x))
+        let mut out = Tensor::zeros(t.shape());
+        self.fake_quant_into(t.as_slice(), out.as_mut_slice());
+        out
     }
 
     /// Counts the values of `t` that clip to the extreme codes `±qmax` —
@@ -146,6 +210,29 @@ impl Quantizer {
         let limit = (self.spec.qmax() as f32 + 0.5) * self.step;
         t.as_slice().iter().filter(|x| x.abs() >= limit).count() as u64
     }
+}
+
+/// `clamp(round(v), −qmax, qmax)` with rounding half away from zero, and
+/// NaN mapped to 0, for integral `0 ≤ qmax < 2^24` — without libm `round`
+/// or a branch.
+///
+/// `round` is monotone and fixes the integers `±qmax`, so clamping first
+/// gives the same code as clamping the rounded value. Inside the clamp
+/// `t = trunc(v)` fits an `i32` and `f = v − t` is exact, with the sign of
+/// `v`; the half-away step is then `t + [f ≥ ½] − [f ≤ −½]`.
+#[inline(always)]
+fn round_clamp(v: f32, qmax: f32) -> i32 {
+    let v = if v.is_nan() {
+        0.0
+    } else {
+        v.clamp(-qmax, qmax)
+    };
+    // SAFETY: `v` is finite and `|v| ≤ qmax < 2^24`, so its truncation fits
+    // an `i32`. The checked `as` cast would saturate and map NaN to 0 per
+    // lane, which x86-64 cannot vectorise; the select above already did.
+    let t: i32 = unsafe { v.to_int_unchecked() };
+    let f = v - t as f32;
+    t + i32::from(f >= 0.5) - i32::from(f <= -0.5)
 }
 
 /// Rounds a step size to the nearest power of two **at or above** it, so the
@@ -185,10 +272,11 @@ pub fn min_prop_qe(wmat: &Tensor, col: &Tensor, spec: QuantSpec) -> Quantizer {
     let reference = gemm::matmul(wmat, col);
     let mut best_step = base;
     let mut best_err = f32::INFINITY;
+    let mut deq = Tensor::zeros(col.shape());
     for e in -3i32..=1 {
         let step = base * 2f32.powi(e);
         let q = Quantizer::with_step(step, spec);
-        let deq = q.fake_quant_tensor(col);
+        q.fake_quant_into(col.as_slice(), deq.as_mut_slice());
         let err = (&gemm::matmul(wmat, &deq) - &reference).sq_norm();
         if err < best_err {
             best_err = err;

@@ -105,8 +105,19 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // `take` + `read_to_end` fills the reserved buffer straight from the
+    // reader, without zero-filling it first as `read_exact` would need.
+    let mut payload = Vec::with_capacity(len);
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!(
+                "connection closed mid-frame ({} of {len} payload bytes)",
+                payload.len()
+            ),
+        ));
+    }
     Ok(Some(payload))
 }
 
@@ -767,6 +778,22 @@ mod tests {
         buf.extend_from_slice(b"abc"); // 3 of 8 promised bytes
         let err = read_frame(&mut Cursor::new(buf)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn truncated_payload_error_names_the_byte_counts() {
+        let mut buf = 5u32.to_be_bytes().to_vec();
+        buf.extend_from_slice(b"ab");
+        let err = read_frame(&mut Cursor::new(buf)).unwrap_err();
+        assert!(err.to_string().contains("2 of 5"), "{err}");
+        // A complete frame reads back exactly, and the next one after it.
+        let mut two = Vec::new();
+        write_frame(&mut two, b"hello").unwrap();
+        write_frame(&mut two, b"").unwrap();
+        let mut r = Cursor::new(two);
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b"hello"[..]));
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b""[..]));
+        assert!(read_frame(&mut r).unwrap().is_none());
     }
 
     #[test]

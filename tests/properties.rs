@@ -28,6 +28,166 @@ fn quantizer_error_bound() {
     });
 }
 
+/// The rounding formula every quantize path used before the branch-free
+/// kernel, `clamp(round(x / step), −qmax, qmax)` through libm `round` and
+/// `i64`. It survives only here, as the oracle the kernel is held to.
+fn oracle_code(x: f32, step: f32, qmax: i32) -> i32 {
+    let q = (x / step).round() as i64;
+    let m = i64::from(qmax);
+    q.clamp(-m, m) as i32
+}
+
+/// Every width the property tests hold to the oracle: the symmetric
+/// power-of-two specs of 2..=8 bits, plus the 8-bit spec that keeps its
+/// step as given.
+fn oracle_specs() -> Vec<QuantSpec> {
+    let mut specs: Vec<QuantSpec> = (2..=8).map(QuantSpec::symmetric).collect();
+    specs.push(QuantSpec {
+        bits: 8,
+        pow2_step: false,
+    });
+    specs
+}
+
+/// Asserts that every entry point of the quantization kernel gives the
+/// oracle's code for every value of `xs`, bit for bit: the scalar
+/// `quantize_code` and `fake_quant`, and the slice kernel into `i32`
+/// codes and into fake-quantized `f32`s.
+fn assert_kernel_matches_oracle(q: &Quantizer, xs: &[f32]) {
+    let (step, qmax) = (q.step(), q.spec().qmax());
+    let mut codes = vec![0i32; xs.len()];
+    q.map_codes(xs, &mut codes, |c| c);
+    let mut deq = vec![0f32; xs.len()];
+    q.fake_quant_into(xs, &mut deq);
+    for ((&x, &code), &d) in xs.iter().zip(&codes).zip(&deq) {
+        let want = oracle_code(x, step, qmax);
+        let ctx = || {
+            format!(
+                "x = {x:e} ({:#010x}), step {step:e}, qmax {qmax}",
+                x.to_bits()
+            )
+        };
+        assert_eq!(q.quantize_code(x), want, "scalar code, {}", ctx());
+        assert_eq!(code, want, "slice code, {}", ctx());
+        let want_deq = (want as f32 * step).to_bits();
+        assert_eq!(
+            q.fake_quant(x).to_bits(),
+            want_deq,
+            "scalar fake-quant, {}",
+            ctx()
+        );
+        assert_eq!(d.to_bits(), want_deq, "slice fake-quant, {}", ctx());
+    }
+}
+
+/// The values where a rounding shortcut goes wrong, for one quantizer:
+/// ties `(n ± ½)·step` and their float neighbours across the whole code
+/// range and past it, the clip boundaries `±(qmax ± ½)·step`, the largest
+/// float below ½ (`0.49999997`), signed zeros, subnormals, the extremes,
+/// infinities and NaNs.
+fn edge_values(step: f32, qmax: i32) -> Vec<f32> {
+    let mut xs = Vec::new();
+    for n in -(qmax + 2)..=(qmax + 2) {
+        for v in [n as f32 - 0.5, n as f32, n as f32 + 0.5] {
+            let x = v * step;
+            xs.extend([x, f32::from_bits(x.to_bits() + 1)]);
+            if x != 0.0 {
+                xs.push(f32::from_bits(x.to_bits() - 1));
+            }
+        }
+    }
+    let q = qmax as f32;
+    for v in [q - 0.5, q + 0.5, 0.499_999_97, 0.5, 1.499_999_9, 2.5] {
+        xs.extend([v * step, -v * step]);
+    }
+    let special = [
+        0.0,
+        -0.0,
+        f32::from_bits(1),
+        f32::from_bits(0x007f_ffff),
+        f32::MIN_POSITIVE,
+        f32::MAX,
+        f32::INFINITY,
+        f32::NAN,
+        f32::from_bits(0x7f80_0001),
+        f32::from_bits(0x7fff_ffff),
+    ];
+    for x in special {
+        xs.extend([x, -x]);
+    }
+    xs
+}
+
+/// The branch-free kernel equals the `round()` oracle bit for bit at every
+/// edge value, for every width, at every power-of-two step from 2⁻²⁰ to
+/// 2¹⁰ (and at non-pow2 steps for the spec that keeps them).
+#[test]
+fn quantize_kernel_matches_round_oracle_on_edge_values() {
+    for spec in oracle_specs() {
+        let steps: Vec<f32> = if spec.pow2_step {
+            (-20..=10).map(|e| 2f32.powi(e)).collect()
+        } else {
+            vec![0.3, 0.1, 1.7, 3e-5, 0.25, 1000.0 / 3.0]
+        };
+        for step in steps {
+            let q = Quantizer::with_step(step, spec);
+            assert_eq!(q.step(), step, "{spec:?} kept the step");
+            assert_kernel_matches_oracle(&q, &edge_values(step, spec.qmax()));
+        }
+    }
+}
+
+/// The same equality on random inputs: uniform bit patterns (every
+/// exponent, NaNs included) and values spread over a few clip ranges.
+#[test]
+fn quantize_kernel_matches_round_oracle_on_random_values() {
+    let specs = oracle_specs();
+    cases(256, |mut rng| {
+        let spec = specs[rng.gen_range(0..specs.len())];
+        let step = if spec.pow2_step {
+            2f32.powi(rng.gen_range(-20i32..=10))
+        } else {
+            rng.gen_range(1e-4f32..10.0)
+        };
+        let q = Quantizer::with_step(step, spec);
+        let reach = step * spec.qmax() as f32 * 3.0;
+        let xs: Vec<f32> = (0..512)
+            .map(|i| {
+                if i % 2 == 0 {
+                    f32::from_bits(rng.next_u64() as u32)
+                } else {
+                    rng.gen_range(-reach..reach)
+                }
+            })
+            .collect();
+        assert_kernel_matches_oracle(&q, &xs);
+    });
+}
+
+/// A strided sweep over all 2³² `f32` bit patterns — about a million
+/// values covering every exponent, both signs, NaNs and infinities —
+/// through the 8-bit activation and 4-bit weight quantizers at steps from
+/// 2⁻²⁰ to 2¹⁰, and the non-pow2 spec.
+#[test]
+fn quantize_kernel_matches_round_oracle_on_a_sweep_of_all_f32s() {
+    // An odd stride visits every residue of the low mantissa bits.
+    let xs: Vec<f32> = (0..=u32::MAX).step_by(4099).map(f32::from_bits).collect();
+    assert!(xs.len() > 1_000_000);
+    let non_pow2 = QuantSpec {
+        bits: 8,
+        pow2_step: false,
+    };
+    for (spec, step) in [
+        (QuantSpec::activations_8bit(), 2f32.powi(-7)),
+        (QuantSpec::activations_8bit(), 2f32.powi(-20)),
+        (QuantSpec::weights_4bit(), 2f32.powi(-2)),
+        (QuantSpec::weights_4bit(), 2f32.powi(10)),
+        (non_pow2, 0.3),
+    ] {
+        assert_kernel_matches_oracle(&Quantizer::with_step(step, spec), &xs);
+    }
+}
+
 /// The approximate GEMM with the exact multiplier equals the integer
 /// reference product for arbitrary code matrices.
 #[test]
