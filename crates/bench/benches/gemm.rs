@@ -6,7 +6,7 @@
 use axnn_axmul::{ExactMul, Multiplier, TruncatedMul};
 use axnn_bench::timing::{bench, interleaved};
 use axnn_nn::{ExactExecutor, LayerExecutor, Mode};
-use axnn_proxsim::{approx_matmul, ApproxExecutor, PiecewiseLinearError, SignedLut};
+use axnn_proxsim::{approx_matmul, LutProduct, PiecewiseLinearError, SignedLut};
 use axnn_quant::QuantExecutor;
 use axnn_rng::Rng;
 use axnn_tensor::{gemm, init, Tensor};
@@ -188,7 +188,7 @@ fn hist_overhead_pct(a: &Tensor, b: &Tensor) -> f64 {
     axnn_par::set_threads(1);
     let lut = Arc::new(SignedLut::build(&TruncatedMul::new(5)));
     let model = PiecewiseLinearError::new(-0.05, 0.0, -10.0, 10.0);
-    let mut ex = ApproxExecutor::new(lut, Some(model));
+    let mut ex = QuantExecutor::new_8a4w().with_product(LutProduct::new(lut, Some(model)));
     ex.set_obs_label("bench");
     axnn_obs::set_enabled(false);
     axnn_obs::set_health_enabled(false);
@@ -273,7 +273,7 @@ fn write_gemm_report(a: &Tensor, b: &Tensor, w_codes: &[i32], x_codes: &[i32], l
         )
     };
     let report = format!(
-        "{{\n  \"bench\": \"gemm_{s}x{s}x{s}\",\n  \"timing\": \"min of {REPS} interleaved repetitions, release build, milliseconds\",\n  \"baseline\": \"reference_ms is the serial naive kernel (gemm::reference / proxsim::gemm::reference), i.e. the single-thread baseline\",\n  \"note\": \"row-partitioned outputs make every configuration bit-identical; on a single-core host the thread rows coincide and the speedup comes from the blocked kernels\",\n  \"profile_overhead_pct\": {overhead_pct:.2},\n  \"profile_overhead_note\": \"blocked approx_matmul with axnn-obs profiling enabled vs disabled (interleaved minima, quiet-window retried); an upper bound on the disabled-path cost, since the enabled path does strictly more work. Negative values are measurement noise\",\n  \"hist_overhead_pct\": {hist_pct:.2},\n  \"hist_overhead_note\": \"labelled ApproxExecutor forward (Mode::Train) with spans+health telemetry enabled vs fully disabled (interleaved minima over 4-call batches, quiet-window retried): sampled eps histograms, GE residual/coverage ratios, saturation rates. Same upper-bound reading as profile_overhead_pct; negative values are measurement noise\",\n  \"kernels\": [\n{},\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"gemm_{s}x{s}x{s}\",\n  \"timing\": \"min of {REPS} interleaved repetitions, release build, milliseconds\",\n  \"baseline\": \"reference_ms is the serial naive kernel (gemm::reference / proxsim::gemm::reference), i.e. the single-thread baseline\",\n  \"note\": \"row-partitioned outputs make every configuration bit-identical; on a single-core host the thread rows coincide and the speedup comes from the blocked kernels\",\n  \"profile_overhead_pct\": {overhead_pct:.2},\n  \"profile_overhead_note\": \"blocked approx_matmul with axnn-obs profiling enabled vs disabled (interleaved minima, quiet-window retried); an upper bound on the disabled-path cost, since the enabled path does strictly more work. Negative values are measurement noise\",\n  \"hist_overhead_pct\": {hist_pct:.2},\n  \"hist_overhead_note\": \"labelled approximate QuantExecutor forward (Mode::Train) with spans+health telemetry enabled vs fully disabled (interleaved minima over 4-call batches, quiet-window retried): sampled eps histograms, GE residual/coverage ratios, saturation rates. Same upper-bound reading as profile_overhead_pct; negative values are measurement noise\",\n  \"kernels\": [\n{},\n{}\n  ]\n}}\n",
         row("exact_matmul", exact_ref, &exact_ms),
         row("approx_matmul", approx_ref, &approx_ms),
         s = SWEEP,

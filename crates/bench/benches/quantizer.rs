@@ -18,7 +18,7 @@ fn bench_quantizer() {
         black_box(q.fake_quant_tensor(black_box(&t)));
     });
     bench("quantizer/quantize_codes_64k", 30, || {
-        black_box(q.quantize_tensor(black_box(&t)));
+        black_box(q.quantize_codes(black_box(&t)));
     });
 
     // Column-matrix size: the im2col matrices of one batch-32 forward of
@@ -28,9 +28,9 @@ fn bench_quantizer() {
         black_box(q.fake_quant_tensor(black_box(&col)));
     });
     bench("quantizer/quantize_codes_3m", 10, || {
-        black_box(q.quantize_tensor(black_box(&col)));
+        black_box(q.quantize_codes(black_box(&col)));
     });
-    // The approximate executors' pass: codes straight into u8 LUT offsets.
+    // The approximate product's pass: codes straight into u8 LUT offsets.
     let mut offsets = vec![0u8; col.len()];
     bench("quantizer/lut_offsets_3m", 10, || {
         q.map_codes(black_box(col.as_slice()), &mut offsets, |c| (c + 128) as u8);

@@ -13,7 +13,8 @@ use axnn_axmul::catalog;
 use axnn_bench::{pct, print_table, Scale};
 use axnn_nn::train::{calibrate, evaluate};
 use axnn_nn::{ExecutorKind, Layer};
-use axnn_proxsim::{ApproxExecutor, SignedLut};
+use axnn_proxsim::{LutProduct, SignedLut};
+use axnn_quant::QuantExecutor;
 use std::sync::Arc;
 
 fn main() {
@@ -39,9 +40,9 @@ fn main() {
             let lut = Arc::clone(&lut);
             let adder = Arc::clone(adder);
             net.visit_gemm_cores(&mut |core| {
-                core.set_executor(Box::new(
-                    ApproxExecutor::new(Arc::clone(&lut), None).with_adder(Arc::clone(&adder)),
-                ));
+                core.set_executor(Box::new(QuantExecutor::new_8a4w().with_product(
+                    LutProduct::new(Arc::clone(&lut), None).with_adder(Arc::clone(&adder)),
+                )));
             });
             // Safety net: everything should now be approximate.
             net.visit_gemm_cores(&mut |core| {

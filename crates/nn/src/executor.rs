@@ -2,12 +2,14 @@
 //!
 //! Every [`Conv2d`](crate::Conv2d) and [`Linear`](crate::Linear) layer
 //! computes its forward product through a [`LayerExecutor`]. The default
-//! [`ExactExecutor`] is plain f32 GEMM; the quantization crate swaps in an
-//! 8A4W executor, and the ProxSim crate swaps in an approximate-multiplier
-//! executor. The *backward* pass never changes: it is always the exact GEMM
-//! gradient of the effective operands returned by the executor — the
-//! straight-through estimator of the paper's eq. (5) — with an optional
-//! elementwise upstream scale implementing gradient estimation (eq. 10/12).
+//! [`ExactExecutor`] is plain f32 GEMM; the quantization crate's one 8A4W
+//! executor replaces it for both quantized families — exact products, or
+//! the approximate product the ProxSim crate supplies through
+//! `axnn_quant::ApproxProduct`. The *backward* pass never changes: it is
+//! always the exact GEMM gradient of the effective operands returned by
+//! the executor — the straight-through estimator of the paper's eq. (5) —
+//! with an optional elementwise upstream scale implementing gradient
+//! estimation (eq. 10/12).
 
 use crate::Mode;
 use axnn_tensor::{gemm, Tensor};
@@ -120,16 +122,22 @@ impl ExactExecutor {
 }
 
 impl LayerExecutor for ExactExecutor {
-    fn forward(&mut self, wmat: &Tensor, col: &Tensor, _mode: Mode) -> ExecOutput {
+    fn forward(&mut self, wmat: &Tensor, col: &Tensor, mode: Mode) -> ExecOutput {
         if axnn_obs::enabled() {
             let (oc, k) = (wmat.shape()[0], wmat.shape()[1]);
             let m = col.shape()[1];
             axnn_obs::count(axnn_obs::Counter::GemmMacs, (oc * k * m) as u64);
         }
+        // Only the Train backward reads the STE operands.
+        let (wmat_eff, col_eff) = if mode == Mode::Train {
+            (wmat.clone(), col.clone())
+        } else {
+            (Tensor::zeros(&[0, 0]), Tensor::zeros(&[0, 0]))
+        };
         ExecOutput {
             y: gemm::matmul(wmat, col),
-            wmat_eff: wmat.clone(),
-            col_eff: col.clone(),
+            wmat_eff,
+            col_eff,
             grad_scale: None,
         }
     }
@@ -211,10 +219,18 @@ mod tests {
         let mut ex = ExactExecutor::new();
         let w = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
         let x = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]).unwrap();
-        let out = ex.forward(&w, &x, Mode::Eval);
+        let out = ex.forward(&w, &x, Mode::Train);
         assert_eq!(out.y, w);
         assert_eq!(out.wmat_eff, w);
         assert_eq!(out.col_eff, x);
+        for mode in [Mode::Eval, Mode::Calibrate] {
+            let out = ex.forward(&w, &x, mode);
+            assert_eq!(out.y, w);
+            assert!(
+                out.wmat_eff.is_empty() && out.col_eff.is_empty(),
+                "{mode:?}"
+            );
+        }
         assert_eq!(ex.kind(), ExecutorKind::Exact);
     }
 

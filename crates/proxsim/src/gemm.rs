@@ -2,7 +2,7 @@
 //!
 //! The hot loops are organised around the w-major [`SignedLut`] layout:
 //! activations arrive as `u8` table offsets (`code + 128`, 4× denser in
-//! cache than `i32` codes; the executors quantize straight into them, the
+//! cache than `i32` codes; the 8A4W executor quantizes straight into them, the
 //! public `i32`-code entry points pack them once), and each weight code
 //! pins one contiguous 1 KiB LUT row while a whole activation stripe
 //! streams past it. Work is partitioned across threads by output row, so
@@ -13,7 +13,6 @@
 //! [`approx_matmul`] the order could not matter anyway).
 
 use crate::signed_lut::SignedLut;
-use axnn_quant::Quantizer;
 use axnn_tensor::Tensor;
 
 /// Weight rows sharing one streamed activation stripe per block.
@@ -44,34 +43,6 @@ fn pack_x(col_codes: &[i32]) -> Vec<u8> {
         .collect()
 }
 
-/// Quantizes activations straight into the `u8` LUT offsets (`code + 128`)
-/// the kernels consume: one [`Quantizer::map_codes`] pass, no `i32` codes
-/// in between.
-///
-/// # Panics
-///
-/// Panics if `xq` is wider than 8 bits (its codes would not fit an offset).
-pub(crate) fn lut_offsets(xq: &Quantizer, col: &[f32]) -> Vec<u8> {
-    assert!(
-        xq.spec().bits <= 8,
-        "LUT offsets need codes of at most 8 bits"
-    );
-    let mut xi = vec![0u8; col.len()];
-    xq.map_codes(col, &mut xi, |c| (c + 128) as u8);
-    xi
-}
-
-/// Dequantizes LUT offsets back to a tensor of `shape`: `(offset − 128) ·
-/// step`, the same bits as `xq.fake_quant_tensor` of the activations the
-/// offsets came from, without a second quantize pass.
-pub(crate) fn dequantize_offsets(xq: &Quantizer, xi: &[u8], shape: &[usize]) -> Tensor {
-    let deq = xi
-        .iter()
-        .map(|&o| xq.dequantize(i32::from(o) - 128))
-        .collect();
-    Tensor::from_vec(deq, shape).expect("one offset per element")
-}
-
 /// Computes `ỹᵢⱼ = Σₖ g̃(Wᵢₖ, Xₖⱼ)` over integer codes, accumulating in
 /// `i64`, and returns the result scaled by `scale = s_w · s_x` as an f32
 /// tensor of shape `[OC, M]`.
@@ -95,7 +66,7 @@ pub fn approx_matmul(
 }
 
 /// [`approx_matmul`] over activations already packed into `u8` LUT offsets
-/// (`[K, M]`, see [`lut_offsets`]).
+/// (`[K, M]`, `code + 128`).
 pub(crate) fn approx_matmul_offsets(
     w_codes: &[i32],
     xi: &[u8],
@@ -270,7 +241,7 @@ pub fn approx_matmul_with_adder(
 }
 
 /// [`approx_matmul_with_adder`] over activations already packed into `u8`
-/// LUT offsets (`[K, M]`, see [`lut_offsets`]).
+/// LUT offsets (`[K, M]`, `code + 128`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn approx_matmul_with_adder_offsets(
     w_codes: &[i32],

@@ -14,9 +14,10 @@
 //!   `f(y) = min(a, max(k·y + c, b))` whose derivative drives gradient
 //!   estimation (eq. 12–13) — the Monte-Carlo fitting lives in the
 //!   `approxkd` crate;
-//! - [`ApproxExecutor`]: the drop-in layer executor combining 8A4W
-//!   quantization, LUT-served approximate GEMM and the optional `(1 + K)`
-//!   gradient scale;
+//! - [`LutProduct`]: the LUT-served approximate product (with an optional
+//!   approximate adder and GE error model) that the one 8A4W executor,
+//!   `axnn_quant::QuantExecutor`, carries in place of exact multiplication
+//!   and whose `(1 + K)` gradient scale it returns in training;
 //! - [`approximate_network_assigned`]: the one per-layer executor layout
 //!   (approximate or 8A4W per GEMM layer), with [`approximate_network`] as
 //!   its uniform case.
@@ -33,13 +34,11 @@
 //! ```
 
 mod error_model;
-mod executor;
 pub mod gemm;
+mod product;
 mod signed_lut;
 
 pub use error_model::PiecewiseLinearError;
-pub use executor::{
-    approximate_network, approximate_network_assigned, ApproxExecutor, LayerAssignment,
-};
 pub use gemm::{approx_matmul, approx_matmul_with_adder};
+pub use product::{approximate_network, approximate_network_assigned, LayerAssignment, LutProduct};
 pub use signed_lut::SignedLut;

@@ -1,9 +1,12 @@
-//! The quantized (8A4W) layer executor and network-wide quantization.
+//! The 8A4W layer executor — exact or approximate products over quantized
+//! operands — and network-wide quantization.
 
 use crate::quantizer::{QuantSpec, Quantizer};
 use axnn_nn::{ExecOutput, ExecutorKind, Layer, LayerExecutor, Mode, Sequential};
 use axnn_tensor::{gemm, Tensor};
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::Arc;
 
 /// Accumulates activation statistics over calibration batches and selects
 /// the activation step by MinPropQE (paper ref. \[1\]).
@@ -12,7 +15,7 @@ use std::collections::BTreeMap;
 /// batch abs-max are scored by the propagated error
 /// `‖W·deq(q(X)) − W·X‖²`; the exponent with the lowest mean score wins.
 #[derive(Debug, Clone, Default)]
-pub struct ActRangeCalibrator {
+pub(crate) struct ActRangeCalibrator {
     scores: BTreeMap<i32, (f64, u32)>,
     abs_max: f32,
 }
@@ -54,29 +57,105 @@ impl ActRangeCalibrator {
     }
 }
 
-/// The activation quantizer for one batch: `frozen` when calibration
-/// produced one, else a dynamic abs-max quantizer of `col` (`None` for an
-/// all-zero batch). The interpreter forwards and the compiled backends of
-/// both quantizing executors resolve through this one chain.
-pub fn batch_quantizer(
-    frozen: Option<Quantizer>,
-    col: &Tensor,
-    spec: QuantSpec,
-) -> Option<Quantizer> {
-    frozen.or_else(|| {
-        let abs_max = col.abs_max();
-        (abs_max > 0.0).then(|| Quantizer::for_abs_max(abs_max, spec))
-    })
+/// The dynamic abs-max quantizer of `t`, or step 1 when `t` is all zero
+/// (its codes are zero under any step). The weights always take it; the
+/// activations take it until calibration has frozen a step.
+fn abs_max_quantizer(t: &Tensor, spec: QuantSpec) -> Quantizer {
+    let abs_max = t.abs_max();
+    if abs_max > 0.0 {
+        Quantizer::for_abs_max(abs_max, spec)
+    } else {
+        Quantizer::with_step(1.0, spec)
+    }
 }
 
-/// The 8A4W fake-quantization executor.
+/// Quantizes activations straight into the `u8` LUT offsets (`code + 128`)
+/// an [`ApproxProduct`] reads: one [`Quantizer::map_codes`] pass, no `i32`
+/// codes in between.
+///
+/// # Panics
+///
+/// Panics if `xq` is wider than 8 bits (its codes would not fit an offset).
+fn lut_offsets(xq: &Quantizer, col: &[f32]) -> Vec<u8> {
+    assert!(
+        xq.spec().bits <= 8,
+        "LUT offsets need codes of at most 8 bits"
+    );
+    let mut xi = vec![0u8; col.len()];
+    xq.map_codes(col, &mut xi, |c| (c + 128) as u8);
+    xi
+}
+
+/// Dequantizes LUT offsets back to a tensor of `shape`: `(offset − 128) ·
+/// step`, the same bits as `xq.fake_quant_tensor` of the activations the
+/// offsets came from, without a second quantize pass.
+fn dequantize_offsets(xq: &Quantizer, xi: &[u8], shape: &[usize]) -> Tensor {
+    let deq = xi
+        .iter()
+        .map(|&o| xq.dequantize(i32::from(o) - 128))
+        .collect();
+    Tensor::from_vec(deq, shape).expect("one offset per element")
+}
+
+/// The product a [`QuantExecutor`] computes in place of exact
+/// multiplication: an approximate multiplier `g̃(w, x)` (paper eq. 4) with
+/// whatever comes with it — an approximate accumulator, or the gradient
+/// estimation error model `f(y)` of eq. 11. `axnn-proxsim` supplies the
+/// LUT-served one; an executor without a product multiplies exactly.
+pub trait ApproxProduct: fmt::Debug + Send + Sync {
+    /// `scale · Σₖ g̃(w[i, k], x[k, j])` as an `[oc, m]` tensor, over the
+    /// row-major `[oc, k]` weight codes and the `[k, m]` activation codes
+    /// stored as `u8` offsets `code + 128`.
+    fn matmul(&self, w_codes: &[i32], x_offsets: &[u8], dims: [usize; 3], scale: f32) -> Tensor;
+
+    /// Whether gradient estimation scales the backward pass: true for a
+    /// sloped error model; false without a model or with a constant one,
+    /// for which GE is the plain straight-through estimator.
+    fn sloped(&self) -> bool;
+
+    /// The `(1 + K)` factor of eq. 12 at the accurate quantized output
+    /// `y_codes` (code units). Called only when [`sloped`](Self::sloped).
+    fn grad_scale(&self, y_codes: &Tensor) -> Tensor;
+
+    /// `Some((f(y), f'(y)))` of the attached error model at `y_code`, or
+    /// `None` without one (read by the GE health telemetry).
+    fn error_at(&self, y_code: f32) -> Option<(f32, f32)>;
+}
+
+/// ε(y) needs an exact reference GEMM of the same shape as the approximate
+/// one, so it is sampled: every `EPS_SAMPLE_PERIOD`-th health-enabled call
+/// per executor (the first call always samples). Saturation ratios are
+/// cheap scans and recorded on every health-enabled call.
+const EPS_SAMPLE_PERIOD: u64 = 16;
+
+/// Pre-formatted per-layer health keys (`sat_x:<layer>`, ...).
+#[derive(Debug)]
+struct HealthLabels {
+    sat_x: String,
+    sat_w: String,
+    eps: String,
+    ge_res: String,
+    ge_lin: String,
+}
+
+/// The 8A4W layer executor: exact or approximate products over quantized
+/// operands.
 ///
 /// Forward: weights are quantized layer-wise from their current abs-max
 /// (they change every optimizer step); activations use a step frozen by
 /// MinPropQE calibration (run the network in [`Mode::Calibrate`] first —
-/// e.g. via `axnn_nn::train::calibrate`). The GEMM itself is computed on
-/// the dequantized operands, which is bit-equivalent to integer GEMM scaled
-/// by `s_x·s_w` for these ranges.
+/// e.g. via `axnn_nn::train::calibrate`), else a per-batch dynamic abs-max
+/// step. An all-zero operand gets step 1: its codes are zero either way.
+/// The product is one of two:
+///
+/// - **exact** (the default): an f32 GEMM over the fake-quantized
+///   operands, which is bit-equivalent to integer GEMM scaled by `s_x·s_w`
+///   for these ranges;
+/// - **approximate** ([`with_product`](Self::with_product)): the
+///   [`ApproxProduct`]'s GEMM over weight codes and activation LUT
+///   offsets. With a sloped error model, [`Mode::Train`] also returns the
+///   `(1 + K)` gradient scale of eq. 12, evaluated on the *accurate*
+///   quantized output (eq. 10) — gradient estimation.
 ///
 /// Backward (performed by `axnn-nn`): exact GEMM over the returned
 /// effective operands — the straight-through estimator of eq. (5).
@@ -87,11 +166,13 @@ pub struct QuantExecutor {
     calibrator: ActRangeCalibrator,
     x_quantizer: Option<Quantizer>,
     per_channel: bool,
-    /// Pre-formatted `sat_x:<layer>` health key; empty until the owning
-    /// layer hands over its label (no telemetry without an attribution).
-    sat_x_label: String,
-    /// Pre-formatted `sat_w:<layer>` health key.
-    sat_w_label: String,
+    product: Option<Arc<dyn ApproxProduct>>,
+    /// `None` until the owning layer hands over its label (no telemetry
+    /// without an attribution).
+    labels: Option<HealthLabels>,
+    /// Forward calls seen while health telemetry was on; drives the ε
+    /// sampling period.
+    health_calls: u64,
 }
 
 impl QuantExecutor {
@@ -108,8 +189,9 @@ impl QuantExecutor {
             calibrator: ActRangeCalibrator::new(),
             x_quantizer: None,
             per_channel: false,
-            sat_x_label: String::new(),
-            sat_w_label: String::new(),
+            product: None,
+            labels: None,
+            health_calls: 0,
         }
     }
 
@@ -118,8 +200,32 @@ impl QuantExecutor {
     /// The paper quantizes layer-wise (one scale per tensor); per-channel
     /// scales are the standard finer-grained alternative, exposed here as
     /// an ablation. Activations always stay layer-wise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the executor has an approximate product: its core takes
+    /// one weight scale per layer.
     pub fn per_channel_weights(mut self, enable: bool) -> Self {
+        assert!(
+            !enable || self.product.is_none(),
+            "approximate products take layer-wise weight scales"
+        );
         self.per_channel = enable;
+        self
+    }
+
+    /// Computes the forward product with `product` instead of exact
+    /// multiplication (builder style).
+    ///
+    /// # Panics
+    ///
+    /// Panics if per-channel weights are enabled.
+    pub fn with_product(mut self, product: impl ApproxProduct + 'static) -> Self {
+        assert!(
+            !self.per_channel,
+            "approximate products take layer-wise weight scales"
+        );
+        self.product = Some(Arc::new(product));
         self
     }
 
@@ -147,10 +253,10 @@ impl QuantExecutor {
         self.x_quantizer
     }
 
-    /// Quantizer for the current weights (recomputed from their abs-max).
-    pub fn weight_quantizer(&self, wmat: &Tensor) -> Option<Quantizer> {
-        let abs_max = wmat.abs_max();
-        (abs_max > 0.0).then(|| Quantizer::for_abs_max(abs_max, self.w_spec))
+    /// The layer-wise quantizer for the current weights (recomputed from
+    /// their abs-max; step 1 for all-zero weights).
+    pub fn weight_quantizer(&self, wmat: &Tensor) -> Quantizer {
+        abs_max_quantizer(wmat, self.w_spec)
     }
 
     /// The frozen activation quantizer, freezing the calibrator's winner
@@ -160,19 +266,88 @@ impl QuantExecutor {
             .or_else(|| self.calibrator.freeze(self.x_spec))
     }
 
-    /// The effective (fake-quantized) weights, plus the layer-wise weight
-    /// quantizer when one applies (not for the per-channel ablation or
-    /// all-zero weights).
-    fn quantize_weights(&self, wmat: &Tensor) -> (Tensor, Option<Quantizer>) {
+    /// The effective (fake-quantized) weights: layer-wise under `wq`, or
+    /// one scale per row for the per-channel ablation.
+    fn fake_quant_weights(&self, wmat: &Tensor, wq: &Quantizer) -> Tensor {
         if self.per_channel {
-            return (self.fake_quant_per_channel(wmat), None);
+            self.fake_quant_per_channel(wmat)
+        } else {
+            wq.fake_quant_tensor(wmat)
         }
-        let w_q = self.weight_quantizer(wmat);
-        let w_eff = match &w_q {
-            Some(q) => q.fake_quant_tensor(wmat),
-            None => wmat.clone(),
+    }
+
+    /// Records the per-layer health metrics for one forward call: clip
+    /// rates every call (`sat_w` only for layer-wise weights, the one case
+    /// with a single clip limit), and for an approximate product, on
+    /// sampled calls, the ε(y) histogram, the GE residual histogram
+    /// (ε − f(y_q), what the drift monitor pools) and the K-mask
+    /// linear-region coverage. `y_codes` is the exact quantized output in
+    /// code units when the GE path already computed it; otherwise the
+    /// sampled path fake-quantizes the operands and computes its own
+    /// reference GEMM (observation only — deliberately not counted as run
+    /// work).
+    #[allow(clippy::too_many_arguments)]
+    fn record_health(
+        &mut self,
+        y: &Tensor,
+        wmat: &Tensor,
+        col: &Tensor,
+        wq: &Quantizer,
+        xq: &Quantizer,
+        scale: f32,
+        y_codes: Option<&Tensor>,
+    ) {
+        use axnn_obs::HistSpec;
+
+        let Some(labels) = &self.labels else { return };
+        axnn_obs::record_ratio(&labels.sat_x, xq.saturated(col), col.len() as u64);
+        if !self.per_channel {
+            axnn_obs::record_ratio(&labels.sat_w, wq.saturated(wmat), wmat.len() as u64);
+        }
+        let Some(product) = &self.product else { return };
+
+        let sampled = self.health_calls.is_multiple_of(EPS_SAMPLE_PERIOD);
+        self.health_calls += 1;
+        if !sampled || scale == 0.0 {
+            return;
+        }
+        let computed;
+        let codes = match y_codes {
+            Some(t) => t,
+            None => {
+                let mut t = gemm::matmul(&wq.fake_quant_tensor(wmat), &xq.fake_quant_tensor(col));
+                t.scale(1.0 / scale);
+                computed = t;
+                &computed
+            }
         };
-        (w_eff, w_q)
+        let inv = 1.0 / scale;
+        axnn_obs::record_values(
+            &labels.eps,
+            HistSpec::eps(),
+            y.as_slice()
+                .iter()
+                .zip(codes.as_slice())
+                .map(|(&ya, &yc)| (ya * inv - yc) as f64),
+        );
+        let model: Option<Vec<(f32, f32)>> = codes
+            .as_slice()
+            .iter()
+            .map(|&yc| product.error_at(yc))
+            .collect();
+        if let Some(model) = model {
+            axnn_obs::record_values(
+                &labels.ge_res,
+                HistSpec::eps(),
+                y.as_slice()
+                    .iter()
+                    .zip(codes.as_slice())
+                    .zip(&model)
+                    .map(|((&ya, &yc), &(f, _))| (ya * inv - yc - f) as f64),
+            );
+            let linear = model.iter().filter(|&&(_, d)| d != 0.0).count() as u64;
+            axnn_obs::record_ratio(&labels.ge_lin, linear, codes.len() as u64);
+        }
     }
 }
 
@@ -182,105 +357,196 @@ impl LayerExecutor for QuantExecutor {
             self.calibrator.observe(wmat, col, self.x_spec);
             self.x_quantizer = None; // re-freeze after more data
         }
-        let (w_eff, w_q) = self.quantize_weights(wmat);
+        let wq = self.weight_quantizer(wmat);
         self.x_quantizer = self.frozen_x_quantizer();
-        let x_q = batch_quantizer(self.x_quantizer, col, self.x_spec);
-        let col_eff = match &x_q {
-            Some(q) => q.fake_quant_tensor(col),
-            None => col.clone(),
+        let xq = self
+            .x_quantizer
+            .unwrap_or_else(|| abs_max_quantizer(col, self.x_spec));
+        let (oc, k) = (wmat.shape()[0], wmat.shape()[1]);
+        let m = col.shape()[1];
+        let count_macs = || {
+            if axnn_obs::enabled() {
+                axnn_obs::count(axnn_obs::Counter::GemmMacs, (oc * k * m) as u64);
+            }
         };
-        if axnn_obs::enabled() {
-            let (oc, k) = (wmat.shape()[0], wmat.shape()[1]);
-            let m = col.shape()[1];
-            axnn_obs::count(axnn_obs::Counter::GemmMacs, (oc * k * m) as u64);
-        }
-        if axnn_obs::health_enabled() && !self.sat_x_label.is_empty() {
-            // Clip rates of the quantizers actually used this call. The
-            // per-channel ablation has one weight scale per row and no
-            // single clip limit, so only the layer-wise path reports
-            // `sat_w`; activations are always layer-wise.
-            if let Some(q) = &x_q {
-                axnn_obs::record_ratio(&self.sat_x_label, q.saturated(col), col.len() as u64);
+
+        let scale = wq.step() * xq.step();
+        let mut ge_codes = None;
+        let out = match &self.product {
+            None => {
+                let w_eff = self.fake_quant_weights(wmat, &wq);
+                let col_eff = xq.fake_quant_tensor(col);
+                count_macs();
+                ExecOutput {
+                    y: gemm::matmul(&w_eff, &col_eff),
+                    wmat_eff: w_eff,
+                    col_eff,
+                    grad_scale: None,
+                }
             }
-            if let Some(q) = &w_q {
-                axnn_obs::record_ratio(&self.sat_w_label, q.saturated(wmat), wmat.len() as u64);
+            Some(product) => {
+                let xi = lut_offsets(&xq, col.as_slice());
+                let y = product.matmul(&wq.quantize_codes(wmat), &xi, [oc, k, m], scale);
+                // The STE operands only feed the Train backward (and GE
+                // below), so eval and calibration passes skip them.
+                let (w_eff, col_eff) = if mode == Mode::Train {
+                    (
+                        wq.fake_quant_tensor(wmat),
+                        dequantize_offsets(&xq, &xi, col.shape()),
+                    )
+                } else {
+                    (Tensor::zeros(&[0, 0]), Tensor::zeros(&[0, 0]))
+                };
+                // GE needs f'(y) on the accurate quantized output y_q (eq.
+                // 10), only when training with a sloped model. The model is
+                // fitted in integer-accumulator (code-product) units, which
+                // are scale-invariant across layers, so it is evaluated on
+                // y_exact / scale.
+                let grad_scale = (mode == Mode::Train && product.sloped()).then(|| {
+                    count_macs();
+                    let mut y_codes = gemm::matmul(&w_eff, &col_eff);
+                    y_codes.scale(1.0 / scale);
+                    let gs = product.grad_scale(&y_codes);
+                    ge_codes = Some(y_codes);
+                    gs
+                });
+                ExecOutput {
+                    y,
+                    wmat_eff: w_eff,
+                    col_eff,
+                    grad_scale,
+                }
             }
+        };
+        if axnn_obs::health_enabled() {
+            self.record_health(&out.y, wmat, col, &wq, &xq, scale, ge_codes.as_ref());
         }
-        ExecOutput {
-            y: gemm::matmul(&w_eff, &col_eff),
-            wmat_eff: w_eff,
-            col_eff,
-            grad_scale: None,
-        }
+        out
     }
 
     fn kind(&self) -> ExecutorKind {
-        ExecutorKind::Quantized
+        match self.product {
+            None => ExecutorKind::Quantized,
+            Some(_) => ExecutorKind::Approximate,
+        }
     }
 
     fn set_obs_label(&mut self, label: &str) {
-        self.sat_x_label = format!("sat_x:{label}");
-        self.sat_w_label = format!("sat_w:{label}");
+        self.labels = Some(HealthLabels {
+            sat_x: format!("sat_x:{label}"),
+            sat_w: format!("sat_w:{label}"),
+            eps: format!("eps:{label}"),
+            ge_res: format!("ge_res:{label}"),
+            ge_lin: format!("ge_lin:{label}"),
+        });
     }
 
     fn compile_backend(&self, wmat: &Tensor) -> Option<Box<dyn axnn_nn::GemmBackend>> {
-        // Weights are frozen at compile time, so their fake-quantization
-        // is baked into the backend once. The activation quantizer is the
+        // Weights are frozen at compile time, so their quantization is
+        // baked into the backend once. The activation quantizer is the
         // same frozen/dynamic chain the interpreter resolves per call:
         // freezing the calibrator here is deterministic, so a compiled
-        // forward picks the identical step.
-        Some(Box::new(QuantBackend {
-            w_eff: self.quantize_weights(wmat).0,
+        // forward picks the identical step. An error model only shapes
+        // the training backward (eq. 12), so it has no part in the core.
+        let wq = self.weight_quantizer(wmat);
+        let core = match &self.product {
+            None => Core::Exact {
+                w_eff: self.fake_quant_weights(wmat, &wq),
+                col_scratch: None,
+            },
+            Some(product) => Core::Lut {
+                product: Arc::clone(product),
+                w_codes: wq.quantize_codes(wmat),
+                w_step: wq.step(),
+                k: wmat.shape()[1],
+            },
+        };
+        Some(Box::new(CompiledQuant {
+            oc: wmat.shape()[0],
             x_quantizer: self.frozen_x_quantizer(),
             x_spec: self.x_spec,
-            col_scratch: None,
+            core,
         }))
     }
 }
 
-/// Compiled-graph GEMM core for the quantized executor: pre-quantized
-/// weights, fused bias+activation epilogue, and the same activation
-/// quantization chain as [`QuantExecutor::forward`] (frozen step, else a
-/// per-batch dynamic abs-max fallback). Bit-identical to the interpreter.
+/// Compiled-graph GEMM core of a [`QuantExecutor`]: weights quantized once
+/// at compile time, the interpreter's activation quantization chain per
+/// batch, and the bias+activation epilogue. Bit-identical to
+/// [`QuantExecutor::forward`].
 #[derive(Debug)]
-struct QuantBackend {
-    w_eff: Tensor,
+struct CompiledQuant {
+    oc: usize,
     x_quantizer: Option<Quantizer>,
     x_spec: QuantSpec,
-    /// Fake-quantized activation buffer, reused across same-shape calls so
-    /// steady-state compiled forwards allocate nothing here.
-    col_scratch: Option<Tensor>,
+    core: Core,
 }
 
-impl axnn_nn::GemmBackend for QuantBackend {
+/// The product a [`CompiledQuant`] computes.
+#[derive(Debug)]
+enum Core {
+    /// f32 GEMM over fake-quantized weights, with the epilogue fused.
+    Exact {
+        w_eff: Tensor,
+        /// Fake-quantized activation buffer, reused across same-shape
+        /// calls so steady-state compiled forwards allocate nothing here.
+        col_scratch: Option<Tensor>,
+    },
+    /// The approximate product over weight codes and LUT offsets, with
+    /// the epilogue applied over its output.
+    Lut {
+        product: Arc<dyn ApproxProduct>,
+        w_codes: Vec<i32>,
+        w_step: f32,
+        k: usize,
+    },
+}
+
+impl axnn_nn::GemmBackend for CompiledQuant {
     fn kind(&self) -> ExecutorKind {
-        ExecutorKind::Quantized
+        match self.core {
+            Core::Exact { .. } => ExecutorKind::Quantized,
+            Core::Lut { .. } => ExecutorKind::Approximate,
+        }
     }
 
     fn out_rows(&self) -> usize {
-        self.w_eff.shape()[0]
+        self.oc
     }
 
     fn forward(&mut self, col: &Tensor, bias: Option<&[f32]>, ep: gemm::Epilogue, out: &mut [f32]) {
-        let col_eff: &Tensor = match &batch_quantizer(self.x_quantizer, col, self.x_spec) {
-            Some(q) => {
+        let xq = self
+            .x_quantizer
+            .unwrap_or_else(|| abs_max_quantizer(col, self.x_spec));
+        let (oc, m) = (self.oc, col.shape()[1]);
+        match &mut self.core {
+            Core::Exact { w_eff, col_scratch } => {
                 // The `fake_quant_tensor` kernel, into a reused buffer
                 // instead of a fresh allocation per call.
-                let mut scratch = match self.col_scratch.take() {
+                let mut scratch = match col_scratch.take() {
                     Some(t) if t.shape() == col.shape() => t,
                     _ => Tensor::zeros(col.shape()),
                 };
-                q.fake_quant_into(col.as_slice(), scratch.as_mut_slice());
-                self.col_scratch.insert(scratch)
+                xq.fake_quant_into(col.as_slice(), scratch.as_mut_slice());
+                let col_eff = col_scratch.insert(scratch);
+                if axnn_obs::enabled() {
+                    let k = w_eff.shape()[1];
+                    axnn_obs::count(axnn_obs::Counter::GemmMacs, (oc * k * m) as u64);
+                }
+                gemm::matmul_bias_act_into(w_eff, col_eff, bias, ep, out);
             }
-            None => col,
-        };
-        if axnn_obs::enabled() {
-            let (oc, k) = (self.w_eff.shape()[0], self.w_eff.shape()[1]);
-            let m = col.shape()[1];
-            axnn_obs::count(axnn_obs::Counter::GemmMacs, (oc * k * m) as u64);
+            Core::Lut {
+                product,
+                w_codes,
+                w_step,
+                k,
+            } => {
+                let xi = lut_offsets(&xq, col.as_slice());
+                let y = product.matmul(w_codes, &xi, [oc, *k, m], *w_step * xq.step());
+                out.copy_from_slice(y.as_slice());
+                gemm::apply_epilogue(out, bias, ep, m);
+            }
         }
-        gemm::matmul_bias_act_into(&self.w_eff, col_eff, bias, ep, out);
     }
 }
 
@@ -346,7 +612,7 @@ mod tests {
         let col = init::uniform(&[5, 4], -2.0, 2.0, &mut rng);
         let mut ex = QuantExecutor::new_8a4w();
         let out = ex.forward(&wmat, &col, Mode::Eval);
-        let wq = ex.weight_quantizer(&wmat).expect("nonzero weights");
+        let wq = ex.weight_quantizer(&wmat);
         for &v in out.wmat_eff.as_slice() {
             let code = v / wq.step();
             assert!((code - code.round()).abs() < 1e-5, "not on grid: {v}");
@@ -429,81 +695,6 @@ mod tests {
         let mut kinds = Vec::new();
         net.visit_gemm_cores(&mut |c| kinds.push(c.executor.kind()));
         assert_eq!(kinds, vec![ExecutorKind::Quantized]);
-    }
-
-    #[test]
-    fn health_telemetry_records_saturation_without_changing_outputs() {
-        let mut rng = Rng::seed(67);
-        let wmat = init::uniform(&[4, 8], -0.5, 0.5, &mut rng);
-        // Freeze the activation step on typical-range data; the uncalibrated
-        // dynamic fallback rescales to each batch's abs-max and never clips.
-        let calib = init::uniform(&[8, 16], -1.0, 1.0, &mut rng);
-        let mut col = init::uniform(&[8, 16], -1.0, 1.0, &mut rng);
-        col.as_mut_slice()[0] = 500.0; // clips under the frozen step
-
-        let mut plain = QuantExecutor::new_8a4w();
-        plain.forward(&wmat, &calib, Mode::Calibrate);
-        let y_plain = plain.forward(&wmat, &col, Mode::Eval).y;
-
-        let mut ex = QuantExecutor::new_8a4w();
-        ex.forward(&wmat, &calib, Mode::Calibrate);
-        ex.set_obs_label("fc(8->4)");
-        axnn_obs::set_health_enabled(true);
-        let y = ex.forward(&wmat, &col, Mode::Eval).y;
-        axnn_obs::set_health_enabled(false);
-
-        assert_eq!(
-            y.as_slice(),
-            y_plain.as_slice(),
-            "telemetry must not change bits"
-        );
-        let ratios = axnn_obs::RunProfile::capture("t").health;
-        let sat_x = ratios
-            .iter()
-            .find(|r| r.name == "sat_x:fc(8->4)")
-            .expect("x saturation recorded");
-        assert!(sat_x.hits >= 1, "the 500.0 outlier must clip");
-        assert_eq!(sat_x.total % col.len() as u64, 0);
-        assert!(ratios.iter().any(|r| r.name == "sat_w:fc(8->4)"));
-        axnn_obs::reset();
-    }
-
-    #[test]
-    fn compiled_backend_matches_interpreter_bits() {
-        let mut rng = Rng::seed(68);
-        let wmat = init::uniform(&[4, 8], -0.5, 0.5, &mut rng);
-        let calib = init::uniform(&[8, 16], -1.0, 1.0, &mut rng);
-        let col = init::uniform(&[8, 16], -1.0, 1.0, &mut rng);
-        let bias: Vec<f32> = (0..4).map(|i| i as f32 * 0.1 - 0.2).collect();
-        for per_channel in [false, true] {
-            let mut ex = QuantExecutor::new_8a4w().per_channel_weights(per_channel);
-            ex.forward(&wmat, &calib, Mode::Calibrate);
-            let y = ex.forward(&wmat, &col, Mode::Eval).y;
-            let mut backend = ex.compile_backend(&wmat).expect("quant always compiles");
-            assert_eq!(backend.out_rows(), 4);
-            assert_eq!(backend.kind(), ExecutorKind::Quantized);
-            let mut out = vec![0.0f32; 4 * 16];
-            backend.forward(&col, Some(&bias), gemm::Epilogue::Relu, &mut out);
-            for r in 0..4 {
-                for j in 0..16 {
-                    let expect = (y.as_slice()[r * 16 + j] + bias[r]).max(0.0);
-                    assert_eq!(
-                        out[r * 16 + j].to_bits(),
-                        expect.to_bits(),
-                        "per_channel={per_channel} row {r} col {j}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn all_zero_inputs_pass_through() {
-        let wmat = Tensor::zeros(&[2, 3]);
-        let col = Tensor::zeros(&[3, 2]);
-        let mut ex = QuantExecutor::new_8a4w();
-        let out = ex.forward(&wmat, &col, Mode::Train);
-        assert_eq!(out.y.sum(), 0.0);
     }
 
     #[test]

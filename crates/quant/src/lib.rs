@@ -16,6 +16,13 @@
 //! executor's effective operands are the quantize-dequantized values, so the
 //! exact-GEMM backward in `axnn-nn` *is* the STE of the paper's eq. (5).
 //!
+//! [`QuantExecutor`] is the one 8A4W executor of the workspace. An
+//! approximate network is the same quantized network with its multiplier
+//! replaced: `axnn-proxsim` supplies the LUT-served product through the
+//! [`ApproxProduct`] trait ([`QuantExecutor::with_product`]), and the
+//! executor keeps calibration, operand quantization, the STE operands,
+//! saturation telemetry and the compiled backend for both families.
+//!
 //! # Example
 //!
 //! ```
@@ -34,8 +41,5 @@ mod executor;
 mod quantizer;
 
 pub use affine::AffineQuantizer;
-pub use executor::{
-    batch_quantizer, quantize_network, quantize_network_per_channel, ActRangeCalibrator,
-    QuantExecutor,
-};
+pub use executor::{quantize_network, quantize_network_per_channel, ApproxProduct, QuantExecutor};
 pub use quantizer::{min_prop_qe, round_step_pow2, QuantSpec, Quantizer};

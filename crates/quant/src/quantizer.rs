@@ -174,18 +174,6 @@ impl Quantizer {
         codes
     }
 
-    /// Quantizes a tensor to integer codes (stored as exact `f32` integers
-    /// alongside an `i32` vector for LUT indexing).
-    pub fn quantize_tensor(&self, t: &Tensor) -> (Vec<i32>, Tensor) {
-        let codes = self.quantize_codes(t);
-        let deq = Tensor::from_vec(
-            codes.iter().map(|&c| self.dequantize(c)).collect(),
-            t.shape(),
-        )
-        .expect("same element count");
-        (codes, deq)
-    }
-
     /// Quantize-dequantizes `xs` into `out` (same length), one kernel pass.
     ///
     /// # Panics
@@ -348,18 +336,6 @@ mod tests {
         };
         let q = Quantizer::with_step(0.3, spec);
         assert_eq!(q.step(), 0.3);
-    }
-
-    #[test]
-    fn quantize_tensor_codes_match_dequantized_values() {
-        let mut rng = Rng::seed(7);
-        let t = init::uniform(&[4, 4], -2.0, 2.0, &mut rng);
-        let q = Quantizer::for_abs_max(2.0, QuantSpec::weights_4bit());
-        let (codes, deq) = q.quantize_tensor(&t);
-        for (c, d) in codes.iter().zip(deq.as_slice()) {
-            assert_eq!(q.dequantize(*c), *d);
-            assert!(c.abs() <= 7);
-        }
     }
 
     #[test]

@@ -256,11 +256,12 @@ pub fn matmul_bias_act_into(
     });
 }
 
-/// Applies the bias add and activation to one row block right after the
-/// kernel stored it (still in L1), as `ep(v + bias[row])` per element;
-/// `bias` starts at the block's first row. Identity with no bias leaves
-/// the block untouched.
-fn apply_epilogue(c_block: &mut [f32], bias: Option<&[f32]>, ep: Epilogue, n: usize) {
+/// Applies the bias add and activation to a block of `n`-wide rows, as
+/// `ep(v + bias[row])` per element; `bias` starts at the block's first
+/// row. Identity with no bias leaves the block untouched. The fused GEMMs
+/// call it on each row block right after the kernel stored it (still in
+/// L1).
+pub fn apply_epilogue(c_block: &mut [f32], bias: Option<&[f32]>, ep: Epilogue, n: usize) {
     match bias {
         Some(b) => {
             for (row, &b_r) in c_block.chunks_mut(n).zip(b) {

@@ -15,6 +15,10 @@ trap 'cp "$OBS_TMP/perfbench.lock" perfbench/Cargo.lock; rm -rf "$OBS_TMP"' EXIT
 
 cargo build --release
 cargo test --workspace -q
+# The bit pins again in the release profile, whose vectorised kernels are
+# the ones that ship.
+cargo test --release -q --test train_golden --test executor_golden \
+    --test executor_consistency
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
@@ -33,6 +37,9 @@ serve_up() {
     label=$1
     out=$2
     shift 2
+    # Created here, not by the background redirect, so the poll below never
+    # reads a file that does not exist yet.
+    : >"$out"
     target/release/axnn serve --checkpoint "$OBS_TMP/ckpt.json" --width 0.2 --hw 8 \
         --port 0 "$@" >"$out" &
     SERVE_PID=$!

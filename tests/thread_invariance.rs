@@ -31,7 +31,8 @@ use approxnn::nn::StepDecay;
 use approxnn::nn::{Conv2d, Layer, LayerExecutor, Mode};
 use approxnn::obs;
 use approxnn::par;
-use approxnn::proxsim::{approx_matmul, ApproxExecutor, PiecewiseLinearError, SignedLut};
+use approxnn::proxsim::{approx_matmul, LutProduct, PiecewiseLinearError, SignedLut};
+use approxnn::quant::QuantExecutor;
 use approxnn::tensor::{gemm, init, Tensor};
 use axnn_rng::{cases, Rng};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -257,7 +258,7 @@ fn health_telemetry_is_thread_invariant() {
             obs::reset();
             obs::set_health_enabled(true);
             let lut = Arc::new(SignedLut::build(&TruncatedMul::new(4)));
-            let mut ex = ApproxExecutor::new(lut, Some(model));
+            let mut ex = QuantExecutor::new_8a4w().with_product(LutProduct::new(lut, Some(model)));
             ex.set_obs_label("prop");
             let y = ex.forward(&wmat, &col, Mode::Train).y;
             obs::set_health_enabled(false);
@@ -292,12 +293,13 @@ fn health_telemetry_leaves_numerics_bit_identical() {
         let lut = Arc::new(SignedLut::build(&TruncatedMul::new(4)));
 
         obs::set_health_enabled(false);
-        let mut plain = ApproxExecutor::new(Arc::clone(&lut), Some(model));
+        let mut plain =
+            QuantExecutor::new_8a4w().with_product(LutProduct::new(Arc::clone(&lut), Some(model)));
         let out_plain = plain.forward(&wmat, &col, Mode::Train);
 
         obs::reset();
         obs::set_health_enabled(true);
-        let mut tele = ApproxExecutor::new(lut, Some(model));
+        let mut tele = QuantExecutor::new_8a4w().with_product(LutProduct::new(lut, Some(model)));
         tele.set_obs_label("prop");
         let out_tele = tele.forward(&wmat, &col, Mode::Train);
         obs::set_health_enabled(false);

@@ -8,7 +8,8 @@ use approxnn::data::SynthCifar;
 use approxnn::models::{lenet, ModelConfig};
 use approxnn::nn::train::{evaluate, hard_loss, train_epoch, Dataset};
 use approxnn::nn::{Layer, Mode, Sequential, StepDecay};
-use approxnn::proxsim::{ApproxExecutor, SignedLut};
+use approxnn::proxsim::{LutProduct, SignedLut};
+use approxnn::quant::QuantExecutor;
 use axnn_rng::Rng;
 use std::sync::Arc;
 
@@ -34,9 +35,9 @@ fn approximate_accumulator_degrades_network_accuracy_monotonically() {
     let acc_with = |env: &mut ExperimentEnv, adder: Arc<dyn approxnn::axmul::adder::Adder>| {
         let mut net = env.quantized_copy();
         net.visit_gemm_cores(&mut |core| {
-            core.set_executor(Box::new(
-                ApproxExecutor::new(Arc::clone(&lut), None).with_adder(Arc::clone(&adder)),
-            ));
+            core.set_executor(Box::new(QuantExecutor::new_8a4w().with_product(
+                LutProduct::new(Arc::clone(&lut), None).with_adder(Arc::clone(&adder)),
+            )));
         });
         approxnn::nn::train::calibrate(&mut net, env.train_data(), 16, 2);
         evaluate(&mut net, env.test_data(), 16)
