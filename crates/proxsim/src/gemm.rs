@@ -62,11 +62,15 @@ pub fn approx_matmul(
     lut: &SignedLut,
     scale: f32,
 ) -> Tensor {
-    approx_matmul_offsets(w_codes, &pack_x(col_codes), oc, k, m, lut, scale)
+    let mut out = vec![0.0f32; oc * m];
+    approx_matmul_offsets(w_codes, &pack_x(col_codes), oc, k, m, lut, scale, &mut out);
+    Tensor::from_vec(out, &[oc, m]).expect("one output per row and column")
 }
 
 /// [`approx_matmul`] over activations already packed into `u8` LUT offsets
-/// (`[K, M]`, `code + 128`).
+/// (`[K, M]`, `code + 128`), written into the row-major `[OC, M]` `out`
+/// (every element overwritten).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn approx_matmul_offsets(
     w_codes: &[i32],
     xi: &[u8],
@@ -75,19 +79,19 @@ pub(crate) fn approx_matmul_offsets(
     m: usize,
     lut: &SignedLut,
     scale: f32,
-) -> Tensor {
+    out: &mut [f32],
+) {
     assert_eq!(w_codes.len(), oc * k, "weight code matrix size mismatch");
     assert_eq!(xi.len(), k * m, "input code matrix size mismatch");
-    let mut out = vec![0.0f32; oc * m];
+    assert_eq!(out.len(), oc * m, "output matrix size mismatch");
     if oc == 0 || m == 0 {
-        return Tensor::from_vec(out, &[oc, m]).expect("size computed above");
+        return;
     }
     count_approx_ops(w_codes, m);
-    axnn_par::par_chunks_mut(&mut out, IB * m, |blk, out_blk| {
+    axnn_par::par_chunks_mut(out, IB * m, |blk, out_blk| {
         let rows = out_blk.len() / m;
         approx_rows(w_codes, xi, blk * IB, rows, k, m, lut, scale, out_blk);
     });
-    Tensor::from_vec(out, &[oc, m]).expect("size computed above")
 }
 
 /// Observability: one approximate (LUT-served) product per nonzero weight
@@ -237,11 +241,15 @@ pub fn approx_matmul_with_adder(
     adder: &dyn axnn_axmul::adder::Adder,
     scale: f32,
 ) -> Tensor {
-    approx_matmul_with_adder_offsets(w_codes, &pack_x(col_codes), oc, k, m, lut, adder, scale)
+    let mut out = vec![0.0f32; oc * m];
+    let xi = pack_x(col_codes);
+    approx_matmul_with_adder_offsets(w_codes, &xi, oc, k, m, lut, adder, scale, &mut out);
+    Tensor::from_vec(out, &[oc, m]).expect("one output per row and column")
 }
 
 /// [`approx_matmul_with_adder`] over activations already packed into `u8`
-/// LUT offsets (`[K, M]`, `code + 128`).
+/// LUT offsets (`[K, M]`, `code + 128`), written into the row-major
+/// `[OC, M]` `out` (every element overwritten).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn approx_matmul_with_adder_offsets(
     w_codes: &[i32],
@@ -252,15 +260,16 @@ pub(crate) fn approx_matmul_with_adder_offsets(
     lut: &SignedLut,
     adder: &dyn axnn_axmul::adder::Adder,
     scale: f32,
-) -> Tensor {
+    out: &mut [f32],
+) {
     assert_eq!(w_codes.len(), oc * k, "weight code matrix size mismatch");
     assert_eq!(xi.len(), k * m, "input code matrix size mismatch");
-    let mut out = vec![0.0f32; oc * m];
+    assert_eq!(out.len(), oc * m, "output matrix size mismatch");
     if oc == 0 || m == 0 {
-        return Tensor::from_vec(out, &[oc, m]).expect("size computed above");
+        return;
     }
     count_approx_ops(w_codes, m);
-    axnn_par::par_chunks_mut(&mut out, m, |i, out_row| {
+    axnn_par::par_chunks_mut(out, m, |i, out_row| {
         let w_row_codes = &w_codes[i * k..(i + 1) * k];
         let mut acc = [0i64; JB];
         let mut j0 = 0;
@@ -283,7 +292,6 @@ pub(crate) fn approx_matmul_with_adder_offsets(
             j0 += jn;
         }
     });
-    Tensor::from_vec(out, &[oc, m]).expect("size computed above")
 }
 
 /// The original serial kernels, kept verbatim as the bit-identity oracle

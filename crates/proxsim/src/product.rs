@@ -51,19 +51,20 @@ impl LutProduct {
 }
 
 impl ApproxProduct for LutProduct {
-    fn matmul(&self, w_codes: &[i32], xi: &[u8], [oc, k, m]: [usize; 3], scale: f32) -> Tensor {
+    fn matmul(
+        &self,
+        w_codes: &[i32],
+        xi: &[u8],
+        [oc, k, m]: [usize; 3],
+        scale: f32,
+        out: &mut [f32],
+    ) {
+        let lut = &self.lut;
         match &self.adder {
-            Some(adder) => approx_matmul_with_adder_offsets(
-                w_codes,
-                xi,
-                oc,
-                k,
-                m,
-                &self.lut,
-                adder.as_ref(),
-                scale,
-            ),
-            None => approx_matmul_offsets(w_codes, xi, oc, k, m, &self.lut, scale),
+            Some(adder) => {
+                approx_matmul_with_adder_offsets(w_codes, xi, oc, k, m, lut, &**adder, scale, out)
+            }
+            None => approx_matmul_offsets(w_codes, xi, oc, k, m, lut, scale, out),
         }
     }
 

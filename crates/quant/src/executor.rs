@@ -71,19 +71,21 @@ fn abs_max_quantizer(t: &Tensor, spec: QuantSpec) -> Quantizer {
 
 /// Quantizes activations straight into the `u8` LUT offsets (`code + 128`)
 /// an [`ApproxProduct`] reads: one [`Quantizer::map_codes`] pass, no `i32`
-/// codes in between.
+/// codes in between. `xi` is reallocated only when its length differs from
+/// `col`'s, so a buffer kept across same-shape calls is reused.
 ///
 /// # Panics
 ///
 /// Panics if `xq` is wider than 8 bits (its codes would not fit an offset).
-fn lut_offsets(xq: &Quantizer, col: &[f32]) -> Vec<u8> {
+fn lut_offsets(xq: &Quantizer, col: &[f32], xi: &mut Vec<u8>) {
     assert!(
         xq.spec().bits <= 8,
         "LUT offsets need codes of at most 8 bits"
     );
-    let mut xi = vec![0u8; col.len()];
-    xq.map_codes(col, &mut xi, |c| (c + 128) as u8);
-    xi
+    if xi.len() != col.len() {
+        *xi = vec![0u8; col.len()];
+    }
+    xq.map_codes(col, xi, |c| (c + 128) as u8);
 }
 
 /// Dequantizes LUT offsets back to a tensor of `shape`: `(offset − 128) ·
@@ -103,10 +105,18 @@ fn dequantize_offsets(xq: &Quantizer, xi: &[u8], shape: &[usize]) -> Tensor {
 /// estimation error model `f(y)` of eq. 11. `axnn-proxsim` supplies the
 /// LUT-served one; an executor without a product multiplies exactly.
 pub trait ApproxProduct: fmt::Debug + Send + Sync {
-    /// `scale · Σₖ g̃(w[i, k], x[k, j])` as an `[oc, m]` tensor, over the
-    /// row-major `[oc, k]` weight codes and the `[k, m]` activation codes
-    /// stored as `u8` offsets `code + 128`.
-    fn matmul(&self, w_codes: &[i32], x_offsets: &[u8], dims: [usize; 3], scale: f32) -> Tensor;
+    /// `scale · Σₖ g̃(w[i, k], x[k, j])` into the row-major `[oc, m]`
+    /// `out` (every element overwritten), over the row-major `[oc, k]`
+    /// weight codes and the `[k, m]` activation codes stored as `u8`
+    /// offsets `code + 128`.
+    fn matmul(
+        &self,
+        w_codes: &[i32],
+        x_offsets: &[u8],
+        dims: [usize; 3],
+        scale: f32,
+        out: &mut [f32],
+    );
 
     /// Whether gradient estimation scales the backward pass: true for a
     /// sloped error model; false without a model or with a constant one,
@@ -385,8 +395,11 @@ impl LayerExecutor for QuantExecutor {
                 }
             }
             Some(product) => {
-                let xi = lut_offsets(&xq, col.as_slice());
-                let y = product.matmul(&wq.quantize_codes(wmat), &xi, [oc, k, m], scale);
+                let mut xi = Vec::new();
+                lut_offsets(&xq, col.as_slice(), &mut xi);
+                let mut y = Tensor::zeros(&[oc, m]);
+                let w_codes = wq.quantize_codes(wmat);
+                product.matmul(&w_codes, &xi, [oc, k, m], scale, y.as_mut_slice());
                 // The STE operands only feed the Train backward (and GE
                 // below), so eval and calibration passes skip them.
                 let (w_eff, col_eff) = if mode == Mode::Train {
@@ -459,6 +472,7 @@ impl LayerExecutor for QuantExecutor {
                 w_codes: wq.quantize_codes(wmat),
                 w_step: wq.step(),
                 k: wmat.shape()[1],
+                xi_scratch: Vec::new(),
             },
         };
         Some(Box::new(CompiledQuant {
@@ -499,6 +513,8 @@ enum Core {
         w_codes: Vec<i32>,
         w_step: f32,
         k: usize,
+        /// LUT-offset buffer, reused across calls like `col_scratch`.
+        xi_scratch: Vec<u8>,
     },
 }
 
@@ -540,10 +556,10 @@ impl axnn_nn::GemmBackend for CompiledQuant {
                 w_codes,
                 w_step,
                 k,
+                xi_scratch,
             } => {
-                let xi = lut_offsets(&xq, col.as_slice());
-                let y = product.matmul(w_codes, &xi, [oc, *k, m], *w_step * xq.step());
-                out.copy_from_slice(y.as_slice());
+                lut_offsets(&xq, col.as_slice(), xi_scratch);
+                product.matmul(w_codes, xi_scratch, [oc, *k, m], *w_step * xq.step(), out);
                 gemm::apply_epilogue(out, bias, ep, m);
             }
         }

@@ -4,13 +4,13 @@
 //! generator that measures it.
 //!
 //! The server speaks a length-prefixed JSON protocol ([`protocol`]),
-//! admits requests into a globally bounded queue set with explicit
-//! `overloaded` rejections ([`queue`]), cuts work-conserving micro-batches
-//! (a free worker pops up to max-batch-size waiting jobs at once and never
-//! waits on a timer), and runs them on **N replica model workers** behind a
-//! dispatcher that picks the replica with the fewest waiting plus
-//! in-service jobs ([`server`]) through any of the three executor families — exact,
-//! 8A4W-quantized, or approximate ([`executor`], [`model`]). Every replica
+//! admits requests into one bounded queue with explicit `overloaded`
+//! rejections ([`queue`]), cuts work-conserving micro-batches (a free
+//! worker pops up to max-batch-size waiting jobs at once and never waits
+//! on a timer), and runs them on **N replica model workers** that all pop
+//! that one queue ([`server`]), through any of the three executor
+//! families — exact, 8A4W-quantized, or approximate ([`executor`],
+//! [`model`]). Every replica
 //! is built bit-identically from one shared frozen checkpoint
 //! ([`ServeSpec`]) with its own compiled plan cache and scratch arena, so
 //! serving keeps the workspace's bit-determinism: the same request returns
@@ -75,7 +75,7 @@ pub use loadgen::{
 pub use metrics::{MetricsPlane, SnapshotContext, TraceRecord, METRICS_SCHEMA_VERSION};
 pub use model::{ModelOptions, ServeSpec, ServedModel};
 pub use protocol::{Request, Response, ResponseMsg};
-pub use queue::{AdmitError, BatchQueue, Dispatcher, QueueConfig};
+pub use queue::{AdmitError, BatchQueue, QueueConfig};
 pub use server::Server;
 pub use stats::{LatencySummary, Stage};
 pub use stream::{FrameShape, StreamProbe};

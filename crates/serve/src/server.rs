@@ -1,13 +1,13 @@
 //! The TCP inference server: acceptor, connection threads, and N replica
-//! model workers behind a least-loaded dispatcher.
+//! model workers popping one shared batch queue.
 //!
 //! ## Thread architecture
 //!
 //! ```text
-//! acceptor ──spawns──▶ connection threads ──push──▶ Dispatcher
-//!                                             (least-loaded pick, global
-//!                                              admission permits)
-//!                                    │                  │
+//! acceptor ──spawns──▶ connection threads ──push──▶ BatchQueue
+//!                                             (one per server; bounded
+//!                                              admission, server-wide)
+//!                                    │                  │ next_batch
 //!                                    │        ┌─────────┼─────────┐
 //!                                    │        ▼         ▼         ▼
 //!                                    │   worker 0   worker 1 … worker N-1
@@ -15,6 +15,9 @@
 //!                                    │        │ BatchReply
 //!                                    ◀──mpsc──┘
 //! ```
+//!
+//! No job is bound to a replica when it is admitted: whichever worker is
+//! free first pops the next batch, so no worker idles while jobs wait.
 //!
 //! Every replica worker owns a full [`ServedModel`] built from one shared
 //! frozen checkpoint ([`ServeSpec`]); builds are seed-deterministic, so the
@@ -48,10 +51,10 @@
 //!
 //! ## Shutdown
 //!
-//! `{"cmd": "shutdown"}` (or [`Server::shutdown`]) flips the dispatcher
-//! into draining mode: new work is rejected with `"draining"`, the
-//! admitted backlog is batched and served, every worker exits on its empty
-//! queue, and the acceptor is woken by a loop-back connection — aimed at
+//! `{"cmd": "shutdown"}` (or [`Server::shutdown`]) flips the queue into
+//! draining mode: new work is rejected with `"draining"`, the admitted
+//! backlog is batched and served, every worker exits once the queue is
+//! empty, and the acceptor is woken by a loop-back connection — aimed at
 //! the loopback IP when the server is bound to a wildcard address, where a
 //! connect to `0.0.0.0`/`::` itself would fail and leave the acceptor
 //! blocked forever. Connection threads are detached; they exit when their
@@ -62,7 +65,7 @@ use crate::metrics::{
 };
 use crate::model::{ModelOptions, ServeSpec, ServedModel};
 use crate::protocol::{read_frame, write_frame, Request, Response};
-use crate::queue::{BatchReply, Dispatcher, Job, QueueConfig};
+use crate::queue::{BatchQueue, BatchReply, Job, QueueConfig};
 use axnn_data::resize::PreprocessSpec;
 use axnn_obs::WindowSpec;
 use std::io::{self, BufReader, BufWriter};
@@ -122,7 +125,7 @@ struct SwapInner {
 }
 
 struct Shared {
-    dispatcher: Dispatcher,
+    queue: BatchQueue,
     shutdown: AtomicBool,
     addr: SocketAddr,
     /// Build options the server was started with; reloads reuse them (a
@@ -166,7 +169,7 @@ impl Shared {
     /// loop-back connection.
     fn begin_shutdown(&self) {
         if !self.shutdown.swap(true, Ordering::SeqCst) {
-            self.dispatcher.start_drain();
+            self.queue.start_drain();
             let _ = TcpStream::connect(wake_addr(self.addr));
         }
     }
@@ -220,7 +223,7 @@ impl Server {
         let input_len = models[0].input_len();
         let classes = models[0].classes();
         let shared = Arc::new(Shared {
-            dispatcher: Dispatcher::new(cfg, replicas),
+            queue: BatchQueue::new(cfg),
             shutdown: AtomicBool::new(false),
             addr,
             opts: spec.options().clone(),
@@ -273,7 +276,7 @@ impl Server {
 
     /// Number of replica workers.
     pub fn replicas(&self) -> usize {
-        self.shared.dispatcher.replicas()
+        self.shared.slots.len()
     }
 
     /// Completed hot-swap count.
@@ -355,8 +358,7 @@ fn worker_loop(mut model: ServedModel, replica: usize, shared: &Shared) {
     let swap_label = format!("serve:r{replica}");
     let mut seen_gen = shared.generation.load(Ordering::SeqCst);
     let mut pc_last = model.plan_cache_stats().unwrap_or_default();
-    while let Some(batch) = shared.dispatcher.queue(replica).next_batch() {
-        shared.dispatcher.release(batch.jobs.len());
+    while let Some(batch) = shared.queue.next_batch() {
         // Swap point: between batches, never mid-batch. Taking the slot is
         // cheap (one mutex, usually uncontended); the expensive build
         // already happened on the reload thread.
@@ -649,7 +651,7 @@ fn dispatch(payload: &[u8], shared: &Shared, input_len: usize, classes: usize) -
         enqueued: Instant::now(),
         reply: tx,
     };
-    match shared.dispatcher.push(job, shared.metrics.trace_seq()) {
+    match shared.queue.push(job, shared.metrics.trace_seq()) {
         Err(e) => {
             axnn_obs::record_ratio("serve:rejected", 1, 1);
             shared.metrics.note_rejected();
@@ -658,7 +660,7 @@ fn dispatch(payload: &[u8], shared: &Shared, input_len: usize, classes: usize) -
                 reason: e.reason(),
             }
         }
-        Ok(_) => match rx.recv() {
+        Ok(()) => match rx.recv() {
             Ok(r) => Response::Ok {
                 id: r.id,
                 logits: r.logits,

@@ -114,28 +114,32 @@ echo "tier1: model restore smoke OK"
 # ephemeral port, survive a loadgen burst that forces admission-control
 # rejections (queue capacity 1, max-batch 1, 8 concurrent connections),
 # drain cleanly on shutdown, and leave a serving profile that
-# `axnn obs report` renders.
-serve_up "serve" "$OBS_TMP/serve.out" --max-batch 1 --queue-cap 1 \
-    --profile "$OBS_TMP/serve.jsonl"
-target/release/axnn loadgen --addr "$ADDR" --connections 8 --requests 4 \
-    --shutdown true >"$OBS_TMP/loadgen.json"
-wait "$SERVE_PID"
-if ! grep -q "drained cleanly" "$OBS_TMP/serve.out"; then
-    echo "tier1: serve did not drain cleanly" >&2
-    exit 1
-fi
-if grep -q '"ok": 0[,}]' "$OBS_TMP/loadgen.json"; then
-    echo "tier1: loadgen burst served nothing" >&2
-    exit 1
-fi
-if grep -q '"rejected": 0[,}]' "$OBS_TMP/loadgen.json"; then
-    echo "tier1: overloaded serve rejected nothing (admission control broken)" >&2
-    exit 1
-fi
-target/release/axnn obs report "$OBS_TMP/serve.jsonl" | grep -q "serve" || {
-    echo "tier1: obs report does not render the serving profile" >&2
-    exit 1
-}
+# `axnn obs report` renders. The second burst runs two replicas: they pop
+# one queue, so `--queue-cap` still bounds the whole server and it must
+# still reject.
+for R in 1 2; do
+    serve_up "serve --replicas $R" "$OBS_TMP/serve_b$R.out" --replicas "$R" \
+        --max-batch 1 --queue-cap 1 --profile "$OBS_TMP/serve_b$R.jsonl"
+    target/release/axnn loadgen --addr "$ADDR" --connections 8 --requests 4 \
+        --shutdown true >"$OBS_TMP/loadgen_b$R.json"
+    wait "$SERVE_PID"
+    if ! grep -q "drained cleanly" "$OBS_TMP/serve_b$R.out"; then
+        echo "tier1: serve ($R replicas) did not drain cleanly" >&2
+        exit 1
+    fi
+    if grep -q '"ok": 0[,}]' "$OBS_TMP/loadgen_b$R.json"; then
+        echo "tier1: loadgen burst ($R replicas) served nothing" >&2
+        exit 1
+    fi
+    if grep -q '"rejected": 0[,}]' "$OBS_TMP/loadgen_b$R.json"; then
+        echo "tier1: overloaded serve ($R replicas) rejected nothing (admission control broken)" >&2
+        exit 1
+    fi
+    target/release/axnn obs report "$OBS_TMP/serve_b$R.jsonl" | grep -q "serve" || {
+        echo "tier1: obs report does not render the serving profile ($R replicas)" >&2
+        exit 1
+    }
+done
 echo "tier1: serve smoke OK"
 
 # Replica-invariance smoke: the same deterministic canary probe must return

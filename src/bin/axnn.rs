@@ -101,9 +101,9 @@
 //! and `stream` run inference through the fused graph executor (per-batch-
 //! shape plan cache); the layer interpreter only trains.
 //!
-//! A free replica worker takes up to `--max-batch` waiting requests at once
-//! and never holds one back to fill a batch. Each request goes to the
-//! replica with the fewest waiting plus in-service requests.
+//! Every replica worker pops one shared queue: a free worker takes up to
+//! `--max-batch` waiting requests at once and never holds one back to fill
+//! a batch.
 //!
 //! The server prints `serving on <addr> ...` once ready and runs until a
 //! client sends `{"cmd": "shutdown"}` (`axnn loadgen --shutdown true`

@@ -245,8 +245,8 @@ fn served_logits_are_replica_invariant() {
             })
             .collect();
 
-        // Concurrent clients so the dispatcher actually spreads the batch
-        // across replicas (and cuts mixed micro-batches).
+        // Concurrent clients so several replica workers pop the shared
+        // queue (and cut mixed micro-batches).
         let addr = server.addr();
         let handles: Vec<_> = inputs
             .iter()
