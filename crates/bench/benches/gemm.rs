@@ -1,14 +1,16 @@
 //! Micro-benchmarks of the execution engines: exact f32 GEMM, quantized
 //! GEMM, and LUT-served approximate GEMM (the ProxSim trick), plus LUT
 //! construction cost, the LUT-vs-direct multiplier evaluation ablation,
-//! and the thread-scaling sweep behind `results/BENCH_gemm.json`.
+//! the approximate conv's kernels at the student's training shapes, and
+//! the thread-scaling sweep behind `results/BENCH_gemm.json`.
 
 use axnn_axmul::{ExactMul, Multiplier, TruncatedMul};
 use axnn_bench::timing::{bench, interleaved};
 use axnn_nn::{ExactExecutor, LayerExecutor, Mode};
 use axnn_proxsim::{approx_matmul, LutProduct, PiecewiseLinearError, SignedLut};
-use axnn_quant::QuantExecutor;
+use axnn_quant::{ApproxProduct, QuantExecutor};
 use axnn_rng::Rng;
+use axnn_tensor::im2col::{col2im, im2col_into, ConvGeometry};
 use axnn_tensor::{gemm, init, Tensor};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -78,9 +80,45 @@ fn bench_lut() {
     });
 }
 
+/// The three kernels every approximate conv of ResNet-20 w0.25 runs in
+/// training (16×16 inputs, batch 32), at 1 and 2 threads: the LUT GEMM
+/// over `u8` offsets (as the 8A4W executor calls it), the `im2col` lowering
+/// of its forward and the `col2im` scatter of its backward. The shapes are
+/// stage 1 (`4 → 4` channels: oc 4, k 36, m 8192) and stage 3 (`16 → 16`:
+/// oc 16, k 144, m 512), both 3×3 stride 1.
+fn bench_student_conv() {
+    const BATCH: usize = 32;
+    let product = LutProduct::new(Arc::new(SignedLut::build(&TruncatedMul::new(5))), None);
+    let geom = ConvGeometry::new(3, 1, 1);
+    let mut rng = Rng::seed(3);
+    for (c, hw) in [(4usize, 16usize), (16, 4)] {
+        let (k, m) = (c * 9, BATCH * hw * hw);
+        let input = init::uniform(&[BATCH, c, hw, hw], -1.0, 1.0, &mut rng);
+        let dcol = init::uniform(&[k, m], -1.0, 1.0, &mut rng);
+        let w: Vec<i32> = (0..c * k).map(|_| rng.gen_range(-8..=7)).collect();
+        let xi: Vec<u8> = (0..k * m).map(|_| rng.gen()).collect();
+        let mut out = vec![0.0f32; c * m];
+        let mut col = Tensor::zeros(&[k, m]);
+        for threads in [1, 2] {
+            axnn_par::set_threads(threads);
+            let case = format!("oc{c}_k{k}_m{m}/t{threads}");
+            bench(&format!("student_conv/lut_gemm_{case}"), 20, || {
+                product.matmul(black_box(&w), black_box(&xi), [c, k, m], 1e-3, &mut out);
+            });
+            bench(&format!("student_conv/im2col_{case}"), 20, || {
+                im2col_into(black_box(&input), geom, &mut col);
+            });
+            bench(&format!("student_conv/col2im_{case}"), 20, || {
+                black_box(col2im(black_box(&dcol), &[BATCH, c, hw, hw], geom));
+            });
+        }
+    }
+    axnn_par::set_threads(0);
+}
+
 /// Side of the square GEMM used for the thread-scaling sweep.
 const SWEEP: usize = 256;
-/// Thread counts swept (the deterministic row partition makes results
+/// Thread counts swept (the deterministic output partition makes results
 /// bit-identical across all of them).
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -273,7 +311,7 @@ fn write_gemm_report(a: &Tensor, b: &Tensor, w_codes: &[i32], x_codes: &[i32], l
         )
     };
     let report = format!(
-        "{{\n  \"bench\": \"gemm_{s}x{s}x{s}\",\n  \"timing\": \"min of {REPS} interleaved repetitions, release build, milliseconds\",\n  \"baseline\": \"reference_ms is the serial naive kernel (gemm::reference / proxsim::gemm::reference), i.e. the single-thread baseline\",\n  \"note\": \"row-partitioned outputs make every configuration bit-identical; on a single-core host the thread rows coincide and the speedup comes from the blocked kernels\",\n  \"profile_overhead_pct\": {overhead_pct:.2},\n  \"profile_overhead_note\": \"blocked approx_matmul with axnn-obs profiling enabled vs disabled (interleaved minima, quiet-window retried); an upper bound on the disabled-path cost, since the enabled path does strictly more work. Negative values are measurement noise\",\n  \"hist_overhead_pct\": {hist_pct:.2},\n  \"hist_overhead_note\": \"labelled approximate QuantExecutor forward (Mode::Train) with spans+health telemetry enabled vs fully disabled (interleaved minima over 4-call batches, quiet-window retried): sampled eps histograms, GE residual/coverage ratios, saturation rates. Same upper-bound reading as profile_overhead_pct; negative values are measurement noise\",\n  \"kernels\": [\n{},\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"gemm_{s}x{s}x{s}\",\n  \"timing\": \"min of {REPS} interleaved repetitions, release build, milliseconds\",\n  \"baseline\": \"reference_ms is the serial naive kernel (gemm::reference / proxsim::gemm::reference), i.e. the single-thread baseline\",\n  \"note\": \"one writer per output element (row blocks for exact, 2-D tiles for approx) makes every configuration bit-identical; on a single-core host the thread rows coincide and the speedup comes from the blocked kernels\",\n  \"profile_overhead_pct\": {overhead_pct:.2},\n  \"profile_overhead_note\": \"blocked approx_matmul with axnn-obs profiling enabled vs disabled (interleaved minima, quiet-window retried); an upper bound on the disabled-path cost, since the enabled path does strictly more work. Negative values are measurement noise\",\n  \"hist_overhead_pct\": {hist_pct:.2},\n  \"hist_overhead_note\": \"labelled approximate QuantExecutor forward (Mode::Train) with spans+health telemetry enabled vs fully disabled (interleaved minima over 4-call batches, quiet-window retried): sampled eps histograms, GE residual/coverage ratios, saturation rates. Same upper-bound reading as profile_overhead_pct; negative values are measurement noise\",\n  \"kernels\": [\n{},\n{}\n  ]\n}}\n",
         row("exact_matmul", exact_ref, &exact_ms),
         row("approx_matmul", approx_ref, &approx_ms),
         s = SWEEP,
@@ -289,5 +327,6 @@ fn write_gemm_report(a: &Tensor, b: &Tensor, w_codes: &[i32], x_codes: &[i32], l
 fn main() {
     bench_engines();
     bench_lut();
+    bench_student_conv();
     bench_thread_scaling();
 }

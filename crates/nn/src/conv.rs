@@ -167,8 +167,8 @@ impl Layer for Conv2d {
 
         let _span = axnn_obs::span(&self.core.fwd_span);
         let m = n * oh * ow;
-        // All groups share one column buffer: `im2col_into` zero-fills each
-        // row before the gather, and executors copy what they need to keep.
+        // All groups share one column buffer: `im2col_into` overwrites every
+        // element, and executors copy what they need to keep.
         let mut col = scratch_buf(&mut self.scratch.col, &[kpg, m]);
         let mut group_caches = Vec::with_capacity(self.groups);
         let mut out_rows = Vec::with_capacity(self.groups);

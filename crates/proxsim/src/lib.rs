@@ -8,7 +8,7 @@
 //!
 //! - [`SignedLut`]: a signed product table over the full 8A4W code range,
 //!   built once per multiplier;
-//! - [`approx_matmul`]: integer GEMM over quantized codes with i64
+//! - [`approx_matmul`]: integer GEMM over quantized codes with exact
 //!   accumulation (eq. 4: `ỹᵢⱼ = Σₖ g̃(Xᵢₖ, Wₖⱼ)`);
 //! - [`PiecewiseLinearError`]: the paper's eq. (11) error model
 //!   `f(y) = min(a, max(k·y + c, b))` whose derivative drives gradient

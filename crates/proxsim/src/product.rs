@@ -12,8 +12,8 @@ use axnn_tensor::Tensor;
 use std::sync::Arc;
 
 /// The approximate product of the ProxSim execution model: `y ≈ W_q · X_q`
-/// with the products served from a [`SignedLut`] and accumulated in `i64`
-/// (eq. 4), exactly or through an approximate [`Adder`].
+/// with the products served from a [`SignedLut`] and accumulated exactly
+/// (eq. 4) or through an approximate [`Adder`].
 ///
 /// Install it with [`QuantExecutor::with_product`]. An attached error
 /// model enables gradient estimation: the executor's [`Mode::Train`]

@@ -7,6 +7,11 @@ const W_OFFSET: i32 = 8;
 const X_SPAN: usize = 256; // codes −128..=127 (symmetric quantizers use −127..=127)
 const W_SPAN: usize = 16; // codes −8..=7
 
+/// Every tabulated product is below this in magnitude: 2^15, so the
+/// approximate GEMM's `i32` accumulator holds any sum of fewer than 2^16
+/// products exactly.
+const PRODUCT_BOUND: i64 = 1 << 15;
+
 /// An exhaustive signed product table: every `(x, w)` code pair of the
 /// 8A4W range maps to the multiplier's signed product.
 ///
@@ -19,6 +24,9 @@ const W_SPAN: usize = 16; // codes −8..=7
 /// `w` fixed while streaming activation codes touches one cache-resident
 /// 1 KiB row instead of striding through the whole table.
 ///
+/// Every entry is below 2^15 in magnitude (checked at build time); the
+/// catalog's largest is 1949 (`evo249`).
+///
 /// ```
 /// use axnn_axmul::{ExactMul, Multiplier};
 /// use axnn_proxsim::SignedLut;
@@ -29,37 +37,36 @@ const W_SPAN: usize = 16; // codes −8..=7
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignedLut {
-    table: Vec<i32>,
+    /// One 256-entry row per weight code, indexed by `x + 128`.
+    table: Vec<[i32; X_SPAN]>,
     name: String,
 }
 
 impl SignedLut {
     /// Tabulates a multiplier over the full signed code range.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the multiplier and the operands, if a product is not
+    /// below 2^15 in magnitude.
     pub fn build(m: &dyn Multiplier) -> Self {
-        let mut table = vec![0i32; X_SPAN * W_SPAN];
-        for x in -X_OFFSET..X_OFFSET {
-            for w in -W_OFFSET..W_OFFSET {
-                let idx = Self::index(x, w);
-                table[idx] = m.mul_signed(x, w) as i32;
+        let mut table = vec![[0i32; X_SPAN]; W_SPAN];
+        for w in -W_OFFSET..W_OFFSET {
+            let row = &mut table[(w + W_OFFSET) as usize];
+            for x in -X_OFFSET..X_OFFSET {
+                let p = m.mul_signed(x, w);
+                assert!(
+                    p.abs() < PRODUCT_BOUND,
+                    "multiplier {} gives {x} x {w} = {p}, outside the LUT bound |p| < 2^15",
+                    m.name()
+                );
+                row[(x + X_OFFSET) as usize] = p as i32;
             }
         }
         Self {
             table,
             name: m.name().to_string(),
         }
-    }
-
-    #[inline]
-    fn index(x: i32, w: i32) -> usize {
-        debug_assert!(
-            (-X_OFFSET..X_OFFSET).contains(&x),
-            "x code {x} out of range"
-        );
-        debug_assert!(
-            (-W_OFFSET..W_OFFSET).contains(&w),
-            "w code {w} out of range"
-        );
-        ((w + W_OFFSET) as usize) * X_SPAN + ((x + X_OFFSET) as usize)
     }
 
     /// Signed product of two quantizer codes.
@@ -69,25 +76,28 @@ impl SignedLut {
     /// Panics (in debug builds) if `x ∉ [−128, 127]` or `w ∉ [−8, 7]`.
     #[inline]
     pub fn get(&self, x: i32, w: i32) -> i64 {
-        self.table[Self::index(x, w)] as i64
+        debug_assert!(
+            (-X_OFFSET..X_OFFSET).contains(&x),
+            "x code {x} out of range"
+        );
+        self.w_row(w)[(x + X_OFFSET) as usize] as i64
     }
 
     /// The 256 contiguous products for weight code `w`, indexed by
     /// `x + 128`. This is the cache-friendly GEMM access path: one row is
     /// 1 KiB and stays resident while a whole activation stripe streams
-    /// past it.
+    /// past it, and a `u8` offset indexes it without a bounds check.
     ///
     /// # Panics
     ///
     /// Panics (in debug builds) if `w ∉ [−8, 7]`.
     #[inline]
-    pub fn w_row(&self, w: i32) -> &[i32] {
+    pub fn w_row(&self, w: i32) -> &[i32; X_SPAN] {
         debug_assert!(
             (-W_OFFSET..W_OFFSET).contains(&w),
             "w code {w} out of range"
         );
-        let base = ((w + W_OFFSET) as usize) * X_SPAN;
-        &self.table[base..base + X_SPAN]
+        &self.table[(w + W_OFFSET) as usize]
     }
 
     /// Name of the tabulated multiplier.
@@ -142,6 +152,37 @@ mod tests {
             for x in -128i32..=127 {
                 assert_eq!(row[(x + 128) as usize] as i64, lut.get(x, w), "({x},{w})");
             }
+        }
+    }
+
+    /// A multiplier whose `127 × 7` product overflows the LUT bound.
+    #[derive(Debug)]
+    struct Overflowing;
+
+    impl Multiplier for Overflowing {
+        fn mul_mag(&self, x: u32, w: u32) -> u32 {
+            if x == 127 && w == 7 {
+                1 << 15
+            } else {
+                x * w
+            }
+        }
+
+        fn name(&self) -> &str {
+            "overflowing"
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "multiplier overflowing gives -127 x -7 = 32768")]
+    fn build_rejects_a_product_outside_the_bound() {
+        SignedLut::build(&Overflowing);
+    }
+
+    #[test]
+    fn every_catalog_multiplier_builds_inside_the_bound() {
+        for spec in axnn_axmul::catalog::PAPER_MULTIPLIERS {
+            SignedLut::build(spec.build().as_ref()); // `build` checks the bound
         }
     }
 

@@ -88,9 +88,10 @@ pub fn im2col(input: &Tensor, geom: ConvGeometry) -> Tensor {
 }
 
 /// As [`im2col`], but gathers into a caller-provided `[C·KH·KW, N·OH·OW]`
-/// buffer (each row is zero-filled before the gather, so the buffer may
-/// hold stale data from a previous call). Compiled-graph plans reuse one
-/// column buffer per conv this way instead of allocating per call.
+/// buffer (every element is overwritten, padding taps with zero, so the
+/// buffer may hold stale data from a previous call). Compiled-graph plans
+/// reuse one column buffer per conv this way instead of allocating per
+/// call.
 ///
 /// # Panics
 ///
@@ -120,31 +121,56 @@ pub fn im2col_into(input: &Tensor, geom: ConvGeometry, out: &mut Tensor) {
     let src = input.as_slice();
     // Each matrix row holds one kernel tap (ci, kh, kw) and is written by
     // exactly one thread: rows are disjoint, so the gather is trivially
-    // deterministic for any thread count.
+    // deterministic for any thread count. Per (image, output row) only the
+    // padding is zeroed and the valid span is copied once.
     axnn_par::par_chunks_mut(out.as_mut_slice(), cols, |row, dst_row| {
-        dst_row.fill(0.0);
-        let kw = row % k;
-        let kh = (row / k) % k;
-        let ci = row / (k * k);
-        for ni in 0..n {
-            let img_base = (ni * c + ci) * h * w;
-            for ohi in 0..oh {
-                let ih = (ohi * s + kh) as isize - p as isize;
-                let col_base = (ni * oh + ohi) * ow;
-                if ih < 0 || ih as usize >= h {
-                    continue; // row of zeros from padding
+        let (ci, kh, kw) = (row / (k * k), (row / k) % k, row % k);
+        let span = valid_span(ow, w, s, p, kw);
+        for (ni, dst_img) in dst_row.chunks_exact_mut(oh * ow).enumerate() {
+            let img = &src[(ni * c + ci) * h * w..][..h * w];
+            for (ohi, dst) in dst_img.chunks_exact_mut(ow).enumerate() {
+                let Some(ih) = tap_index(ohi, s, kh, p, h) else {
+                    dst.fill(0.0); // row of zeros from padding
+                    continue;
+                };
+                let src_row = &img[ih * w..][..w];
+                dst[..span.start].fill(0.0);
+                dst[span.end..].fill(0.0);
+                if span.is_empty() {
+                    continue;
                 }
-                let src_row = img_base + ih as usize * w;
-                for owi in 0..ow {
-                    let iw = (owi * s + kw) as isize - p as isize;
-                    if iw < 0 || iw as usize >= w {
-                        continue;
+                let first = span.start * s + kw - p;
+                let inner = &mut dst[span.clone()];
+                if s == 1 {
+                    inner.copy_from_slice(&src_row[first..][..inner.len()]);
+                } else {
+                    for (d, &v) in inner.iter_mut().zip(src_row[first..].iter().step_by(s)) {
+                        *d = v;
                     }
-                    dst_row[col_base + owi] = src[src_row + iw as usize];
                 }
             }
         }
     });
+}
+
+/// Input index `o·s + t − p` that output index `o` reads at kernel tap `t`
+/// along an axis of size `len`, or `None` where it falls in the padding.
+#[inline]
+fn tap_index(o: usize, s: usize, t: usize, p: usize, len: usize) -> Option<usize> {
+    (o * s + t).checked_sub(p).filter(|&i| i < len)
+}
+
+/// The output columns `[lo, hi)` whose tap `kw` lands inside an input row
+/// of width `w` (stride `s`, padding `p`), out of `ow`. Every column outside
+/// it reads padding; the range is empty when none lands inside.
+fn valid_span(ow: usize, w: usize, s: usize, p: usize, kw: usize) -> std::ops::Range<usize> {
+    // o·s + kw ≥ p  ⇔  o ≥ ⌈(p − kw) / s⌉
+    let lo = p.saturating_sub(kw).div_ceil(s).min(ow);
+    // o·s + kw − p ≤ w − 1  ⇔  o ≤ ⌊(w − 1 + p − kw) / s⌋
+    let hi = (w + p)
+        .checked_sub(kw + 1)
+        .map_or(0, |last| (last / s + 1).min(ow));
+    lo..hi.max(lo)
 }
 
 /// Inverse of [`im2col`]: scatters a `[C·KH·KW, N·OH·OW]` column-gradient
@@ -177,27 +203,32 @@ pub fn col2im(cols: &Tensor, input_shape: &[usize; 4], geom: ConvGeometry) -> Te
     // belongs to exactly one `ni`, and within an image the (ci, kh, kw,
     // ohi, owi) accumulation order below matches the serial loop nest, so
     // each pixel sees its overlapping taps folded in the same order
-    // regardless of thread count.
+    // regardless of thread count. Each (tap, output row) adds its valid
+    // span in one pass.
     axnn_par::par_chunks_mut(out.as_mut_slice(), c * h * w, |ni, img| {
-        for ci in 0..c {
-            let chan_base = ci * h * w;
+        for (ci, chan) in img.chunks_exact_mut(h * w).enumerate() {
             for kh in 0..k {
                 for kw in 0..k {
+                    let span = valid_span(ow, w, s, p, kw);
+                    if span.is_empty() {
+                        continue;
+                    }
+                    let first = span.start * s + kw - p;
                     let row = (ci * k + kh) * k + kw;
-                    let row_base = row * total_cols;
-                    for ohi in 0..oh {
-                        let ih = (ohi * s + kh) as isize - p as isize;
-                        if ih < 0 || ih as usize >= h {
+                    let src_img = &src[row * total_cols + ni * oh * ow..][..oh * ow];
+                    for (ohi, src_row) in src_img.chunks_exact(ow).enumerate() {
+                        let Some(ih) = tap_index(ohi, s, kh, p, h) else {
                             continue;
-                        }
-                        let dst_row = chan_base + ih as usize * w;
-                        let col_base = row_base + (ni * oh + ohi) * ow;
-                        for owi in 0..ow {
-                            let iw = (owi * s + kw) as isize - p as isize;
-                            if iw < 0 || iw as usize >= w {
-                                continue;
+                        };
+                        let (src_span, dst) = (&src_row[span.clone()], &mut chan[ih * w + first..]);
+                        if s == 1 {
+                            for (d, &v) in dst.iter_mut().zip(src_span) {
+                                *d += v;
                             }
-                            img[dst_row + iw as usize] += src[col_base + owi];
+                        } else {
+                            for (d, &v) in dst.iter_mut().step_by(s).zip(src_span) {
+                                *d += v;
+                            }
                         }
                     }
                 }

@@ -1,7 +1,9 @@
 //! Property-based tests for the tensor substrate.
 
 use axnn_rng::{cases, Rng};
-use axnn_tensor::im2col::{col2im, gemm_out_to_nchw, im2col, nchw_to_gemm_out, ConvGeometry};
+use axnn_tensor::im2col::{
+    col2im, gemm_out_to_nchw, im2col, im2col_into, nchw_to_gemm_out, ConvGeometry,
+};
 use axnn_tensor::{gemm, Tensor};
 
 /// A random 1..=4 x 1..=4 matrix with entries in `[-100, 100)`.
@@ -108,6 +110,108 @@ fn col2im_is_adjoint_of_im2col() {
             lhs,
             rhs
         );
+    });
+}
+
+/// The scalar lowering loop nests the span kernels replaced, kept as their
+/// oracle: one padding test per element, serial.
+mod oracle {
+    use axnn_tensor::im2col::ConvGeometry;
+
+    /// Padded input index of output index `o` at tap `t`, if inside `len`.
+    fn at(o: usize, t: usize, g: ConvGeometry, len: usize) -> Option<usize> {
+        let i = (o * g.stride + t) as isize - g.pad as isize;
+        (i >= 0 && (i as usize) < len).then_some(i as usize)
+    }
+
+    pub fn im2col(src: &[f32], [n, c, h, w]: [usize; 4], g: ConvGeometry) -> Vec<f32> {
+        let (k, oh, ow) = (g.kernel, g.out_dim(h), g.out_dim(w));
+        let cols = n * oh * ow;
+        let mut out = vec![0.0; c * k * k * cols];
+        for row in 0..c * k * k {
+            let (ci, kh, kw) = (row / (k * k), (row / k) % k, row % k);
+            for ni in 0..n {
+                for ohi in 0..oh {
+                    for owi in 0..ow {
+                        if let (Some(ih), Some(iw)) = (at(ohi, kh, g, h), at(owi, kw, g, w)) {
+                            out[row * cols + (ni * oh + ohi) * ow + owi] =
+                                src[((ni * c + ci) * h + ih) * w + iw];
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    pub fn col2im(src: &[f32], [n, c, h, w]: [usize; 4], g: ConvGeometry) -> Vec<f32> {
+        let (k, oh, ow) = (g.kernel, g.out_dim(h), g.out_dim(w));
+        let cols = n * oh * ow;
+        let mut out = vec![0.0; n * c * h * w];
+        for ni in 0..n {
+            for ci in 0..c {
+                for kh in 0..k {
+                    for kw in 0..k {
+                        let row = (ci * k + kh) * k + kw;
+                        for ohi in 0..oh {
+                            for owi in 0..ow {
+                                if let (Some(ih), Some(iw)) = (at(ohi, kh, g, h), at(owi, kw, g, w))
+                                {
+                                    out[((ni * c + ci) * h + ih) * w + iw] +=
+                                        src[row * cols + (ni * oh + ohi) * ow + owi];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `im2col_into` and `col2im` against the scalar oracle, bit for bit:
+/// kernels 1–5, strides 1–3, padding up to the kernel size, inputs
+/// narrower than the kernel, a stale (NaN-filled) column buffer, and 1
+/// thread against several.
+#[test]
+fn lowering_matches_the_scalar_oracle() {
+    cases(256, |mut rng| {
+        let k = rng.gen_range(1usize..=5);
+        let geom = ConvGeometry::new(k, rng.gen_range(1..=3), rng.gen_range(0..=k));
+        // As small as the padded input allows: down to 1 pixel.
+        let least = k.saturating_sub(2 * geom.pad).max(1);
+        let (h, w) = (
+            rng.gen_range(least..least + 8),
+            rng.gen_range(least..least + 8),
+        );
+        let shape = [rng.gen_range(1..=3), rng.gen_range(1..=3), h, w];
+        let x = axnn_tensor::init::uniform(&shape, -1.0, 1.0, &mut rng);
+        let want_col = oracle::im2col(x.as_slice(), shape, geom);
+        let col_shape = [shape[1] * k * k, want_col.len() / (shape[1] * k * k)];
+        let dcol = axnn_tensor::init::uniform(&col_shape, -1.0, 1.0, &mut rng);
+        let want_img = oracle::col2im(dcol.as_slice(), shape, geom);
+        for threads in [1, rng.gen_range(2..=4)] {
+            axnn_par::set_threads(threads);
+            let mut col = Tensor::from_vec(vec![f32::NAN; want_col.len()], &col_shape).unwrap();
+            im2col_into(&x, geom, &mut col);
+            assert_eq!(
+                bits(col.as_slice()),
+                bits(&want_col),
+                "im2col {shape:?} {geom:?}"
+            );
+            let img = col2im(&dcol, &shape, geom);
+            assert_eq!(
+                bits(img.as_slice()),
+                bits(&want_img),
+                "col2im {shape:?} {geom:?}"
+            );
+        }
+        axnn_par::set_threads(0);
     });
 }
 

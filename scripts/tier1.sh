@@ -15,10 +15,12 @@ trap 'cp "$OBS_TMP/perfbench.lock" perfbench/Cargo.lock; rm -rf "$OBS_TMP"' EXIT
 
 cargo build --release
 cargo test --workspace -q
-# The bit pins again in the release profile, whose vectorised kernels are
-# the ones that ship.
+# The bit pins and the kernel properties (the tiled LUT GEMM and the
+# lowering against their scalar oracles) again in the release profile,
+# whose vectorised kernels are the ones that ship.
 cargo test --release -q --test train_golden --test executor_golden \
-    --test executor_consistency
+    --test executor_consistency --test thread_invariance
+cargo test --release -q -p axnn-proxsim -p axnn-tensor
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

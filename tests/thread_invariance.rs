@@ -77,9 +77,9 @@ fn matmul_is_thread_invariant() {
 #[test]
 fn approx_matmul_is_thread_invariant() {
     cases(256, |mut rng| {
-        let oc = rng.gen_range(1usize..10);
+        let oc = rng.gen_range(1usize..14);
         let k = rng.gen_range(1usize..16);
-        let m = rng.gen_range(1usize..20);
+        let m = rng.gen_range(1usize..700);
         let threads = rng.gen_range(2usize..9);
         let _g = serial();
         let w: Vec<i32> = (0..oc * k).map(|_| rng.gen_range(-7..=7)).collect();
