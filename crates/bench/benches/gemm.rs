@@ -84,14 +84,15 @@ fn bench_lut() {
 /// training (16×16 inputs, batch 32), at 1 and 2 threads: the LUT GEMM
 /// over `u8` offsets (as the 8A4W executor calls it), the `im2col` lowering
 /// of its forward and the `col2im` scatter of its backward. The shapes are
-/// stage 1 (`4 → 4` channels: oc 4, k 36, m 8192) and stage 3 (`16 → 16`:
-/// oc 16, k 144, m 512), both 3×3 stride 1.
+/// stage 1 (`4 → 4` channels: oc 4, k 36, m 8192), stage 2 (`8 → 8`: oc 8,
+/// k 72, m 2048) and stage 3 (`16 → 16`: oc 16, k 144, m 512), all 3×3
+/// stride 1.
 fn bench_student_conv() {
     const BATCH: usize = 32;
     let product = LutProduct::new(Arc::new(SignedLut::build(&TruncatedMul::new(5))), None);
     let geom = ConvGeometry::new(3, 1, 1);
     let mut rng = Rng::seed(3);
-    for (c, hw) in [(4usize, 16usize), (16, 4)] {
+    for (c, hw) in [(4usize, 16usize), (8, 8), (16, 4)] {
         let (k, m) = (c * 9, BATCH * hw * hw);
         let input = init::uniform(&[BATCH, c, hw, hw], -1.0, 1.0, &mut rng);
         let dcol = init::uniform(&[k, m], -1.0, 1.0, &mut rng);

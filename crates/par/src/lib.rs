@@ -269,6 +269,8 @@ pub fn par_for_rows<F: Fn(usize) + Sync>(n: usize, f: F) {
 struct SendPtr<T>(*mut T);
 // SAFETY: every user hands disjoint index ranges to different threads.
 unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: shared copies only carry the base pointer; each thread derives
+// from it only the disjoint range it was handed, as above.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 // Manual impls: derive would add an unwanted `T: Copy` bound.

@@ -1,16 +1,25 @@
 //! Approximate integer GEMM over quantizer codes (paper eq. 4).
 //!
-//! The hot loops are organised around the w-major [`SignedLut`] layout:
-//! activations arrive as `u8` table offsets (`code + 128`, 4× denser in
+//! Activations arrive as `u8` table offsets (`code + 128`, 4× denser in
 //! cache than `i32` codes; the 8A4W executor quantizes straight into them, the
-//! public `i32`-code entry points pack them once), and each weight code
-//! pins one contiguous 1 KiB LUT row while an activation segment streams
-//! past it. [`approx_matmul`] splits its `[OC, M]` output into `IB × JP`
-//! tiles handed to threads by [`axnn_par::par_tiles_mut`], so every output
-//! element is produced by exactly one thread, and a layer with few output
-//! channels still spreads over every core. Each tile sums into a stack
-//! `i32` panel: every LUT entry is below 2^15 in magnitude and `K < 2^16`,
-//! so the sum is exact and equals the serial [`reference`](mod@reference)
+//! public `i32`-code entry points pack them once), in the `[K, M]` layout
+//! the conv lowering emits. [`approx_matmul`] splits its `[OC, M]` output
+//! into tiles handed to threads by [`axnn_par::par_tiles_mut`], so every
+//! output element is produced by exactly one thread, and a layer with few
+//! output channels still spreads over every core. It has two arms, picked
+//! at runtime:
+//!
+//! - **AVX2** (x86-64 with AVX2): `16 × 64` tiles. A 4-bit weight code
+//!   indexes a 16-entry table, so one `vpshufb` pair looks up one tap's
+//!   products for 16 output channels in the [`SignedLut`]'s byte rows of
+//!   one activation code. Products are summed in `i16` for as many taps as
+//!   cannot overflow it, then widened into `i32`.
+//! - **Portable**: `4 × 256` tiles. Each weight code pins one contiguous
+//!   1 KiB `i32` LUT row while an activation segment streams past it, one
+//!   indexed load per MAC.
+//!
+//! Every LUT entry is below 2^15 in magnitude and `K < 2^16`, so both arms'
+//! sums are exact and equal the serial [`reference`](mod@reference)
 //! kernel's `i64` sum bit for bit, for any tiling and thread count.
 
 use crate::signed_lut::SignedLut;
@@ -80,7 +89,13 @@ pub fn approx_matmul(
 
 /// [`approx_matmul`] over activations already packed into `u8` LUT offsets
 /// (`[K, M]`, `code + 128`), written into the row-major `[OC, M]` `out`
-/// (every element overwritten). Makes no heap allocation.
+/// (every element overwritten). Its one heap allocation is the AVX2 arm's
+/// weight-index vectors, 16 bytes per tap and block of 16 output channels.
+///
+/// # Panics
+///
+/// Panics if the slice lengths are inconsistent with `(oc, k, m)`, if
+/// `k ≥ 2^16`, or if a weight code is outside `[-8, 7]`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn approx_matmul_offsets(
     w_codes: &[i32],
@@ -103,6 +118,24 @@ pub(crate) fn approx_matmul_offsets(
         return;
     }
     count_approx_ops(w_codes, m);
+    #[cfg(target_arch = "x86_64")]
+    if shuffle::available() {
+        return shuffle::matmul(w_codes, xi, k, m, lut, scale, out);
+    }
+    tiled_matmul(w_codes, xi, k, m, lut, scale, out);
+}
+
+/// The portable arm of [`approx_matmul_offsets`] (same contract): `IB × JP`
+/// tiles summed by [`lut_panel`].
+fn tiled_matmul(
+    w_codes: &[i32],
+    xi: &[u8],
+    k: usize,
+    m: usize,
+    lut: &SignedLut,
+    scale: f32,
+    out: &mut [f32],
+) {
     axnn_par::par_tiles_mut(out, m, IB, JP, |mut tile| {
         let rows = tile.rows();
         let panel = lut_panel(w_codes, xi, k, m, lut, rows.clone(), tile.cols());
@@ -127,8 +160,13 @@ fn count_approx_ops(w_codes: &[i32], m: usize) {
 }
 
 /// LUT row for weight code `w`, with `w = 0` redirected to [`ZERO_ROW`].
+///
+/// # Panics
+///
+/// Panics if `w` is outside `[-8, 7]`.
 #[inline]
 fn lut_row(lut: &SignedLut, w: i32) -> &[i32; 256] {
+    assert!((-8..=7).contains(&w), "w code {w} out of range");
     if w == 0 {
         &ZERO_ROW
     } else {
@@ -198,6 +236,191 @@ fn lut_panel(
         }
     }
     panel
+}
+
+/// The AVX2 arm of [`approx_matmul_offsets`]: a byte-shuffle LUT GEMM.
+///
+/// A tile is `ROWS = 16` output channels × `COLS = 64` columns. Per call,
+/// each tap's weight codes over a block of 16 channels become one `vpshufb`
+/// index vector (`w + 8`; padding rows past `OC` read index 8, `w = 0`,
+/// whose table lanes are zero). For a column pair `(j, j + 1)`, the low-byte tables of
+/// activation offsets `x[kk, j]` and `x[kk, j + 1]` fill the two 128-bit
+/// lanes of one register and the high-byte tables another; shuffling both
+/// with the index vector and interleaving the bytes gives that tap's `i16`
+/// products, 16 channels by 2 columns.
+///
+/// The tile's 64-offset segment of each `[K, M]` row is one cache line,
+/// copied per chunk of taps into a contiguous stack block before its 32
+/// column pairs walk the taps: read in place, the `K` lines of a
+/// power-of-two `m` would all fall in a few L1 sets and evict each other.
+///
+/// Exactness: `|p| ≤ max_abs < 2^15`, and a chunk of `⌊32767 / max_abs⌋`
+/// taps sums to at most 32767 in magnitude, so the `i16` sum is exact; it
+/// sign-extends into the `i32` accumulator exactly, which stays below
+/// `2^15 · 2^16 = 2^31`. The integer sums therefore equal the portable
+/// arm's and the reference kernel's.
+#[cfg(target_arch = "x86_64")]
+mod shuffle {
+    use super::SignedLut;
+    use std::arch::x86_64::*;
+    use std::ops::Range;
+
+    /// Output channels of one tile: the 16 bytes of one index vector.
+    const ROWS: usize = 16;
+    /// Columns of one tile: one 64-byte cache line of offsets per tap.
+    const COLS: usize = 64;
+    /// Taps whose offsets a tile stages at once, on the stack; an `i16`
+    /// chunk never exceeds it.
+    const MAX_CHUNK: usize = 64;
+
+    /// Whether the CPU runs this kernel (a cached feature check).
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("avx2")
+    }
+
+    /// [`approx_matmul_offsets`](super::approx_matmul_offsets)'s AVX2 arm
+    /// (same contract; the caller has checked the sizes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the CPU lacks AVX2 or a weight code is outside `[-8, 7]`.
+    pub(super) fn matmul(
+        w_codes: &[i32],
+        xi: &[u8],
+        k: usize,
+        m: usize,
+        lut: &SignedLut,
+        scale: f32,
+        out: &mut [f32],
+    ) {
+        assert!(available(), "the shuffle kernel needs AVX2");
+        let chunk = match lut.max_abs() {
+            0 => MAX_CHUNK,
+            p => (i16::MAX as usize / p as usize).min(MAX_CHUNK),
+        };
+        // The index vectors, `[row block][tap]`: `vpshufb` reads only the
+        // low 4 bits of an index, so a code outside [-8, 7] would silently
+        // read another weight's product. Padding rows read index 8 (w = 0).
+        let oc = out.len() / m;
+        let mut idx = vec![[8u8; ROWS]; oc.div_ceil(ROWS) * k];
+        for i in 0..oc {
+            for (v, &w) in idx[i / ROWS * k..].iter_mut().zip(&w_codes[i * k..][..k]) {
+                assert!((-8..=7).contains(&w), "w code {w} out of range");
+                v[i % ROWS] = (w + 8) as u8;
+            }
+        }
+        let tables = lut.byte_rows();
+        axnn_par::par_tiles_mut(out, m, ROWS, COLS, |mut tile| {
+            let (rows, cols) = (tile.rows(), tile.cols());
+            let idx = &idx[rows.start / ROWS * k..][..k];
+            // SAFETY: AVX2 is present, asserted above.
+            let sums = unsafe {
+                match rows.len() > 8 {
+                    true => tile_sums::<true>(idx, xi, m, tables, chunk, cols),
+                    false => tile_sums::<false>(idx, xi, m, tables, chunk, cols),
+                }
+            };
+            for r in 0..rows.len() {
+                for (c, o) in tile.row_mut(r).iter_mut().enumerate() {
+                    *o = sums[4 * (c / 2) + 2 * (r / 8) + c % 2][r % 8] as f32 * scale;
+                }
+            }
+        });
+    }
+
+    /// Sums one tile, the 16 rows of index vectors `idx` (one per tap) by
+    /// `cols` (at most `COLS`), in chunks of `chunk ≤ MAX_CHUNK` taps.
+    /// Column pair `p` (columns `2p`, `2p + 1`) owns entries `4p..4p + 4` of
+    /// the result: rows 0–7 of column `2p`, then of `2p + 1`, then rows
+    /// 8–15 of each. Without `TALL` (a block of at most 8 output channels)
+    /// rows 8–15 are left at 0, which saves one unpack and one add per
+    /// column pair and tap.
+    /// A caller outside AVX2 code must have checked that the CPU has AVX2.
+    #[target_feature(enable = "avx2")]
+    fn tile_sums<const TALL: bool>(
+        idx: &[[u8; ROWS]],
+        xi: &[u8],
+        m: usize,
+        tables: &[[[u8; ROWS]; 2]; 256],
+        chunk: usize,
+        cols: Range<usize>,
+    ) -> [[i32; 8]; 2 * COLS] {
+        // Per column pair, the four `i32` registers of the result entries.
+        let mut acc = [[_mm256_setzero_si256(); 4]; COLS / 2];
+        // Columns past a short tile's end read a stale offset, which is a
+        // valid table index, into lanes that are never written out.
+        let mut x = [[0u8; COLS]; MAX_CHUNK];
+        let (j0, jn) = (cols.start, cols.len());
+        for (n, idx) in idx.chunks(chunk).enumerate() {
+            let k0 = n * chunk;
+            for (t, xr) in x.iter_mut().take(idx.len()).enumerate() {
+                let src = &xi[(k0 + t) * m + j0..][..jn];
+                match <&[u8; COLS]>::try_from(src) {
+                    Ok(full) => *xr = *full,
+                    Err(_) => xr[..jn].copy_from_slice(src),
+                }
+            }
+            // Two column pairs per pass share each index vector.
+            for (g, acc) in acc.chunks_exact_mut(2).take(jn.div_ceil(4)).enumerate() {
+                let c = 4 * g;
+                let mut sums = [_mm256_setzero_si256(); 4];
+                for (xr, ix) in x.iter().zip(idx) {
+                    // SAFETY: the pointer is to a borrowed 16-byte array,
+                    // and the load is unaligned.
+                    let ix =
+                        unsafe { _mm256_broadcastsi128_si256(_mm_loadu_si128(ix.as_ptr().cast())) };
+                    let (lo0, hi0) = products(tables, xr[c], xr[c + 1], ix);
+                    let (lo1, hi1) = products(tables, xr[c + 2], xr[c + 3], ix);
+                    for (i, (s, p)) in sums.iter_mut().zip([lo0, hi0, lo1, hi1]).enumerate() {
+                        if TALL || i % 2 == 0 {
+                            *s = _mm256_add_epi16(*s, p);
+                        }
+                    }
+                }
+                for (acc, [lo16, hi16]) in
+                    acc.iter_mut().zip([[sums[0], sums[1]], [sums[2], sums[3]]])
+                {
+                    let halves = [
+                        _mm256_castsi256_si128(lo16),
+                        _mm256_extracti128_si256::<1>(lo16),
+                        _mm256_castsi256_si128(hi16),
+                        _mm256_extracti128_si256::<1>(hi16),
+                    ];
+                    for (a, h) in acc.iter_mut().zip(halves).take(if TALL { 4 } else { 2 }) {
+                        *a = _mm256_add_epi32(*a, _mm256_cvtepi16_epi32(h));
+                    }
+                }
+            }
+        }
+        // SAFETY: `[[__m256i; 4]; COLS / 2]` and `[[i32; 8]; 2 * COLS]` have
+        // the same size, and every bit pattern is a valid `i32`.
+        unsafe { std::mem::transmute(acc) }
+    }
+
+    /// One tap's `i16` products for the column pair with activation offsets
+    /// `x0` (low lane) and `x1` (high lane), over the 16 weight indices in
+    /// `ix` (both lanes): rows 0–7, then rows 8–15.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn products(
+        tables: &[[[u8; ROWS]; 2]; 256],
+        x0: u8,
+        x1: u8,
+        ix: __m256i,
+    ) -> (__m256i, __m256i) {
+        let [lo0, hi0] = &tables[usize::from(x0)];
+        let [lo1, hi1] = &tables[usize::from(x1)];
+        // SAFETY: each pointer is to a borrowed 16-byte array, and the loads
+        // are unaligned.
+        let (lo, hi) = unsafe {
+            (
+                _mm256_loadu2_m128i(lo1.as_ptr().cast(), lo0.as_ptr().cast()),
+                _mm256_loadu2_m128i(hi1.as_ptr().cast(), hi0.as_ptr().cast()),
+            )
+        };
+        let (pl, ph) = (_mm256_shuffle_epi8(lo, ix), _mm256_shuffle_epi8(hi, ix));
+        (_mm256_unpacklo_epi8(pl, ph), _mm256_unpackhi_epi8(pl, ph))
+    }
 }
 
 /// [`approx_matmul`] with an **approximate accumulator**: every partial sum
@@ -399,26 +622,81 @@ mod tests {
         approx_matmul_with_adder(&[1], &[-129], 1, 1, 1, &lut, &ExactAdder, 1.0);
     }
 
-    /// The tiled kernel against the serial reference, bit for bit: shapes
-    /// spanning several row blocks and column panels with remainders on
-    /// both, odd and even k, sparse to dense zero weights, the extreme
-    /// codes −128 and −8, at 1 thread and at several.
+    #[test]
+    #[should_panic(expected = "w code 8 out of range")]
+    fn approx_matmul_rejects_a_weight_code_above_7() {
+        let lut = SignedLut::build(&ExactMul);
+        approx_matmul(&[8], &[1], 1, 1, 1, &lut, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "w code -9 out of range")]
+    fn approx_matmul_rejects_a_weight_code_below_minus_8() {
+        let lut = SignedLut::build(&ExactMul);
+        approx_matmul(&[0, -9], &[1, 1], 1, 2, 1, &lut, 1.0);
+    }
+
+    /// The widest multiplier the LUT admits: products up to 2^15 − 1, most
+    /// of them above 2^14, so the shuffle kernel sums one tap per `i16`
+    /// chunk and two same-sign taps would already overflow it.
+    #[derive(Debug)]
+    struct Widest;
+
+    impl axnn_axmul::Multiplier for Widest {
+        fn mul_mag(&self, x: u32, w: u32) -> u32 {
+            (32 * x * w).min(i16::MAX as u32)
+        }
+
+        fn name(&self) -> &str {
+            "widest"
+        }
+    }
+
+    /// The plain kernel's arms on this machine, each called directly.
+    type Arm = fn(&[i32], &[u8], usize, usize, &SignedLut, f32, &mut [f32]);
+    fn arms() -> Vec<(&'static str, Arm)> {
+        let mut arms: Vec<(&'static str, Arm)> = vec![("tiled", tiled_matmul)];
+        #[cfg(target_arch = "x86_64")]
+        if shuffle::available() {
+            arms.push(("shuffle", shuffle::matmul));
+        }
+        arms
+    }
+
+    /// Both arms of the plain kernel against the serial reference, bit for
+    /// bit: shapes spanning several tiles with remainders on both axes (oc
+    /// 1–40: two 16-row blocks plus a short one; odd m, the shuffle kernel's
+    /// column-pair tail), k up to 110 (four `trunc5` `i16` chunks), sparse to
+    /// dense zero weights, the extreme codes −128 and −8, a multiplier with
+    /// products up to 2^15 − 1 (one tap per chunk), at 1 thread and at
+    /// several.
     #[test]
     fn tiled_kernel_bit_matches_reference() {
         let luts = [
             SignedLut::build(&ExactMul),
-            SignedLut::build(&TruncatedMul::new(4)),
+            SignedLut::build(&TruncatedMul::new(5)),
             SignedLut::build(&EvoLikeMul::calibrated(249, 0.488)),
+            SignedLut::build(&Widest),
         ];
+        assert_eq!(luts[3].max_abs(), i32::from(i16::MAX));
+        let arms = arms();
+        for &(arm, kernel) in &arms {
+            let mut out = [f32::NAN; 6];
+            kernel(&[], &[], 0, 2, &luts[0], 1.0, &mut out);
+            assert_eq!(out, [0.0; 6], "{arm} with k = 0");
+        }
         cases(64, |mut rng| {
-            let oc = rng.gen_range(1usize..=13);
-            let k = rng.gen_range(1usize..=40);
+            let oc = rng.gen_range(1usize..=40);
+            let k = rng.gen_range(1usize..=110);
             let m = rng.gen_range(1usize..=3 * JP + 40);
             let zeros: f32 = rng.gen();
             let w: Vec<i32> = (0..oc * k)
                 .map(|_| match rng.gen::<f32>() < zeros {
                     true => 0,
-                    false => rng.gen_range(-8..=7),
+                    false => match rng.gen_range(0..8) {
+                        0 => -8,
+                        _ => rng.gen_range(-8..=7),
+                    },
                 })
                 .collect();
             let x: Vec<i32> = (0..k * m)
@@ -429,15 +707,20 @@ mod tests {
                 .collect();
             let lut = &luts[rng.gen_range(0..luts.len())];
             let want = bits(&reference::approx_matmul(&w, &x, oc, k, m, lut, 0.37));
+            let xi = pack_x(&x);
             let _g = serial();
             for threads in [1, rng.gen_range(2..=5)] {
                 axnn_par::set_threads(threads);
-                let got = bits(&approx_matmul(&w, &x, oc, k, m, lut, 0.37));
-                assert!(
-                    got == want,
-                    "{oc}x{k}x{m} lut={} threads={threads}",
-                    lut.name()
-                );
+                for &(arm, kernel) in &arms {
+                    let mut out = vec![f32::NAN; oc * m];
+                    kernel(&w, &xi, k, m, lut, 0.37, &mut out);
+                    let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                    assert!(
+                        got == want,
+                        "{arm} {oc}x{k}x{m} lut={} threads={threads}",
+                        lut.name()
+                    );
+                }
             }
             axnn_par::set_threads(0);
         });

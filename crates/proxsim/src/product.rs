@@ -173,6 +173,22 @@ mod tests {
         PiecewiseLinearError::new(-0.05, 0.0, -10.0, 10.0)
     }
 
+    #[test]
+    #[should_panic(expected = "at most 4-bit weights and 8-bit activations, not 5-bit and 8-bit")]
+    fn with_product_rejects_weights_wider_than_4_bits() {
+        let spec = QuantSpec::symmetric(5);
+        QuantExecutor::new(QuantSpec::activations_8bit(), spec)
+            .with_product(LutProduct::new(lut(&ExactMul), None));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4-bit weights and 8-bit activations, not 4-bit and 9-bit")]
+    fn with_product_rejects_activations_wider_than_8_bits() {
+        let spec = QuantSpec::symmetric(9);
+        QuantExecutor::new(spec, QuantSpec::weights_4bit())
+            .with_product(LutProduct::new(lut(&ExactMul), None));
+    }
+
     /// Every executor variant, by name: both exact-product weight schemes
     /// and the LUT product without a model, with a constant and a sloped
     /// one, and through an approximate adder.

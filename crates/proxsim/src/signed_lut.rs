@@ -17,15 +17,22 @@ const PRODUCT_BOUND: i64 = 1 << 15;
 ///
 /// This is the ProxSim trick that makes approximate simulation cheap: the
 /// behavioural model runs once per operand pair at table-build time, and
-/// every GEMM MAC afterwards is a single indexed load.
+/// every GEMM MAC afterwards is a table lookup.
 ///
-/// The table is stored **w-major**: the 256 products of one weight code are
-/// contiguous (see [`SignedLut::w_row`]), so a GEMM inner loop that holds
-/// `w` fixed while streaming activation codes touches one cache-resident
-/// 1 KiB row instead of striding through the whole table.
+/// The table is stored twice, once for each arm of the approximate GEMM:
 ///
-/// Every entry is below 2^15 in magnitude (checked at build time); the
-/// catalog's largest is 1949 (`evo249`).
+/// - **w-major** `i32` rows: the 256 products of one weight code are
+///   contiguous (see [`SignedLut::w_row`]), so the portable kernel, which
+///   holds `w` fixed while streaming activation codes, does one indexed
+///   load per MAC from one cache-resident 1 KiB row;
+/// - **x-major** byte rows (8 KiB in all): per activation code, the low and
+///   high bytes of the 16 products over weight index `w + 8`, each one
+///   16-byte shuffle table, so the AVX2 kernel looks up one tap's products
+///   for 16 output channels with one `vpshufb` pair. Weight code 0 reads 0
+///   there, as the reference kernels skip `w = 0` taps.
+///
+/// Every entry is below 2^15 in magnitude (checked at build time, so it
+/// fits an `i16`); the catalog's largest is 1949 (`evo249`).
 ///
 /// ```
 /// use axnn_axmul::{ExactMul, Multiplier};
@@ -39,6 +46,11 @@ const PRODUCT_BOUND: i64 = 1 << 15;
 pub struct SignedLut {
     /// One 256-entry row per weight code, indexed by `x + 128`.
     table: Vec<[i32; X_SPAN]>,
+    /// Per activation offset `x + 128`: the low (`[0]`) and high (`[1]`)
+    /// bytes of the `i16` product at weight index `w + 8`, zero at `w = 0`.
+    bytes: Box<[[[u8; W_SPAN]; 2]; X_SPAN]>,
+    /// The largest `|product|` in the table.
+    max_abs: i32,
     name: String,
 }
 
@@ -51,20 +63,32 @@ impl SignedLut {
     /// below 2^15 in magnitude.
     pub fn build(m: &dyn Multiplier) -> Self {
         let mut table = vec![[0i32; X_SPAN]; W_SPAN];
+        let mut bytes = Box::new([[[0u8; W_SPAN]; 2]; X_SPAN]);
+        let mut max_abs = 0;
         for w in -W_OFFSET..W_OFFSET {
-            let row = &mut table[(w + W_OFFSET) as usize];
+            let wi = (w + W_OFFSET) as usize;
             for x in -X_OFFSET..X_OFFSET {
+                let xi = (x + X_OFFSET) as usize;
                 let p = m.mul_signed(x, w);
                 assert!(
                     p.abs() < PRODUCT_BOUND,
                     "multiplier {} gives {x} x {w} = {p}, outside the LUT bound |p| < 2^15",
                     m.name()
                 );
-                row[(x + X_OFFSET) as usize] = p as i32;
+                let p = p as i32;
+                table[wi][xi] = p;
+                if w != 0 {
+                    let [lo, hi] = (p as i16).to_le_bytes();
+                    bytes[xi][0][wi] = lo;
+                    bytes[xi][1][wi] = hi;
+                    max_abs = max_abs.max(p.abs());
+                }
             }
         }
         Self {
             table,
+            bytes,
+            max_abs,
             name: m.name().to_string(),
         }
     }
@@ -98,6 +122,20 @@ impl SignedLut {
             "w code {w} out of range"
         );
         &self.table[(w + W_OFFSET) as usize]
+    }
+
+    /// The x-major byte tables: entry `x + 128` holds the low (`[0]`) and
+    /// high (`[1]`) bytes of the `i16` products `M(x, w)` at index `w + 8`,
+    /// with the `w = 0` lanes zero.
+    #[inline]
+    pub(crate) fn byte_rows(&self) -> &[[[u8; W_SPAN]; 2]; X_SPAN] {
+        &self.bytes
+    }
+
+    /// The largest `|product|` over the nonzero weight codes (0 for a table
+    /// of zeros). Below 2^15 by construction.
+    pub(crate) fn max_abs(&self) -> i32 {
+        self.max_abs
     }
 
     /// Name of the tabulated multiplier.
@@ -152,6 +190,30 @@ mod tests {
             for x in -128i32..=127 {
                 assert_eq!(row[(x + 128) as usize] as i64, lut.get(x, w), "({x},{w})");
             }
+        }
+    }
+
+    /// The byte tables decode to `get(x, w)` at every pair, with `w = 0`
+    /// reading 0, and `max_abs` is the largest such magnitude.
+    #[test]
+    fn byte_rows_decode_to_the_products() {
+        for m in [
+            &EvoLikeMul::calibrated(249, 0.488) as &dyn Multiplier,
+            &DrumMul::new(3),
+        ] {
+            let lut = SignedLut::build(m);
+            let mut max_abs = 0;
+            for x in -128i32..=127 {
+                let [lo, hi] = &lut.byte_rows()[(x + 128) as usize];
+                for w in -8i32..=7 {
+                    let i = (w + 8) as usize;
+                    let p = i16::from_le_bytes([lo[i], hi[i]]);
+                    let want = if w == 0 { 0 } else { lut.get(x, w) };
+                    assert_eq!(i64::from(p), want, "{} ({x},{w})", m.name());
+                    max_abs = max_abs.max(p.unsigned_abs());
+                }
+            }
+            assert_eq!(lut.max_abs(), i32::from(max_abs), "{}", m.name());
         }
     }
 

@@ -4,6 +4,7 @@
 use crate::quantizer::{QuantSpec, Quantizer};
 use axnn_nn::{ExecOutput, ExecutorKind, Layer, LayerExecutor, Mode, Sequential};
 use axnn_tensor::{gemm, Tensor};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -71,20 +72,13 @@ fn abs_max_quantizer(t: &Tensor, spec: QuantSpec) -> Quantizer {
 
 /// Quantizes activations straight into the `u8` LUT offsets (`code + 128`)
 /// an [`ApproxProduct`] reads: one [`Quantizer::map_codes`] pass, no `i32`
-/// codes in between. `xi` is reallocated only when its length differs from
-/// `col`'s, so a buffer kept across same-shape calls is reused.
-///
-/// # Panics
-///
-/// Panics if `xq` is wider than 8 bits (its codes would not fit an offset).
+/// codes in between. `xi` keeps its capacity, so a buffer kept across calls
+/// allocates only to grow past its largest length so far. `xq` is at
+/// most 8 bits wide ([`QuantExecutor::with_product`] checks), so every code
+/// fits an offset.
 fn lut_offsets(xq: &Quantizer, col: &[f32], xi: &mut Vec<u8>) {
-    assert!(
-        xq.spec().bits <= 8,
-        "LUT offsets need codes of at most 8 bits"
-    );
-    if xi.len() != col.len() {
-        *xi = vec![0u8; col.len()];
-    }
+    xi.reserve_exact(col.len().saturating_sub(xi.len()));
+    xi.resize(col.len(), 0);
     xq.map_codes(col, xi, |c| (c + 128) as u8);
 }
 
@@ -97,6 +91,14 @@ fn dequantize_offsets(xq: &Quantizer, xi: &[u8], shape: &[usize]) -> Tensor {
         .map(|&o| xq.dequantize(i32::from(o) - 128))
         .collect();
     Tensor::from_vec(deq, shape).expect("one offset per element")
+}
+
+thread_local! {
+    /// The LUT-offset buffer of [`QuantExecutor::forward`]'s approximate
+    /// product, one per thread rather than one per layer: it grows to the
+    /// largest layer once, instead of every layer keeping its own between
+    /// calls or allocating one per call.
+    static XI: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The product a [`QuantExecutor`] computes in place of exact
@@ -229,11 +231,19 @@ impl QuantExecutor {
     ///
     /// # Panics
     ///
-    /// Panics if per-channel weights are enabled.
+    /// Panics if per-channel weights are enabled, or if the weights are
+    /// wider than 4 bits or the activations wider than 8 (the product's
+    /// table covers no more).
     pub fn with_product(mut self, product: impl ApproxProduct + 'static) -> Self {
         assert!(
             !self.per_channel,
             "approximate products take layer-wise weight scales"
+        );
+        assert!(
+            self.w_spec.bits <= 4 && self.x_spec.bits <= 8,
+            "approximate products take at most 4-bit weights and 8-bit activations, not {}-bit and {}-bit",
+            self.w_spec.bits,
+            self.x_spec.bits
         );
         self.product = Some(Arc::new(product));
         self
@@ -395,21 +405,22 @@ impl LayerExecutor for QuantExecutor {
                 }
             }
             Some(product) => {
-                let mut xi = Vec::new();
-                lut_offsets(&xq, col.as_slice(), &mut xi);
                 let mut y = Tensor::zeros(&[oc, m]);
                 let w_codes = wq.quantize_codes(wmat);
-                product.matmul(&w_codes, &xi, [oc, k, m], scale, y.as_mut_slice());
-                // The STE operands only feed the Train backward (and GE
-                // below), so eval and calibration passes skip them.
-                let (w_eff, col_eff) = if mode == Mode::Train {
-                    (
-                        wq.fake_quant_tensor(wmat),
-                        dequantize_offsets(&xq, &xi, col.shape()),
-                    )
-                } else {
-                    (Tensor::zeros(&[0, 0]), Tensor::zeros(&[0, 0]))
-                };
+                let (w_eff, col_eff) = XI.with_borrow_mut(|xi| {
+                    lut_offsets(&xq, col.as_slice(), xi);
+                    product.matmul(&w_codes, xi, [oc, k, m], scale, y.as_mut_slice());
+                    // The STE operands only feed the Train backward (and GE
+                    // below), so eval and calibration passes skip them.
+                    if mode == Mode::Train {
+                        (
+                            wq.fake_quant_tensor(wmat),
+                            dequantize_offsets(&xq, xi, col.shape()),
+                        )
+                    } else {
+                        (Tensor::zeros(&[0, 0]), Tensor::zeros(&[0, 0]))
+                    }
+                });
                 // GE needs f'(y) on the accurate quantized output y_q (eq.
                 // 10), only when training with a sloped model. The model is
                 // fitted in integer-accumulator (code-product) units, which

@@ -22,7 +22,10 @@ cargo test --release -q --test train_golden --test executor_golden \
     --test executor_consistency --test thread_invariance
 cargo test --release -q -p axnn-proxsim -p axnn-tensor
 cargo fmt --all --check
-cargo clippy --workspace --all-targets -- -D warnings
+# Every `unsafe` block and impl carries its SAFETY comment, and an unsafe
+# fn's unsafe operations sit in blocks of their own.
+cargo clippy --workspace --all-targets -- -D warnings \
+    -D clippy::undocumented_unsafe_blocks -D unsafe_op_in_unsafe_fn
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # perfbench/ links the workspace crates by path: a deleted or renamed entry
