@@ -4,7 +4,8 @@
 //! exact step).
 
 use axnn_bench::timing::bench;
-use axnn_quant::{min_prop_qe, round_step_pow2, QuantSpec, Quantizer};
+use axnn_nn::{LayerExecutor, Mode};
+use axnn_quant::{round_step_pow2, QuantExecutor, QuantSpec, Quantizer};
 use axnn_rng::Rng;
 use axnn_tensor::init;
 use std::hint::black_box;
@@ -46,12 +47,11 @@ fn bench_calibration() {
     let wmat = init::uniform(&[16, 64], -0.5, 0.5, &mut rng);
     let col = init::uniform(&[64, 64], -1.0, 1.0, &mut rng);
 
+    // One MinPropQE calibration step: score the candidate steps on a
+    // batch, freeze the winner, run the layer's forward under it.
     bench("calibration/min_prop_qe", 20, || {
-        black_box(min_prop_qe(
-            black_box(&wmat),
-            black_box(&col),
-            QuantSpec::activations_8bit(),
-        ));
+        let mut ex = QuantExecutor::new_8a4w();
+        black_box(ex.forward(black_box(&wmat), black_box(&col), Mode::Calibrate));
     });
 
     // Ablation: quantization error of pow2 step vs exact abs-max step.

@@ -91,7 +91,11 @@ pub trait LayerExecutor: fmt::Debug + Send {
     /// *bit-identical* to this executor's [`forward`](Self::forward) in
     /// `Mode::Eval` followed by the owning layer's separate bias/activation
     /// passes; anything an executor does only for the backward pass (such
-    /// as gradient estimation) has no part in it.
+    /// as gradient estimation) has no part in it. The simplest way to keep
+    /// that contract is to share the product: `axnn_quant::QuantExecutor`
+    /// builds one core over `wmat` here, and its `forward` runs the same
+    /// core over each call's weights with no bias and the identity
+    /// epilogue.
     fn compile_backend(&self, wmat: &Tensor) -> Option<Box<dyn crate::GemmBackend>> {
         let _ = wmat;
         None
@@ -159,10 +163,6 @@ pub(crate) struct ExactBackend {
 }
 
 impl crate::GemmBackend for ExactBackend {
-    fn kind(&self) -> ExecutorKind {
-        ExecutorKind::Exact
-    }
-
     fn out_rows(&self) -> usize {
         self.w.shape()[0]
     }

@@ -14,9 +14,10 @@
 //! shape into a reused arena; steady-state calls hit the plan cache and
 //! allocate nothing but the returned output tensor.
 //!
-//! The arithmetic seam is [`GemmBackend`]: the exact f32 core, the
-//! fake-quant core (`axnn-quant`), and the packed-LUT approximate core
-//! (`axnn-proxsim`) all plug in behind the one trait via
+//! The arithmetic seam is [`GemmBackend`]: the exact f32 core and the
+//! 8A4W core of `axnn-quant` (fake-quant exact products, or the LUT product
+//! `axnn-proxsim` supplies), the same core its interpreter executor runs,
+//! plug in behind the one trait via
 //! [`LayerExecutor::compile_backend`](crate::LayerExecutor::compile_backend).
 //! Every backend is required to be *bit-identical* to the interpreter path.
 //! Compilation is total for all three families (gradient estimation only
@@ -26,7 +27,6 @@
 //! engine and the test oracle.
 
 use crate::act::ActivationKind;
-use crate::executor::ExecutorKind;
 use crate::extra_layers::max_pool_into;
 use crate::layer::Layer;
 use crate::pool::{avg_pool_into, flatten_into, global_avg_pool_into};
@@ -80,9 +80,6 @@ impl std::error::Error for Unsupported {}
 /// must be bit-identical to the interpreter's executor GEMM followed by the
 /// owning layer's separate bias and activation passes.
 pub trait GemmBackend: fmt::Debug + Send {
-    /// Which executor family produced this backend.
-    fn kind(&self) -> ExecutorKind;
-
     /// Output rows (`OC`) of this backend's frozen weight block.
     fn out_rows(&self) -> usize;
 

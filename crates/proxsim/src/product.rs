@@ -455,7 +455,6 @@ mod tests {
                 let y = ex.forward(&wmat, &col, Mode::Eval).y;
                 let mut backend = ex.compile_backend(&wmat).expect("every variant compiles");
                 assert_eq!(backend.out_rows(), 4);
-                assert_eq!(backend.kind(), ex.kind(), "{name}");
                 let mut out = vec![0.0f32; 4 * 8];
                 backend.forward(&col, Some(&bias), gemm::Epilogue::Relu, &mut out);
                 for r in 0..4 {
@@ -470,6 +469,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Both engines quantize into one per-thread offsets buffer. The
+    /// interpreter reads it only inside its forward, so a compiled forward
+    /// of a larger layer between a Train forward and its backward leaves
+    /// every gradient bit as it was.
+    #[test]
+    fn compiled_forward_between_train_forward_and_backward_keeps_gradients() {
+        let l = lut(&TruncatedMul::new(5));
+        let run = |interleave: bool| {
+            let mut rng = Rng::seed(83);
+            let mut layer = axnn_nn::Linear::new(16, 4, true, &mut rng);
+            layer
+                .core_mut()
+                .set_executor(Box::new(approx(&l, Some(sloped()))));
+            let x = init::uniform(&[8, 16], -1.0, 1.0, &mut rng);
+            let y = layer.forward(&x, Mode::Train);
+            if interleave {
+                let wmat = init::uniform(&[6, 40], -0.5, 0.5, &mut rng);
+                let col = init::uniform(&[40, 12], -1.0, 1.0, &mut rng);
+                let mut backend = approx(&l, None).compile_backend(&wmat).expect("compiles");
+                let mut out = vec![0.0f32; 6 * 12];
+                backend.forward(&col, None, gemm::Epilogue::Identity, &mut out);
+            }
+            let dx = layer.backward(&y);
+            let mut grads = vec![bits(&dx)];
+            layer.visit_params(&mut |p| grads.push(bits(&p.grad)));
+            grads
+        };
+        assert_eq!(run(true), run(false));
     }
 
     /// An all-zero operand quantizes with step 1 in both families: its

@@ -3,7 +3,9 @@
 
 use crate::quantizer::{QuantSpec, Quantizer};
 use axnn_nn::{ExecOutput, ExecutorKind, Layer, LayerExecutor, Mode, Sequential};
-use axnn_tensor::{gemm, Tensor};
+use axnn_obs::Counter;
+use axnn_tensor::gemm::{self, Epilogue};
+use axnn_tensor::Tensor;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -70,6 +72,13 @@ fn abs_max_quantizer(t: &Tensor, spec: QuantSpec) -> Quantizer {
     }
 }
 
+/// The activation quantizer of one batch `col`: the `frozen` calibrated
+/// one when set, else `col`'s dynamic abs-max one. Both engines resolve
+/// each batch's step here, so they pick the identical step.
+fn batch_x_quantizer(frozen: Option<Quantizer>, col: &Tensor, spec: QuantSpec) -> Quantizer {
+    frozen.unwrap_or_else(|| abs_max_quantizer(col, spec))
+}
+
 /// Quantizes activations straight into the `u8` LUT offsets (`code + 128`)
 /// an [`ApproxProduct`] reads: one [`Quantizer::map_codes`] pass, no `i32`
 /// codes in between. `xi` keeps its capacity, so a buffer kept across calls
@@ -94,10 +103,12 @@ fn dequantize_offsets(xq: &Quantizer, xi: &[u8], shape: &[usize]) -> Tensor {
 }
 
 thread_local! {
-    /// The LUT-offset buffer of [`QuantExecutor::forward`]'s approximate
-    /// product, one per thread rather than one per layer: it grows to the
-    /// largest layer once, instead of every layer keeping its own between
-    /// calls or allocating one per call.
+    /// The LUT-offset buffer of [`Core::Lut`], one per thread rather than
+    /// one per layer: interpreted and compiled layers alike quantize into
+    /// it, so it grows to the largest layer once, instead of every layer
+    /// keeping its own between calls or allocating one per call. Its
+    /// contents live only until the next approximate product on the same
+    /// thread: [`QuantExecutor::forward`] reads them before it returns.
     static XI: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -286,13 +297,21 @@ impl QuantExecutor {
             .or_else(|| self.calibrator.freeze(self.x_spec))
     }
 
-    /// The effective (fake-quantized) weights: layer-wise under `wq`, or
-    /// one scale per row for the per-channel ablation.
-    fn fake_quant_weights(&self, wmat: &Tensor, wq: &Quantizer) -> Tensor {
-        if self.per_channel {
-            self.fake_quant_per_channel(wmat)
-        } else {
-            wq.fake_quant_tensor(wmat)
+    /// The forward product of the weights `wmat` under their quantizer
+    /// `wq`: the exact core over the fake-quantized weights (layer-wise
+    /// under `wq`, or one scale per row for the per-channel ablation), or
+    /// the approximate product over the weight codes.
+    fn core(&self, wmat: &Tensor, wq: &Quantizer) -> Core {
+        match &self.product {
+            None if self.per_channel => Core::exact(self.fake_quant_per_channel(wmat)),
+            None => Core::exact(wq.fake_quant_tensor(wmat)),
+            Some(product) => Core::Lut {
+                product: Arc::clone(product),
+                w_codes: wq.quantize_codes(wmat),
+                w_step: wq.step(),
+                oc: wmat.shape()[0],
+                k: wmat.shape()[1],
+            },
         }
     }
 
@@ -303,9 +322,8 @@ impl QuantExecutor {
     /// (ε − f(y_q), what the drift monitor pools) and the K-mask
     /// linear-region coverage. `y_codes` is the exact quantized output in
     /// code units when the GE path already computed it; otherwise the
-    /// sampled path fake-quantizes the operands and computes its own
-    /// reference GEMM (observation only — deliberately not counted as run
-    /// work).
+    /// sampled path runs the exact core over the same operands (observation
+    /// only — deliberately not counted as run work).
     #[allow(clippy::too_many_arguments)]
     fn record_health(
         &mut self,
@@ -335,7 +353,9 @@ impl QuantExecutor {
         let codes = match y_codes {
             Some(t) => t,
             None => {
-                let mut t = gemm::matmul(&wq.fake_quant_tensor(wmat), &xq.fake_quant_tensor(col));
+                let mut t = Tensor::zeros(y.shape());
+                let mut exact = Core::exact(wq.fake_quant_tensor(wmat));
+                exact.product(xq, col, None, Epilogue::Identity, t.as_mut_slice());
                 t.scale(1.0 / scale);
                 computed = t;
                 &computed
@@ -379,55 +399,43 @@ impl LayerExecutor for QuantExecutor {
         }
         let wq = self.weight_quantizer(wmat);
         self.x_quantizer = self.frozen_x_quantizer();
-        let xq = self
-            .x_quantizer
-            .unwrap_or_else(|| abs_max_quantizer(col, self.x_spec));
-        let (oc, k) = (wmat.shape()[0], wmat.shape()[1]);
-        let m = col.shape()[1];
-        let count_macs = || {
-            if axnn_obs::enabled() {
-                axnn_obs::count(axnn_obs::Counter::GemmMacs, (oc * k * m) as u64);
-            }
-        };
-
+        let xq = batch_x_quantizer(self.x_quantizer, col, self.x_spec);
         let scale = wq.step() * xq.step();
+
+        let mut y = Tensor::zeros(&[wmat.shape()[0], col.shape()[1]]);
+        // The weights change every optimizer step, so the core is rebuilt
+        // on every call; the compiled backend builds it once.
+        let mut core = self.core(wmat, &wq);
+        core.forward(&xq, col, None, Epilogue::Identity, y.as_mut_slice());
         let mut ge_codes = None;
-        let out = match &self.product {
-            None => {
-                let w_eff = self.fake_quant_weights(wmat, &wq);
-                let col_eff = xq.fake_quant_tensor(col);
-                count_macs();
-                ExecOutput {
-                    y: gemm::matmul(&w_eff, &col_eff),
-                    wmat_eff: w_eff,
-                    col_eff,
-                    grad_scale: None,
-                }
-            }
-            Some(product) => {
-                let mut y = Tensor::zeros(&[oc, m]);
-                let w_codes = wq.quantize_codes(wmat);
-                let (w_eff, col_eff) = XI.with_borrow_mut(|xi| {
-                    lut_offsets(&xq, col.as_slice(), xi);
-                    product.matmul(&w_codes, xi, [oc, k, m], scale, y.as_mut_slice());
-                    // The STE operands only feed the Train backward (and GE
-                    // below), so eval and calibration passes skip them.
-                    if mode == Mode::Train {
-                        (
-                            wq.fake_quant_tensor(wmat),
-                            dequantize_offsets(&xq, xi, col.shape()),
-                        )
-                    } else {
-                        (Tensor::zeros(&[0, 0]), Tensor::zeros(&[0, 0]))
-                    }
-                });
+        let out = match core {
+            // The exact core's fake-quantized operands are the STE operands.
+            Core::Exact { w_eff, col_scratch } => ExecOutput {
+                y,
+                wmat_eff: w_eff,
+                col_eff: col_scratch.expect("the exact core quantized col"),
+                grad_scale: None,
+            },
+            Core::Lut { product, .. } => {
+                // The STE operands only feed the Train backward (and GE
+                // below), so eval and calibration passes skip them. The
+                // offsets the core just wrote to `XI` are read here, before
+                // any other layer's product can overwrite them.
+                let (w_eff, col_eff) = if mode == Mode::Train {
+                    (
+                        wq.fake_quant_tensor(wmat),
+                        XI.with_borrow(|xi| dequantize_offsets(&xq, xi, col.shape())),
+                    )
+                } else {
+                    (Tensor::zeros(&[0, 0]), Tensor::zeros(&[0, 0]))
+                };
                 // GE needs f'(y) on the accurate quantized output y_q (eq.
                 // 10), only when training with a sloped model. The model is
                 // fitted in integer-accumulator (code-product) units, which
                 // are scale-invariant across layers, so it is evaluated on
                 // y_exact / scale.
                 let grad_scale = (mode == Mode::Train && product.sloped()).then(|| {
-                    count_macs();
+                    axnn_obs::count(Counter::GemmMacs, (w_eff.len() * y.shape()[1]) as u64);
                     let mut y_codes = gemm::matmul(&w_eff, &col_eff);
                     y_codes.scale(1.0 / scale);
                     let gs = product.grad_scale(&y_codes);
@@ -466,87 +474,101 @@ impl LayerExecutor for QuantExecutor {
     }
 
     fn compile_backend(&self, wmat: &Tensor) -> Option<Box<dyn axnn_nn::GemmBackend>> {
-        // Weights are frozen at compile time, so their quantization is
-        // baked into the backend once. The activation quantizer is the
-        // same frozen/dynamic chain the interpreter resolves per call:
-        // freezing the calibrator here is deterministic, so a compiled
-        // forward picks the identical step. An error model only shapes
-        // the training backward (eq. 12), so it has no part in the core.
-        let wq = self.weight_quantizer(wmat);
-        let core = match &self.product {
-            None => Core::Exact {
-                w_eff: self.fake_quant_weights(wmat, &wq),
-                col_scratch: None,
-            },
-            Some(product) => Core::Lut {
-                product: Arc::clone(product),
-                w_codes: wq.quantize_codes(wmat),
-                w_step: wq.step(),
-                k: wmat.shape()[1],
-                xi_scratch: Vec::new(),
-            },
-        };
+        // Weights are frozen at compile time, so the core is built once.
+        // Freezing the calibrator here is deterministic, so a compiled
+        // forward picks the identical activation step. An error model only
+        // shapes the training backward (eq. 12), so it has no part in it.
         Some(Box::new(CompiledQuant {
-            oc: wmat.shape()[0],
             x_quantizer: self.frozen_x_quantizer(),
             x_spec: self.x_spec,
-            core,
+            core: self.core(wmat, &self.weight_quantizer(wmat)),
         }))
     }
 }
 
-/// Compiled-graph GEMM core of a [`QuantExecutor`]: weights quantized once
-/// at compile time, the interpreter's activation quantization chain per
-/// batch, and the bias+activation epilogue. Bit-identical to
-/// [`QuantExecutor::forward`].
+/// Compiled-graph GEMM core of a [`QuantExecutor`]: the [`Core`] built once
+/// over the frozen weights, run with the epilogue fused. Bit-identical to
+/// [`QuantExecutor::forward`] followed by the bias and activation passes.
 #[derive(Debug)]
 struct CompiledQuant {
-    oc: usize,
     x_quantizer: Option<Quantizer>,
     x_spec: QuantSpec,
     core: Core,
 }
 
-/// The product a [`CompiledQuant`] computes.
+impl axnn_nn::GemmBackend for CompiledQuant {
+    fn out_rows(&self) -> usize {
+        match &self.core {
+            Core::Exact { w_eff, .. } => w_eff.shape()[0],
+            Core::Lut { oc, .. } => *oc,
+        }
+    }
+
+    fn forward(&mut self, col: &Tensor, bias: Option<&[f32]>, ep: Epilogue, out: &mut [f32]) {
+        let xq = batch_x_quantizer(self.x_quantizer, col, self.x_spec);
+        self.core.forward(&xq, col, bias, ep, out);
+    }
+}
+
+/// The 8A4W forward product of one layer's quantized weights, shared by
+/// both engines: [`QuantExecutor::forward`] builds it on every call,
+/// [`CompiledQuant`] once at compile time.
 #[derive(Debug)]
 enum Core {
-    /// f32 GEMM over fake-quantized weights, with the epilogue fused.
+    /// f32 GEMM over fake-quantized weights and activations.
     Exact {
         w_eff: Tensor,
         /// Fake-quantized activation buffer, reused across same-shape
         /// calls so steady-state compiled forwards allocate nothing here.
         col_scratch: Option<Tensor>,
     },
-    /// The approximate product over weight codes and LUT offsets, with
-    /// the epilogue applied over its output.
+    /// The approximate product over weight codes and the activations' LUT
+    /// offsets (quantized into the thread's `XI`).
     Lut {
         product: Arc<dyn ApproxProduct>,
         w_codes: Vec<i32>,
         w_step: f32,
+        oc: usize,
         k: usize,
-        /// LUT-offset buffer, reused across calls like `col_scratch`.
-        xi_scratch: Vec<u8>,
     },
 }
 
-impl axnn_nn::GemmBackend for CompiledQuant {
-    fn kind(&self) -> ExecutorKind {
-        match self.core {
-            Core::Exact { .. } => ExecutorKind::Quantized,
-            Core::Lut { .. } => ExecutorKind::Approximate,
+impl Core {
+    /// The exact core over the fake-quantized weights `w_eff`.
+    fn exact(w_eff: Tensor) -> Self {
+        Core::Exact {
+            w_eff,
+            col_scratch: None,
         }
     }
 
-    fn out_rows(&self) -> usize {
-        self.oc
+    /// `ep(W·col + bias)` into the row-major `[OC, M]` `out`, with `col`
+    /// quantized by `xq`, counting the exact core's MACs.
+    fn forward(
+        &mut self,
+        xq: &Quantizer,
+        col: &Tensor,
+        bias: Option<&[f32]>,
+        ep: Epilogue,
+        out: &mut [f32],
+    ) {
+        if let Core::Exact { w_eff, .. } = self {
+            axnn_obs::count(Counter::GemmMacs, (w_eff.len() * col.shape()[1]) as u64);
+        }
+        self.product(xq, col, bias, ep, out);
     }
 
-    fn forward(&mut self, col: &Tensor, bias: Option<&[f32]>, ep: gemm::Epilogue, out: &mut [f32]) {
-        let xq = self
-            .x_quantizer
-            .unwrap_or_else(|| abs_max_quantizer(col, self.x_spec));
-        let (oc, m) = (self.oc, col.shape()[1]);
-        match &mut self.core {
+    /// [`forward`](Self::forward) without the MAC count.
+    fn product(
+        &mut self,
+        xq: &Quantizer,
+        col: &Tensor,
+        bias: Option<&[f32]>,
+        ep: Epilogue,
+        out: &mut [f32],
+    ) {
+        let m = col.shape()[1];
+        match self {
             Core::Exact { w_eff, col_scratch } => {
                 // The `fake_quant_tensor` kernel, into a reused buffer
                 // instead of a fresh allocation per call.
@@ -555,22 +577,19 @@ impl axnn_nn::GemmBackend for CompiledQuant {
                     _ => Tensor::zeros(col.shape()),
                 };
                 xq.fake_quant_into(col.as_slice(), scratch.as_mut_slice());
-                let col_eff = col_scratch.insert(scratch);
-                if axnn_obs::enabled() {
-                    let k = w_eff.shape()[1];
-                    axnn_obs::count(axnn_obs::Counter::GemmMacs, (oc * k * m) as u64);
-                }
-                gemm::matmul_bias_act_into(w_eff, col_eff, bias, ep, out);
+                gemm::matmul_bias_act_into(w_eff, col_scratch.insert(scratch), bias, ep, out);
             }
             Core::Lut {
                 product,
                 w_codes,
                 w_step,
+                oc,
                 k,
-                xi_scratch,
             } => {
-                lut_offsets(&xq, col.as_slice(), xi_scratch);
-                product.matmul(w_codes, xi_scratch, [oc, *k, m], *w_step * xq.step(), out);
+                XI.with_borrow_mut(|xi| {
+                    lut_offsets(xq, col.as_slice(), xi);
+                    product.matmul(w_codes, xi, [*oc, *k, m], *w_step * xq.step(), out);
+                });
                 gemm::apply_epilogue(out, bias, ep, m);
             }
         }
@@ -665,6 +684,39 @@ mod tests {
         let wild = init::uniform(&[8, 16], -100.0, 100.0, &mut rng);
         ex.forward(&wmat, &wild, Mode::Eval);
         assert_eq!(ex.activation_quantizer().expect("still frozen"), q);
+    }
+
+    #[test]
+    fn min_prop_qe_beats_or_matches_naive_absmax_step() {
+        let mut rng = Rng::seed(8);
+        let spec = QuantSpec::activations_8bit();
+        // Heavy-tailed input: a few large outliers, mass near zero — the
+        // regime where abs-max calibration wastes resolution.
+        let mut col = init::normal(&[16, 32], 0.0, 0.1, &mut rng);
+        col.as_mut_slice()[0] = 8.0;
+        col.as_mut_slice()[100] = -8.0;
+        let wmat = init::normal(&[8, 16], 0.0, 0.5, &mut rng);
+
+        let naive = Quantizer::for_abs_max(col.abs_max(), spec);
+        let mut calibrator = ActRangeCalibrator::new();
+        calibrator.observe(&wmat, &col, spec);
+        let tuned = calibrator.freeze(spec).expect("one batch observed");
+        let reference = gemm::matmul(&wmat, &col);
+        let err = |q: &Quantizer| {
+            (&gemm::matmul(&wmat, &q.fake_quant_tensor(&col)) - &reference).sq_norm()
+        };
+        assert!(err(&tuned) <= err(&naive) + 1e-9);
+        assert!(tuned.step() < naive.step(), "outliers should be clipped");
+    }
+
+    /// No step can be calibrated on an all-zero sample, so the layer keeps
+    /// its dynamic abs-max fallback.
+    #[test]
+    fn min_prop_qe_freezes_nothing_from_an_all_zero_sample() {
+        let spec = QuantSpec::activations_8bit();
+        let mut calibrator = ActRangeCalibrator::new();
+        calibrator.observe(&Tensor::ones(&[2, 2]), &Tensor::zeros(&[2, 2]), spec);
+        assert_eq!(calibrator.freeze(spec), None);
     }
 
     #[test]

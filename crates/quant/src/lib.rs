@@ -21,7 +21,8 @@
 //! replaced: `axnn-proxsim` supplies the LUT-served product through the
 //! [`ApproxProduct`] trait ([`QuantExecutor::with_product`]), and the
 //! executor keeps calibration, operand quantization, the STE operands,
-//! saturation telemetry and the compiled backend for both families.
+//! saturation telemetry and one forward core for both families, which its
+//! interpreter forward and its compiled backend both run.
 //!
 //! # Example
 //!
@@ -42,4 +43,4 @@ mod quantizer;
 
 pub use affine::AffineQuantizer;
 pub use executor::{quantize_network, quantize_network_per_channel, ApproxProduct, QuantExecutor};
-pub use quantizer::{min_prop_qe, round_step_pow2, QuantSpec, Quantizer};
+pub use quantizer::{round_step_pow2, QuantSpec, Quantizer};

@@ -1,6 +1,6 @@
-//! The symmetric linear quantizer and step-size selection (MinPropQE).
+//! The symmetric linear quantizer and power-of-two step rounding.
 
-use axnn_tensor::{gemm, Tensor};
+use axnn_tensor::Tensor;
 
 /// Bit-width and step-size policy of one quantizer.
 ///
@@ -241,44 +241,9 @@ pub fn round_step_pow2(step: f32) -> f32 {
     2f32.powi(step.log2().ceil() as i32)
 }
 
-/// Selects the activation quantization step by **Min**imization of the
-/// **Prop**agated **Q**uantization **E**rror (MinPropQE, paper ref. \[1\]):
-/// among power-of-two candidate steps around the abs-max step, pick the one
-/// minimizing `‖W·deq(q(X)) − W·X‖²` — the error after the layer's GEMM,
-/// not the raw input error.
-///
-/// `wmat` is the layer's `[OC, K]` weight matrix and `col` a representative
-/// `[K, M]` input sample. Returns the winning quantizer.
-///
-/// # Panics
-///
-/// Panics if `col` is all zeros (no scale can be calibrated).
-pub fn min_prop_qe(wmat: &Tensor, col: &Tensor, spec: QuantSpec) -> Quantizer {
-    let abs_max = col.abs_max();
-    assert!(abs_max > 0.0, "cannot calibrate on an all-zero sample");
-    let base = Quantizer::for_abs_max(abs_max, spec).step();
-    let reference = gemm::matmul(wmat, col);
-    let mut best_step = base;
-    let mut best_err = f32::INFINITY;
-    let mut deq = Tensor::zeros(col.shape());
-    for e in -3i32..=1 {
-        let step = base * 2f32.powi(e);
-        let q = Quantizer::with_step(step, spec);
-        q.fake_quant_into(col.as_slice(), deq.as_mut_slice());
-        let err = (&gemm::matmul(wmat, &deq) - &reference).sq_norm();
-        if err < best_err {
-            best_err = err;
-            best_step = step;
-        }
-    }
-    Quantizer::with_step(best_step, spec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use axnn_rng::Rng;
-    use axnn_tensor::init;
 
     #[test]
     fn qmax_values() {
@@ -347,34 +312,5 @@ mod tests {
         // A value that rounds to qmax from inside the range is not clipped.
         assert_eq!(q.quantize_code(3.6), 7);
         assert_eq!(q.saturated(&Tensor::from_vec(vec![3.6], &[1]).unwrap()), 0);
-    }
-
-    #[test]
-    fn min_prop_qe_beats_or_matches_naive_absmax_step() {
-        let mut rng = Rng::seed(8);
-        let spec = QuantSpec::activations_8bit();
-        // Heavy-tailed input: a few large outliers, mass near zero — the
-        // regime where abs-max calibration wastes resolution.
-        let mut col = init::normal(&[16, 32], 0.0, 0.1, &mut rng);
-        col.as_mut_slice()[0] = 8.0;
-        col.as_mut_slice()[100] = -8.0;
-        let wmat = init::normal(&[8, 16], 0.0, 0.5, &mut rng);
-
-        let naive = Quantizer::for_abs_max(col.abs_max(), spec);
-        let tuned = min_prop_qe(&wmat, &col, spec);
-        let reference = gemm::matmul(&wmat, &col);
-        let err = |q: &Quantizer| {
-            (&gemm::matmul(&wmat, &q.fake_quant_tensor(&col)) - &reference).sq_norm()
-        };
-        assert!(err(&tuned) <= err(&naive) + 1e-9);
-        assert!(tuned.step() < naive.step(), "outliers should be clipped");
-    }
-
-    #[test]
-    #[should_panic(expected = "all-zero")]
-    fn min_prop_qe_rejects_zero_sample() {
-        let wmat = Tensor::ones(&[2, 2]);
-        let col = Tensor::zeros(&[2, 2]);
-        let _ = min_prop_qe(&wmat, &col, QuantSpec::activations_8bit());
     }
 }
