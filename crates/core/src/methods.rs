@@ -294,7 +294,7 @@ pub fn fine_tune_monitored(
                 }
                 None => softmax_cross_entropy(&logits, y),
             };
-            student.backward(&dlogits);
+            student.backward_params(&dlogits);
             if let Some(max_norm) = cfg.clip_norm {
                 clip_gradients(student, max_norm);
             }

@@ -117,6 +117,14 @@ impl Layer for ConvBlock {
         self.conv.backward(&g)
     }
 
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let mut g = self.act.backward(grad_out);
+        if let Some(bn) = &mut self.bn {
+            g = bn.backward(&g);
+        }
+        self.conv.backward_params(&g);
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.conv.visit_params(f);
         if let Some(bn) = &mut self.bn {

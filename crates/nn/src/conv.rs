@@ -4,7 +4,7 @@ use crate::executor::ExecOutput;
 use crate::layer::{GemmCore, Layer, Mode};
 use crate::param::Param;
 use axnn_rng::Rng;
-use axnn_tensor::im2col::{col2im, gemm_out_to_nchw, im2col_into, nchw_to_gemm_out, ConvGeometry};
+use axnn_tensor::im2col::{col2im, gemm_out_to_nchw, nchw_to_gemm_out, ConvGeometry};
 use axnn_tensor::{gemm, init, Tensor};
 
 /// Per-group cache kept between forward and backward.
@@ -18,7 +18,9 @@ struct GroupCache {
 /// buffer is shape-checked on reuse and rebuilt when the batch shape changes.
 #[derive(Debug, Default)]
 struct ConvScratch {
-    /// im2col column matrix `[K/g, M]`, shared by all groups of one call.
+    /// im2col column matrix `[K/g, M]`, shared by all groups of one call;
+    /// allocated only by executors that lower `f32` columns (see
+    /// [`LayerExecutor::forward_conv`](crate::LayerExecutor::forward_conv)).
     col: Option<Tensor>,
     /// Assembled GEMM output `[OC, M]` (grouped convolutions only).
     out_mat: Option<Tensor>,
@@ -133,6 +135,68 @@ impl Conv2d {
         &mut self.core
     }
 
+    /// The backward pass: accumulates the weight and bias gradients and,
+    /// when `input_grad` is set, returns the input gradient.
+    fn backward_impl(&mut self, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
+        let cache = self
+            .cache
+            .take()
+            .expect("Conv2d::backward called without a Train-mode forward");
+        let [n, _c, h, w] = cache.input_shape;
+        let (oh, ow) = cache.out_hw;
+        let cg = self.in_channels / self.groups;
+        let ocg = self.out_channels / self.groups;
+        assert_eq!(grad_out.shape(), &[n, self.out_channels, oh, ow]);
+
+        if let Some(b) = &mut self.core.bias {
+            b.accumulate(&grad_out.sum_channels());
+        }
+
+        let _span = axnn_obs::span(&self.core.bwd_span);
+        let dy_mat = nchw_to_gemm_out(grad_out); // [OC, M]
+        let kpg = self.k_per_group();
+        let mut dw_rows: Vec<Tensor> = Vec::with_capacity(self.groups);
+        let mut dinput_groups: Vec<Tensor> = Vec::with_capacity(self.groups);
+        for (g, gc) in cache.groups.iter().enumerate() {
+            let mut dy_g = dy_mat.slice_outer(g * ocg, (g + 1) * ocg);
+            if let Some(scale) = &gc.exec.grad_scale {
+                dy_g = dy_g.zip_map(scale, |d, s| d * s);
+            }
+            if axnn_obs::enabled() {
+                // Exact GEMMs (dW, and dcol when asked) of oc·k·m MACs each.
+                let m = dy_g.shape()[1];
+                let gemms = 1 + u64::from(input_grad);
+                axnn_obs::count(axnn_obs::Counter::GemmMacs, gemms * (ocg * kpg * m) as u64);
+            }
+            // STE: differentiate the exact GEMM of the effective operands.
+            dw_rows.push(gc.exec.weight_grad(&dy_g)); // [OCg, Kpg]
+            if input_grad {
+                let dcol = gemm::matmul_tn(&gc.exec.wmat_eff, &dy_g); // [Kpg, M]
+                axnn_obs::count(axnn_obs::Counter::Im2colBytes, (dcol.len() * 4) as u64);
+                dinput_groups.push(col2im(&dcol, &[n, cg, h, w], self.geom));
+            }
+        }
+
+        // Accumulate weight gradient (reassemble group row blocks into a
+        // reused weight-shaped scratch buffer).
+        let weight_shape = self.core.weight.value.shape().to_vec();
+        let mut dw = scratch_buf(&mut self.scratch.dw, &weight_shape);
+        let dst = dw.as_mut_slice();
+        for (g, dwg) in dw_rows.iter().enumerate() {
+            dst[g * ocg * kpg..(g + 1) * ocg * kpg].copy_from_slice(dwg.as_slice());
+        }
+        self.core.weight.accumulate(&dw);
+        self.scratch.dw = Some(dw);
+
+        if !input_grad {
+            None
+        } else if self.groups == 1 {
+            dinput_groups.pop()
+        } else {
+            Some(Tensor::concat_channels(&dinput_groups).expect("same batch/spatial dims"))
+        }
+    }
+
     fn k_per_group(&self) -> usize {
         (self.in_channels / self.groups) * self.geom.kernel * self.geom.kernel
     }
@@ -167,9 +231,6 @@ impl Layer for Conv2d {
 
         let _span = axnn_obs::span(&self.core.fwd_span);
         let m = n * oh * ow;
-        // All groups share one column buffer: `im2col_into` overwrites every
-        // element, and executors copy what they need to keep.
-        let mut col = scratch_buf(&mut self.scratch.col, &[kpg, m]);
         let mut group_caches = Vec::with_capacity(self.groups);
         let mut out_rows = Vec::with_capacity(self.groups);
         for g in 0..self.groups {
@@ -180,16 +241,21 @@ impl Layer for Conv2d {
                 group_view = input.slice_channels(g * cg, (g + 1) * cg);
                 &group_view
             };
-            im2col_into(input_g, self.geom, &mut col);
-            axnn_obs::count(axnn_obs::Counter::Im2colBytes, (col.len() * 4) as u64);
             let wmat_g = wmat.slice_outer(g * ocg, (g + 1) * ocg);
-            let mut exec = self.core.executor.forward(&wmat_g, &col, mode);
+            // All groups share one column buffer: the lowering overwrites
+            // every element, and executors copy what they need to keep.
+            let mut exec = self.core.executor.forward_conv(
+                &wmat_g,
+                input_g,
+                self.geom,
+                mode,
+                &mut self.scratch.col,
+            );
             // Backward differentiates the effective operands and never reads
             // `y`, so move the output rows out instead of cloning them.
             out_rows.push(std::mem::replace(&mut exec.y, Tensor::zeros(&[0, 0])));
             group_caches.push(GroupCache { exec });
         }
-        self.scratch.col = Some(col);
 
         // Group outputs are consecutive row blocks of the full [OC, M] matrix.
         let grouped_mat = self.groups > 1;
@@ -224,58 +290,12 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self
-            .cache
-            .take()
-            .expect("Conv2d::backward called without a Train-mode forward");
-        let [n, _c, h, w] = cache.input_shape;
-        let (oh, ow) = cache.out_hw;
-        let cg = self.in_channels / self.groups;
-        let ocg = self.out_channels / self.groups;
-        assert_eq!(grad_out.shape(), &[n, self.out_channels, oh, ow]);
+        self.backward_impl(grad_out, true)
+            .expect("the input gradient was asked for")
+    }
 
-        if let Some(b) = &mut self.core.bias {
-            b.accumulate(&grad_out.sum_channels());
-        }
-
-        let _span = axnn_obs::span(&self.core.bwd_span);
-        let dy_mat = nchw_to_gemm_out(grad_out); // [OC, M]
-        let kpg = self.k_per_group();
-        let mut dw_rows: Vec<Tensor> = Vec::with_capacity(self.groups);
-        let mut dinput_groups: Vec<Tensor> = Vec::with_capacity(self.groups);
-        for (g, gc) in cache.groups.iter().enumerate() {
-            let mut dy_g = dy_mat.slice_outer(g * ocg, (g + 1) * ocg);
-            if let Some(scale) = &gc.exec.grad_scale {
-                dy_g = dy_g.zip_map(scale, |d, s| d * s);
-            }
-            if axnn_obs::enabled() {
-                // Two exact GEMMs (dW and dcol) of oc·k·m MACs each.
-                let m = dy_g.shape()[1];
-                axnn_obs::count(axnn_obs::Counter::GemmMacs, 2 * (ocg * kpg * m) as u64);
-            }
-            // STE: differentiate the exact GEMM of the effective operands.
-            dw_rows.push(gemm::matmul_nt(&dy_g, &gc.exec.col_eff)); // [OCg, Kpg]
-            let dcol = gemm::matmul_tn(&gc.exec.wmat_eff, &dy_g); // [Kpg, M]
-            axnn_obs::count(axnn_obs::Counter::Im2colBytes, (dcol.len() * 4) as u64);
-            dinput_groups.push(col2im(&dcol, &[n, cg, h, w], self.geom));
-        }
-
-        // Accumulate weight gradient (reassemble group row blocks into a
-        // reused weight-shaped scratch buffer).
-        let weight_shape = self.core.weight.value.shape().to_vec();
-        let mut dw = scratch_buf(&mut self.scratch.dw, &weight_shape);
-        let dst = dw.as_mut_slice();
-        for (g, dwg) in dw_rows.iter().enumerate() {
-            dst[g * ocg * kpg..(g + 1) * ocg * kpg].copy_from_slice(dwg.as_slice());
-        }
-        self.core.weight.accumulate(&dw);
-        self.scratch.dw = Some(dw);
-
-        if self.groups == 1 {
-            dinput_groups.pop().expect("one group")
-        } else {
-            Tensor::concat_channels(&dinput_groups).expect("same batch/spatial dims")
-        }
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backward_impl(grad_out, false);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -12,6 +12,7 @@
 //! estimation (eq. 10/12).
 
 use crate::Mode;
+use axnn_tensor::im2col::{im2col_into, ConvGeometry};
 use axnn_tensor::{gemm, Tensor};
 use std::fmt;
 
@@ -25,13 +26,79 @@ pub struct ExecOutput {
     /// outside it an executor may return an empty tensor instead, since
     /// only the backward reads it.
     pub wmat_eff: Tensor,
-    /// Effective input (column) matrix for the STE backward. Shape `[K, M]`
-    /// in [`Mode::Train`]; like `wmat_eff`, possibly empty outside it.
-    pub col_eff: Tensor,
+    /// Effective input (column) matrix for the STE backward, `[K, M]` in
+    /// [`Mode::Train`]; like `wmat_eff`, possibly empty outside it. Read it
+    /// as `f32` through [`col_eff`](Self::col_eff).
+    pub x_eff: SteInput,
     /// Optional elementwise factor applied to the upstream gradient
     /// `∂C/∂ỹ` before the GEMM backward products — the `(1 + K)` matrix of
     /// the paper's eq. (12). Shape `[OC, M]` when present.
     pub grad_scale: Option<Tensor>,
+}
+
+/// The input operand of the straight-through backward, as the executor
+/// produced it.
+#[derive(Debug, Clone)]
+pub enum SteInput {
+    /// Dense `f32` columns (the exact families).
+    Dense(Tensor),
+    /// The `[k, m]` activation codes of an approximate product, stored as
+    /// the `u8` LUT offsets `code + 128` it read, with their step: element
+    /// `(offset − 128) as f32 · step`. A quarter of the dense bytes, and no
+    /// dequantize pass in the forward.
+    Offsets {
+        /// Row-major `[k, m]` offsets.
+        offsets: Vec<u8>,
+        /// Rows (the GEMM's shared dimension).
+        k: usize,
+        /// Columns.
+        m: usize,
+        /// The activation quantizer's step.
+        step: f32,
+    },
+}
+
+impl ExecOutput {
+    /// The STE input operand as an `f32` `[K, M]` tensor: a copy of the
+    /// dense columns, or the offsets dequantized as `(offset − 128) as f32
+    /// · step`, which is the fake-quantized activation bit for bit.
+    pub fn col_eff(&self) -> Tensor {
+        match &self.x_eff {
+            SteInput::Dense(t) => t.clone(),
+            SteInput::Offsets {
+                offsets,
+                k,
+                m,
+                step,
+            } => {
+                let deq = offsets
+                    .iter()
+                    .map(|&o| (i32::from(o) - 128) as f32 * step)
+                    .collect();
+                Tensor::from_vec(deq, &[*k, *m]).expect("one offset per element")
+            }
+        }
+    }
+
+    /// The STE weight gradient `dy · col_effᵀ` (`[OC, K]`) of the upstream
+    /// gradient `dy` (`[OC, M]`, already scaled by
+    /// [`grad_scale`](Self::grad_scale)). Offsets are dequantized while the
+    /// packed GEMM reads them, with the same bits as
+    /// `gemm::matmul_nt(dy, &self.col_eff())`.
+    pub fn weight_grad(&self, dy: &Tensor) -> Tensor {
+        match &self.x_eff {
+            SteInput::Dense(t) => gemm::matmul_nt(dy, t),
+            SteInput::Offsets {
+                offsets,
+                k,
+                m,
+                step,
+            } => {
+                assert_eq!(dy.shape()[1], *m, "weight_grad column mismatch");
+                gemm::matmul_nt_offsets(dy, offsets, *k, *step)
+            }
+        }
+    }
 }
 
 /// Coarse identification of an executor, used by reports and tests.
@@ -66,9 +133,28 @@ pub trait LayerExecutor: fmt::Debug + Send {
     ///
     /// `wmat` is `[OC, K]` (full-precision weights), `col` is `[K, M]`
     /// (full-precision lowered inputs). The returned
-    /// [`ExecOutput::wmat_eff`]/[`col_eff`](ExecOutput::col_eff) are the
+    /// [`ExecOutput::wmat_eff`]/[`x_eff`](ExecOutput::x_eff) are the
     /// operands the backward pass should differentiate through.
     fn forward(&mut self, wmat: &Tensor, col: &Tensor, mode: Mode) -> ExecOutput;
+
+    /// The forward product of one convolution (group): `wmat` (`[OC, K]`)
+    /// times the lowering of the NCHW `input` under `geom`.
+    ///
+    /// The default lowers `input` with `im2col` into `col` (kept across
+    /// calls; reallocated when the lowered shape changes) and runs
+    /// [`forward`](Self::forward) on it. An executor may override it to
+    /// lower something cheaper than `f32` columns; its output must equal
+    /// the default's bit for bit.
+    fn forward_conv(
+        &mut self,
+        wmat: &Tensor,
+        input: &Tensor,
+        geom: ConvGeometry,
+        mode: Mode,
+        col: &mut Option<Tensor>,
+    ) -> ExecOutput {
+        forward_conv_columns(self, wmat, input, geom, mode, col)
+    }
 
     /// Which family this executor belongs to.
     fn kind(&self) -> ExecutorKind;
@@ -100,6 +186,37 @@ pub trait LayerExecutor: fmt::Debug + Send {
         let _ = wmat;
         None
     }
+}
+
+/// The default [`LayerExecutor::forward_conv`]: lowers `input` into the
+/// `f32` columns `col` with `im2col` (reusing the buffer when its shape
+/// still fits) and runs `ex.forward` on them. Overrides call it for the
+/// cases they leave to the column path.
+pub fn forward_conv_columns<E: LayerExecutor + ?Sized>(
+    ex: &mut E,
+    wmat: &Tensor,
+    input: &Tensor,
+    geom: ConvGeometry,
+    mode: Mode,
+    col: &mut Option<Tensor>,
+) -> ExecOutput {
+    let (n, c, h, w) = (
+        input.shape()[0],
+        input.shape()[1],
+        input.shape()[2],
+        input.shape()[3],
+    );
+    let lowered = [
+        c * geom.kernel * geom.kernel,
+        n * geom.out_dim(h) * geom.out_dim(w),
+    ];
+    let col = match col {
+        Some(t) if t.shape() == lowered => t,
+        _ => col.insert(Tensor::zeros(&lowered)),
+    };
+    im2col_into(input, geom, col);
+    axnn_obs::count(axnn_obs::Counter::Im2colBytes, (col.len() * 4) as u64);
+    ex.forward(wmat, col, mode)
 }
 
 /// Full-precision executor: plain f32 GEMM, identity effective operands.
@@ -141,7 +258,7 @@ impl LayerExecutor for ExactExecutor {
         ExecOutput {
             y: gemm::matmul(wmat, col),
             wmat_eff,
-            col_eff,
+            x_eff: SteInput::Dense(col_eff),
             grad_scale: None,
         }
     }
@@ -222,12 +339,12 @@ mod tests {
         let out = ex.forward(&w, &x, Mode::Train);
         assert_eq!(out.y, w);
         assert_eq!(out.wmat_eff, w);
-        assert_eq!(out.col_eff, x);
+        assert_eq!(out.col_eff(), x);
         for mode in [Mode::Eval, Mode::Calibrate] {
             let out = ex.forward(&w, &x, mode);
             assert_eq!(out.y, w);
             assert!(
-                out.wmat_eff.is_empty() && out.col_eff.is_empty(),
+                out.wmat_eff.is_empty() && out.col_eff().is_empty(),
                 "{mode:?}"
             );
         }

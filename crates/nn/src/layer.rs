@@ -95,6 +95,18 @@ pub trait Layer: Send {
     /// Implementations may panic if called before a `Mode::Train` forward.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
+    /// [`backward`](Layer::backward) for a caller that discards the input
+    /// gradient (the first layer of a network): accumulates the same
+    /// parameter gradients, and may skip computing the input gradient. The
+    /// default runs `backward` and drops its result.
+    ///
+    /// # Panics
+    ///
+    /// As [`backward`](Layer::backward).
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let _ = self.backward(grad_out);
+    }
+
     /// Visits every trainable parameter (for optimizers and weight I/O).
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         let _ = f;

@@ -63,7 +63,9 @@ pub use block::{ConvBlock, Residual};
 pub use bn::BatchNorm2d;
 pub use checkpoint::{Checkpoint, ParseCheckpointError, RestoreCheckpointError};
 pub use conv::Conv2d;
-pub use executor::{ExactExecutor, ExecOutput, ExecutorKind, LayerExecutor};
+pub use executor::{
+    forward_conv_columns, ExactExecutor, ExecOutput, ExecutorKind, LayerExecutor, SteInput,
+};
 pub use extra_layers::{Dropout, MaxPool2d};
 pub use graph::{GemmBackend, GraphBuilder, GraphExecutor, PlanCacheStats, Unsupported};
 pub use layer::{GemmCore, Layer, Mode};

@@ -98,7 +98,7 @@ impl Layer for Linear {
                 2 * (self.out_features * self.in_features * n) as u64,
             );
         }
-        let dw = gemm::matmul_nt(&dy, &exec.col_eff); // [OUT, IN]
+        let dw = exec.weight_grad(&dy); // [OUT, IN]
         self.core.weight.accumulate(&dw);
         let dcol = gemm::matmul_tn(&exec.wmat_eff, &dy); // [IN, N]
         dcol.transpose2()

@@ -136,6 +136,19 @@ impl Layer for Sequential {
         g
     }
 
+    /// Runs every layer's backward but the first's, whose input gradient
+    /// nobody reads, so it only accumulates its parameter gradients.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g = grad_out.clone();
+        for layer in rest.iter_mut().rev() {
+            g = layer.backward(&g);
+        }
+        first.backward_params(&g);
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         for layer in &mut self.layers {
             layer.visit_params(f);

@@ -100,7 +100,7 @@ pub fn train_epoch(
         net.zero_grad();
         let logits = net.forward(&x, Mode::Train);
         let (loss, dlogits) = loss_fn(&logits, y);
-        net.backward(&dlogits);
+        net.backward_params(&dlogits);
         opt.step(net);
         total += loss;
         batches += 1;

@@ -400,7 +400,7 @@ mod tests {
 
             assert_eq!(bits(&got.y), bits(&want.y), "{name}: telemetry changed y");
             assert_eq!(bits(&got.wmat_eff), bits(&want.wmat_eff), "{name}");
-            assert_eq!(bits(&got.col_eff), bits(&want.col_eff), "{name}");
+            assert_eq!(bits(&got.col_eff()), bits(&want.col_eff()), "{name}");
             assert_eq!(
                 got.grad_scale.as_ref().map(bits),
                 want.grad_scale.as_ref().map(bits),
@@ -531,7 +531,7 @@ mod tests {
                     assert_eq!(bits(&out.wmat_eff), bits(&wq.fake_quant_tensor(wmat)));
                 }
                 if col.abs_max() == 0.0 {
-                    assert_eq!(bits(&out.col_eff), bits(&xq.fake_quant_tensor(col)));
+                    assert_eq!(bits(&out.col_eff()), bits(&xq.fake_quant_tensor(col)));
                 }
                 for key in ["sat_x:z", "sat_w:z"] {
                     let r = p.health.iter().find(|r| r.name == key);
@@ -552,12 +552,12 @@ mod tests {
         let wq = Quantizer::for_abs_max(wmat.abs_max(), QuantSpec::weights_4bit());
         let xq = Quantizer::for_abs_max(col.abs_max(), QuantSpec::activations_8bit());
         assert_eq!(bits(&train.wmat_eff), bits(&wq.fake_quant_tensor(&wmat)));
-        assert_eq!(bits(&train.col_eff), bits(&xq.fake_quant_tensor(&col)));
-        assert_eq!(train.col_eff.shape(), col.shape());
+        assert_eq!(bits(&train.col_eff()), bits(&xq.fake_quant_tensor(&col)));
+        assert_eq!(train.col_eff().shape(), col.shape());
         for mode in [Mode::Eval, Mode::Calibrate] {
             let out = ex.forward(&wmat, &col, mode);
             assert!(
-                out.wmat_eff.is_empty() && out.col_eff.is_empty(),
+                out.wmat_eff.is_empty() && out.col_eff().is_empty(),
                 "{mode:?}"
             );
         }

@@ -2,9 +2,13 @@
 //! operands — and network-wide quantization.
 
 use crate::quantizer::{QuantSpec, Quantizer};
-use axnn_nn::{ExecOutput, ExecutorKind, Layer, LayerExecutor, Mode, Sequential};
+use axnn_nn::{
+    forward_conv_columns, ExecOutput, ExecutorKind, Layer, LayerExecutor, Mode, Sequential,
+    SteInput,
+};
 use axnn_obs::Counter;
 use axnn_tensor::gemm::{self, Epilogue};
+use axnn_tensor::im2col::{im2col_slice_into, ConvGeometry};
 use axnn_tensor::Tensor;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -91,25 +95,118 @@ fn lut_offsets(xq: &Quantizer, col: &[f32], xi: &mut Vec<u8>) {
     xq.map_codes(col, xi, |c| (c + 128) as u8);
 }
 
-/// Dequantizes LUT offsets back to a tensor of `shape`: `(offset − 128) ·
-/// step`, the same bits as `xq.fake_quant_tensor` of the activations the
-/// offsets came from, without a second quantize pass.
-fn dequantize_offsets(xq: &Quantizer, xi: &[u8], shape: &[usize]) -> Tensor {
-    let deq = xi
+thread_local! {
+    /// The `[K, M]` LUT offsets of [`Core::Lut`], one buffer per thread
+    /// rather than one per layer: interpreted and compiled layers alike
+    /// quantize into it, so it grows to the largest layer once, instead of
+    /// every layer keeping its own between calls or allocating one per
+    /// call. A Train forward moves it into its STE operand (the backward
+    /// reads it), and the next call on the thread starts a new one.
+    static XI: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    /// The NCHW input's offsets, quantized once by
+    /// [`QuantExecutor::forward_conv`] before they are lowered into `XI`.
+    static XIN: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    /// The fake-quantized activations of [`Core::Exact`], per thread for
+    /// the same reason as `XI`.
+    static XQ: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Whether the `f32` GEMM of the dequantized weight codes (step `wq`) and
+/// activation codes (step `xq`) over `k` taps is exact: both steps and
+/// their product are normal powers of two, every partial sum is a multiple
+/// of that product below `2^24` of them, and no value overflows. Then
+/// `matmul(w_eff, col_eff) · (1/scale)` is the integer sum of the code
+/// products, and [`code_matmul`] computes it from the codes.
+fn codes_sum_exactly(wq: &Quantizer, xq: &Quantizer, k: usize) -> bool {
+    let pow2 = |s: f32| s.is_normal() && s.to_bits() & 0x007f_ffff == 0;
+    let scale = wq.step() * xq.step();
+    let bound = k as f64 * f64::from(wq.spec().qmax()) * f64::from(xq.spec().qmax());
+    pow2(wq.step())
+        && pow2(xq.step())
+        && pow2(scale)
+        && bound < f64::from(1u32 << 24)
+        && bound * f64::from(scale) < f64::from(f32::MAX)
+}
+
+/// The exact quantized product in code units, `[oc, m]`: `Σₖ w·x` over the
+/// weight codes and the activation offsets `xi` (code `x = offset − 128`),
+/// read by GE's `f'(y)` (eq. 10) and the ε health reference. With
+/// power-of-two steps ([`codes_sum_exactly`]) it is the integer sum; it
+/// equals `matmul(w_eff, col_eff) · (1/scale)` bit for bit, since that
+/// `f32` sum is exact and starts from `+0.0`, so it never yields `−0`.
+/// Other steps run that `f32` GEMM over the dequantized codes.
+fn exact_codes(
+    w_codes: &[i32],
+    wq: &Quantizer,
+    xi: &[u8],
+    xq: &Quantizer,
+    [oc, k, m]: [usize; 3],
+) -> Tensor {
+    let mut y = Tensor::zeros(&[oc, m]);
+    if codes_sum_exactly(wq, xq, k) {
+        code_matmul(w_codes, xi, k, m, y.as_mut_slice());
+        return y;
+    }
+    let w_eff = w_codes.iter().map(|&c| wq.dequantize(c)).collect();
+    let x_eff = xi
         .iter()
         .map(|&o| xq.dequantize(i32::from(o) - 128))
         .collect();
-    Tensor::from_vec(deq, shape).expect("one offset per element")
+    let w_eff = Tensor::from_vec(w_eff, &[oc, k]).expect("one code per weight");
+    let x_eff = Tensor::from_vec(x_eff, &[k, m]).expect("one offset per column entry");
+    gemm::matmul_bias_act_into(&w_eff, &x_eff, None, Epilogue::Identity, y.as_mut_slice());
+    y.scale(1.0 / (wq.step() * xq.step()));
+    y
 }
 
-thread_local! {
-    /// The LUT-offset buffer of [`Core::Lut`], one per thread rather than
-    /// one per layer: interpreted and compiled layers alike quantize into
-    /// it, so it grows to the largest layer once, instead of every layer
-    /// keeping its own between calls or allocating one per call. Its
-    /// contents live only until the next approximate product on the same
-    /// thread: [`QuantExecutor::forward`] reads them before it returns.
-    static XI: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+/// Columns of one [`code_matmul`] tile: its `i32` sums stay on the stack.
+const CODE_COLS: usize = 256;
+
+/// `out[i, j] = Σₖ w[i, k] · (xi[k, j] − 128)` as `f32`, the `i32` sums
+/// exact under [`codes_sum_exactly`]'s bound, one output row by
+/// [`CODE_COLS`] columns at a time.
+fn code_matmul(w_codes: &[i32], xi: &[u8], k: usize, m: usize, out: &mut [f32]) {
+    for (w, row) in w_codes
+        .chunks_exact(k.max(1))
+        .zip(out.chunks_exact_mut(m.max(1)))
+    {
+        for (chunk, out) in row.chunks_mut(CODE_COLS).enumerate() {
+            let cols = chunk * CODE_COLS..chunk * CODE_COLS + out.len();
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: guarded by the runtime AVX2 check above.
+                unsafe { code_tile_avx2(w, xi, m, cols, out) };
+                continue;
+            }
+            code_tile(w, xi, m, cols, out);
+        }
+    }
+}
+
+/// [`code_tile`] recompiled with AVX2 enabled (integer sums, so the width
+/// cannot change a bit).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn code_tile_avx2(w: &[i32], xi: &[u8], m: usize, cols: std::ops::Range<usize>, out: &mut [f32]) {
+    code_tile(w, xi, m, cols, out);
+}
+
+/// One row's sums over the columns `cols` (at most [`CODE_COLS`]).
+#[inline(always)]
+fn code_tile(w: &[i32], xi: &[u8], m: usize, cols: std::ops::Range<usize>, out: &mut [f32]) {
+    let mut acc = [0i32; CODE_COLS];
+    let acc = &mut acc[..cols.len()];
+    for (t, &wt) in w.iter().enumerate() {
+        if wt == 0 {
+            continue;
+        }
+        for (a, &o) in acc.iter_mut().zip(&xi[t * m + cols.start..][..cols.len()]) {
+            *a += wt * (i32::from(o) - 128);
+        }
+    }
+    for (o, &a) in out.iter_mut().zip(acc.iter()) {
+        *o = a as f32;
+    }
 }
 
 /// The product a [`QuantExecutor`] computes in place of exact
@@ -303,8 +400,12 @@ impl QuantExecutor {
     /// the approximate product over the weight codes.
     fn core(&self, wmat: &Tensor, wq: &Quantizer) -> Core {
         match &self.product {
-            None if self.per_channel => Core::exact(self.fake_quant_per_channel(wmat)),
-            None => Core::exact(wq.fake_quant_tensor(wmat)),
+            None if self.per_channel => Core::Exact {
+                w_eff: self.fake_quant_per_channel(wmat),
+            },
+            None => Core::Exact {
+                w_eff: wq.fake_quant_tensor(wmat),
+            },
             Some(product) => Core::Lut {
                 product: Arc::clone(product),
                 w_codes: wq.quantize_codes(wmat),
@@ -316,29 +417,27 @@ impl QuantExecutor {
     }
 
     /// Records the per-layer health metrics for one forward call: clip
-    /// rates every call (`sat_w` only for layer-wise weights, the one case
-    /// with a single clip limit), and for an approximate product, on
-    /// sampled calls, the ε(y) histogram, the GE residual histogram
-    /// (ε − f(y_q), what the drift monitor pools) and the K-mask
-    /// linear-region coverage. `y_codes` is the exact quantized output in
-    /// code units when the GE path already computed it; otherwise the
-    /// sampled path runs the exact core over the same operands (observation
-    /// only — deliberately not counted as run work).
-    #[allow(clippy::too_many_arguments)]
+    /// rates every call (`sat_x` as `(saturated, total)` column entries;
+    /// `sat_w` only for layer-wise weights, the one case with a single clip
+    /// limit), and for an approximate product, on sampled calls, the ε(y)
+    /// histogram, the GE residual histogram (ε − f(y_q), what the drift
+    /// monitor pools) and the K-mask linear-region coverage. `y_codes`
+    /// yields the exact quantized output in code units: GE's when it
+    /// computed one, else [`exact_codes`] over the same operands
+    /// (observation only — deliberately not counted as run work).
     fn record_health(
         &mut self,
         y: &Tensor,
         wmat: &Tensor,
-        col: &Tensor,
         wq: &Quantizer,
-        xq: &Quantizer,
         scale: f32,
-        y_codes: Option<&Tensor>,
+        (sat_x, total_x): (u64, u64),
+        y_codes: impl FnOnce() -> Tensor,
     ) {
         use axnn_obs::HistSpec;
 
         let Some(labels) = &self.labels else { return };
-        axnn_obs::record_ratio(&labels.sat_x, xq.saturated(col), col.len() as u64);
+        axnn_obs::record_ratio(&labels.sat_x, sat_x, total_x);
         if !self.per_channel {
             axnn_obs::record_ratio(&labels.sat_w, wq.saturated(wmat), wmat.len() as u64);
         }
@@ -349,18 +448,7 @@ impl QuantExecutor {
         if !sampled || scale == 0.0 {
             return;
         }
-        let computed;
-        let codes = match y_codes {
-            Some(t) => t,
-            None => {
-                let mut t = Tensor::zeros(y.shape());
-                let mut exact = Core::exact(wq.fake_quant_tensor(wmat));
-                exact.product(xq, col, None, Epilogue::Identity, t.as_mut_slice());
-                t.scale(1.0 / scale);
-                computed = t;
-                &computed
-            }
-        };
+        let codes = y_codes();
         let inv = 1.0 / scale;
         axnn_obs::record_values(
             &labels.eps,
@@ -389,6 +477,72 @@ impl QuantExecutor {
             axnn_obs::record_ratio(&labels.ge_lin, linear, codes.len() as u64);
         }
     }
+
+    /// The approximate product's output over the `[k, m]` activation
+    /// offsets `xi` (quantized by `xq`), shared by the column path and
+    /// [`forward_conv`](LayerExecutor::forward_conv): the LUT GEMM, the
+    /// Train-only STE operands (the weights fake-quantized, `xi` itself),
+    /// GE's `(1 + K)` scale over the exact product of the codes, and the
+    /// health record. `sat_x` yields the activation clip counts. `xi`
+    /// goes back to the thread's buffer unless the STE operand keeps it.
+    #[allow(clippy::too_many_arguments)]
+    fn lut_output(
+        &mut self,
+        wmat: &Tensor,
+        wq: &Quantizer,
+        xq: &Quantizer,
+        product: &Arc<dyn ApproxProduct>,
+        w_codes: &[i32],
+        xi: Vec<u8>,
+        m: usize,
+        mode: Mode,
+        sat_x: impl FnOnce() -> (u64, u64),
+    ) -> ExecOutput {
+        let (oc, k) = (wmat.shape()[0], wmat.shape()[1]);
+        let scale = wq.step() * xq.step();
+        let mut y = Tensor::zeros(&[oc, m]);
+        product.matmul(w_codes, &xi, [oc, k, m], scale, y.as_mut_slice());
+        let train = mode == Mode::Train;
+        // GE needs f'(y) on the accurate quantized output y_q (eq. 10),
+        // only when training with a sloped model. The model is fitted in
+        // integer-accumulator (code-product) units, which are
+        // scale-invariant across layers.
+        let mut ge_codes = None;
+        let grad_scale = (train && product.sloped()).then(|| {
+            axnn_obs::count(Counter::GemmMacs, (oc * k * m) as u64);
+            let codes = ge_codes.insert(exact_codes(w_codes, wq, &xi, xq, [oc, k, m]));
+            product.grad_scale(codes)
+        });
+        if axnn_obs::health_enabled() {
+            let sat = sat_x();
+            self.record_health(&y, wmat, wq, scale, sat, || {
+                ge_codes.unwrap_or_else(|| exact_codes(w_codes, wq, &xi, xq, [oc, k, m]))
+            });
+        }
+        // The STE operands only feed the Train backward, so eval and
+        // calibration passes skip them.
+        let (wmat_eff, x_eff) = if train {
+            let x_eff = SteInput::Offsets {
+                offsets: xi,
+                k,
+                m,
+                step: xq.step(),
+            };
+            (wq.fake_quant_tensor(wmat), x_eff)
+        } else {
+            XI.set(xi);
+            (
+                Tensor::zeros(&[0, 0]),
+                SteInput::Dense(Tensor::zeros(&[0, 0])),
+            )
+        };
+        ExecOutput {
+            y,
+            wmat_eff,
+            x_eff,
+            grad_scale,
+        }
+    }
 }
 
 impl LayerExecutor for QuantExecutor {
@@ -400,60 +554,104 @@ impl LayerExecutor for QuantExecutor {
         let wq = self.weight_quantizer(wmat);
         self.x_quantizer = self.frozen_x_quantizer();
         let xq = batch_x_quantizer(self.x_quantizer, col, self.x_spec);
-        let scale = wq.step() * xq.step();
-
-        let mut y = Tensor::zeros(&[wmat.shape()[0], col.shape()[1]]);
+        let sat_x = || (xq.saturated(col), col.len() as u64);
         // The weights change every optimizer step, so the core is rebuilt
         // on every call; the compiled backend builds it once.
-        let mut core = self.core(wmat, &wq);
-        core.forward(&xq, col, None, Epilogue::Identity, y.as_mut_slice());
-        let mut ge_codes = None;
-        let out = match core {
-            // The exact core's fake-quantized operands are the STE operands.
-            Core::Exact { w_eff, col_scratch } => ExecOutput {
-                y,
-                wmat_eff: w_eff,
-                col_eff: col_scratch.expect("the exact core quantized col"),
-                grad_scale: None,
-            },
-            Core::Lut { product, .. } => {
-                // The STE operands only feed the Train backward (and GE
-                // below), so eval and calibration passes skip them. The
-                // offsets the core just wrote to `XI` are read here, before
-                // any other layer's product can overwrite them.
-                let (w_eff, col_eff) = if mode == Mode::Train {
-                    (
-                        wq.fake_quant_tensor(wmat),
-                        XI.with_borrow(|xi| dequantize_offsets(&xq, xi, col.shape())),
-                    )
-                } else {
-                    (Tensor::zeros(&[0, 0]), Tensor::zeros(&[0, 0]))
+        match self.core(wmat, &wq) {
+            Core::Lut {
+                product, w_codes, ..
+            } => {
+                let mut xi = XI.take();
+                lut_offsets(&xq, col.as_slice(), &mut xi);
+                let m = col.shape()[1];
+                self.lut_output(wmat, &wq, &xq, &product, &w_codes, xi, m, mode, sat_x)
+            }
+            Core::Exact { w_eff } => {
+                let mut y = Tensor::zeros(&[wmat.shape()[0], col.shape()[1]]);
+                exact_forward(&w_eff, &xq, col, None, Epilogue::Identity, y.as_mut_slice());
+                if axnn_obs::health_enabled() {
+                    let scale = wq.step() * xq.step();
+                    let no_eps = || unreachable!("only a product records ε");
+                    self.record_health(&y, wmat, &wq, scale, sat_x(), no_eps);
+                }
+                // The exact core's fake-quantized operands are the STE
+                // operands; its activations are still in the thread's
+                // buffer, which a Train call keeps.
+                let col_eff = match mode {
+                    Mode::Train => Tensor::from_vec(XQ.take(), col.shape())
+                        .expect("the exact core quantized col"),
+                    _ => Tensor::zeros(&[0, 0]),
                 };
-                // GE needs f'(y) on the accurate quantized output y_q (eq.
-                // 10), only when training with a sloped model. The model is
-                // fitted in integer-accumulator (code-product) units, which
-                // are scale-invariant across layers, so it is evaluated on
-                // y_exact / scale.
-                let grad_scale = (mode == Mode::Train && product.sloped()).then(|| {
-                    axnn_obs::count(Counter::GemmMacs, (w_eff.len() * y.shape()[1]) as u64);
-                    let mut y_codes = gemm::matmul(&w_eff, &col_eff);
-                    y_codes.scale(1.0 / scale);
-                    let gs = product.grad_scale(&y_codes);
-                    ge_codes = Some(y_codes);
-                    gs
-                });
                 ExecOutput {
                     y,
                     wmat_eff: w_eff,
-                    col_eff,
-                    grad_scale,
+                    x_eff: SteInput::Dense(col_eff),
+                    grad_scale: None,
                 }
             }
-        };
-        if axnn_obs::health_enabled() {
-            self.record_health(&out.y, wmat, col, &wq, &xq, scale, ge_codes.as_ref());
         }
-        out
+    }
+
+    /// With an approximate product and a frozen activation step, quantizes
+    /// the NCHW input once and lowers its `u8` offsets (padding as offset
+    /// 128, code 0) instead of `f32` columns: the same offsets the column
+    /// path quantizes, so the same output bits, and a 3×3 conv quantizes
+    /// each pixel once instead of up to nine times. `sat_x` weights each
+    /// clipped pixel by the taps that read it, the column path's count.
+    /// Calibration and the dynamic abs-max step are defined over the
+    /// `f32` columns, so they keep the column path, as does the exact core.
+    fn forward_conv(
+        &mut self,
+        wmat: &Tensor,
+        input: &Tensor,
+        geom: ConvGeometry,
+        mode: Mode,
+        col: &mut Option<Tensor>,
+    ) -> ExecOutput {
+        let frozen = match mode {
+            Mode::Calibrate => None,
+            _ => self.frozen_x_quantizer(),
+        };
+        let (Some(xq), Some(_)) = (frozen, &self.product) else {
+            return forward_conv_columns(self, wmat, input, geom, mode, col);
+        };
+        self.x_quantizer = Some(xq);
+        let wq = self.weight_quantizer(wmat);
+        let Core::Lut {
+            product, w_codes, ..
+        } = self.core(wmat, &wq)
+        else {
+            unreachable!("an executor with a product builds the LUT core")
+        };
+        let dims = [
+            input.shape()[0],
+            input.shape()[1],
+            input.shape()[2],
+            input.shape()[3],
+        ];
+        let [n, c, h, w] = dims;
+        let k = c * geom.kernel * geom.kernel;
+        let m = n * geom.out_dim(h) * geom.out_dim(w);
+        let mut xi = XI.take();
+        xi.reserve_exact((k * m).saturating_sub(xi.len()));
+        xi.resize(k * m, 0);
+        XIN.with_borrow_mut(|xin| {
+            lut_offsets(&xq, input.as_slice(), xin);
+            im2col_slice_into(xin, dims, geom, 128, &mut xi);
+        });
+        axnn_obs::count(Counter::Im2colBytes, (k * m) as u64);
+        let sat_x = || {
+            let (rows, cols) = (geom.tap_counts(h), geom.tap_counts(w));
+            let limit = xq.clip_limit();
+            let mut sat = 0;
+            for (i, &x) in input.as_slice().iter().enumerate() {
+                if x.abs() >= limit {
+                    sat += rows[i / w % h] * cols[i % w];
+                }
+            }
+            (sat, (k * m) as u64)
+        };
+        self.lut_output(wmat, &wq, &xq, &product, &w_codes, xi, m, mode, sat_x)
     }
 
     fn kind(&self) -> ExecutorKind {
@@ -499,7 +697,7 @@ struct CompiledQuant {
 impl axnn_nn::GemmBackend for CompiledQuant {
     fn out_rows(&self) -> usize {
         match &self.core {
-            Core::Exact { w_eff, .. } => w_eff.shape()[0],
+            Core::Exact { w_eff } => w_eff.shape()[0],
             Core::Lut { oc, .. } => *oc,
         }
     }
@@ -515,13 +713,9 @@ impl axnn_nn::GemmBackend for CompiledQuant {
 /// [`CompiledQuant`] once at compile time.
 #[derive(Debug)]
 enum Core {
-    /// f32 GEMM over fake-quantized weights and activations.
-    Exact {
-        w_eff: Tensor,
-        /// Fake-quantized activation buffer, reused across same-shape
-        /// calls so steady-state compiled forwards allocate nothing here.
-        col_scratch: Option<Tensor>,
-    },
+    /// f32 GEMM over the fake-quantized weights `w_eff` and activations
+    /// (quantized into the thread's `XQ`).
+    Exact { w_eff: Tensor },
     /// The approximate product over weight codes and the activations' LUT
     /// offsets (quantized into the thread's `XI`).
     Lut {
@@ -534,33 +728,10 @@ enum Core {
 }
 
 impl Core {
-    /// The exact core over the fake-quantized weights `w_eff`.
-    fn exact(w_eff: Tensor) -> Self {
-        Core::Exact {
-            w_eff,
-            col_scratch: None,
-        }
-    }
-
     /// `ep(W·col + bias)` into the row-major `[OC, M]` `out`, with `col`
     /// quantized by `xq`, counting the exact core's MACs.
     fn forward(
-        &mut self,
-        xq: &Quantizer,
-        col: &Tensor,
-        bias: Option<&[f32]>,
-        ep: Epilogue,
-        out: &mut [f32],
-    ) {
-        if let Core::Exact { w_eff, .. } = self {
-            axnn_obs::count(Counter::GemmMacs, (w_eff.len() * col.shape()[1]) as u64);
-        }
-        self.product(xq, col, bias, ep, out);
-    }
-
-    /// [`forward`](Self::forward) without the MAC count.
-    fn product(
-        &mut self,
+        &self,
         xq: &Quantizer,
         col: &Tensor,
         bias: Option<&[f32]>,
@@ -569,16 +740,7 @@ impl Core {
     ) {
         let m = col.shape()[1];
         match self {
-            Core::Exact { w_eff, col_scratch } => {
-                // The `fake_quant_tensor` kernel, into a reused buffer
-                // instead of a fresh allocation per call.
-                let mut scratch = match col_scratch.take() {
-                    Some(t) if t.shape() == col.shape() => t,
-                    _ => Tensor::zeros(col.shape()),
-                };
-                xq.fake_quant_into(col.as_slice(), scratch.as_mut_slice());
-                gemm::matmul_bias_act_into(w_eff, col_scratch.insert(scratch), bias, ep, out);
-            }
+            Core::Exact { w_eff } => exact_forward(w_eff, xq, col, bias, ep, out),
             Core::Lut {
                 product,
                 w_codes,
@@ -594,6 +756,27 @@ impl Core {
             }
         }
     }
+}
+
+/// The exact core's product: `ep(w_eff · fq(col) + bias)` into `out`, with
+/// `col` fake-quantized by `xq` into the thread's `XQ`, counting its MACs.
+fn exact_forward(
+    w_eff: &Tensor,
+    xq: &Quantizer,
+    col: &Tensor,
+    bias: Option<&[f32]>,
+    ep: Epilogue,
+    out: &mut [f32],
+) {
+    axnn_obs::count(Counter::GemmMacs, (w_eff.len() * col.shape()[1]) as u64);
+    XQ.with_borrow_mut(|buf| {
+        let mut xf = std::mem::take(buf);
+        xf.resize(col.len(), 0.0);
+        let mut xf = Tensor::from_vec(xf, col.shape()).expect("one value per entry");
+        xq.fake_quant_into(col.as_slice(), xf.as_mut_slice());
+        gemm::matmul_bias_act_into(w_eff, &xf, bias, ep, out);
+        *buf = xf.into_vec();
+    });
 }
 
 /// Swaps fresh per-channel-weight [`QuantExecutor`]s into every conv/FC
@@ -624,6 +807,85 @@ mod tests {
     use axnn_nn::{Activation, ActivationKind, Linear};
     use axnn_rng::Rng;
     use axnn_tensor::init;
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// GE's exact product from the codes against the `f32` GEMM of the
+    /// dequantized operands scaled by `1/scale`, bit for bit: ±127 × ±7
+    /// codes (every tap at the extremes on some draws), K up to 576,
+    /// power-of-two steps from 2⁻²⁰ to 2⁴, and a non-power-of-two step,
+    /// which takes the `f32` fallback; the portable integer body too.
+    #[test]
+    fn integer_ge_product_matches_the_f32_gemm_of_the_codes() {
+        axnn_rng::cases(128, |mut rng| {
+            let (oc, m) = (rng.gen_range(1usize..=16), rng.gen_range(1usize..=300));
+            let k = match rng.gen_range(0u32..3) {
+                0 => 576,
+                _ => rng.gen_range(1usize..=576),
+            };
+            let extreme = rng.gen_bool(0.25);
+            let w_codes: Vec<i32> = (0..oc * k)
+                .map(|_| match extreme {
+                    true => [-7, 7][rng.gen_range(0usize..2)],
+                    false => rng.gen_range(-7i32..=7),
+                })
+                .collect();
+            let xi: Vec<u8> = (0..k * m)
+                .map(|_| match extreme {
+                    true => [1, 255][rng.gen_range(0usize..2)],
+                    false => rng.gen_range(1u32..=255) as u8,
+                })
+                .collect();
+            let wq = Quantizer::with_step(
+                2f32.powi(rng.gen_range(-20i32..=4)),
+                QuantSpec::weights_4bit(),
+            );
+            let x_spec = match rng.gen_bool(0.2) {
+                true => QuantSpec {
+                    pow2_step: false,
+                    ..QuantSpec::activations_8bit()
+                },
+                false => QuantSpec::activations_8bit(),
+            };
+            let xq = Quantizer::with_step(2f32.powi(rng.gen_range(-20i32..=4)) * 0.7, x_spec);
+            let w_eff = Tensor::from_vec(
+                w_codes.iter().map(|&c| wq.dequantize(c)).collect(),
+                &[oc, k],
+            )
+            .unwrap();
+            let col_eff = Tensor::from_vec(
+                xi.iter()
+                    .map(|&o| xq.dequantize(i32::from(o) - 128))
+                    .collect(),
+                &[k, m],
+            )
+            .unwrap();
+            let mut want = gemm::matmul(&w_eff, &col_eff);
+            want.scale(1.0 / (wq.step() * xq.step()));
+            assert_eq!(
+                codes_sum_exactly(&wq, &xq, k),
+                x_spec.pow2_step,
+                "steps {} {}",
+                wq.step(),
+                xq.step()
+            );
+            let got = exact_codes(&w_codes, &wq, &xi, &xq, [oc, k, m]);
+            assert_eq!(bits(&got), bits(&want), "{oc}x{k}x{m} extreme={extreme}");
+            // The portable body, which the dispatch skips on AVX2 machines.
+            let mut portable = vec![0.0f32; oc * m];
+            for (w, row) in w_codes.chunks_exact(k).zip(portable.chunks_exact_mut(m)) {
+                for (chunk, out) in row.chunks_mut(CODE_COLS).enumerate() {
+                    let cols = chunk * CODE_COLS..chunk * CODE_COLS + out.len();
+                    code_tile(w, &xi, m, cols, out);
+                }
+            }
+            if x_spec.pow2_step {
+                assert_eq!(portable, got.as_slice(), "portable {oc}x{k}x{m}");
+            }
+        });
+    }
 
     #[test]
     fn quantized_forward_is_close_to_exact_for_8bit() {

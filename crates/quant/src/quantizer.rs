@@ -195,8 +195,13 @@ impl Quantizer {
     /// A value that *rounds* to `±qmax` without exceeding the range is not
     /// saturated.
     pub fn saturated(&self, t: &Tensor) -> u64 {
-        let limit = (self.spec.qmax() as f32 + 0.5) * self.step;
+        let limit = self.clip_limit();
         t.as_slice().iter().filter(|x| x.abs() >= limit).count() as u64
+    }
+
+    /// The magnitude from which a value clips: `(qmax + ½) · step`.
+    pub(crate) fn clip_limit(&self) -> f32 {
+        (self.spec.qmax() as f32 + 0.5) * self.step
     }
 }
 

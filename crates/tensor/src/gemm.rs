@@ -39,8 +39,6 @@ const NR: usize = 16;
 /// wider B stripe beats a taller tile there; the `Aᵀ·B` kernel prefers
 /// [`NR`] even with AVX2).
 const NR_WIDE: usize = 32;
-/// Column tile width of the `A·Bᵀ` dot-product kernel.
-const NT: usize = 4;
 
 /// Runtime CPU-feature gate for the wide kernels.
 #[cfg(target_arch = "x86_64")]
@@ -387,6 +385,11 @@ fn kernel_tn<const TILE_ROWS: usize>(
 
 /// Computes `C = A · Bᵀ` without materialising the transpose.
 ///
+/// The kernel packs `B` into transposed panels (see [`matmul_nt_offsets`],
+/// which shares it) and runs a register tile over them. Each element of
+/// `C` is the ascending fold over the shared dimension from `+0.0`, as in
+/// [`reference::matmul_nt`].
+///
 /// # Panics
 ///
 /// Panics if either input is not 2-D or `A` and `B` disagree on their shared
@@ -394,91 +397,327 @@ fn kernel_tn<const TILE_ROWS: usize>(
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.shape().len(), 2);
     assert_eq!(b.shape().len(), 2);
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    let (n, k2) = (b.shape()[0], b.shape()[1]);
-    assert_eq!(k, k2, "matmul_nt shared dimension mismatch");
-
-    let mut c = Tensor::zeros(&[m, n]);
-    if m == 0 || n == 0 {
-        return c;
-    }
-    let av = a.as_slice();
-    let bv = b.as_slice();
-    let mr = tile_rows();
-    axnn_par::par_chunks_mut(c.as_mut_slice(), mr * n, |block, c_block| {
-        dispatch_nt(av, bv, c_block, block * mr, k, n);
-    });
-    c
+    let (n, k) = (b.shape()[0], b.shape()[1]);
+    assert_eq!(a.shape()[1], k, "matmul_nt shared dimension mismatch");
+    nt::matmul(a, nt::Source::F32(b.as_slice()), n)
 }
 
-/// Routes one row block to the widest kernel the CPU supports.
-fn dispatch_nt(av: &[f32], bv: &[f32], c_block: &mut [f32], i0: usize, k: usize, n: usize) {
+/// [`matmul_nt`] with `B` held as `u8` LUT offsets: the row-major `[n, k]`
+/// `b` stands for the matrix whose element is `(b − 128) as f32 · step`,
+/// which is how the 8A4W executor dequantizes its activation codes. The
+/// result is bit-identical to `matmul_nt(a, &dequantized)`, without
+/// building the `f32` matrix.
+///
+/// # Panics
+///
+/// Panics if `a` is not 2-D or `b` is not `n · a.shape()[1]` long.
+pub fn matmul_nt_offsets(a: &Tensor, b: &[u8], n: usize, step: f32) -> Tensor {
+    assert_eq!(a.shape().len(), 2);
+    assert_eq!(
+        b.len(),
+        n * a.shape()[1],
+        "matmul_nt_offsets shape mismatch"
+    );
+    nt::matmul(a, nt::Source::Offsets { data: b, step }, n)
+}
+
+/// The packed `A · Bᵀ` kernel. The output is split into tiles of up to
+/// [`TILE_M`](nt::TILE_M) rows by [`NP`](nt::NP) columns, one thread each;
+/// the shared dimension is never split. A tile walks the shared dimension
+/// in blocks of [`KC`](nt::KC): it packs its `NP` rows of `B` for the block
+/// into a `[KC][NP]` panel (8×8 AVX2 transposes when the CPU has them,
+/// scalar otherwise), then runs the `nn`-style
+/// register tile of [`kernel_nn`] over it, each accumulator resuming from
+/// the partial sum the previous block stored. So every element still adds
+/// its products in ascending order from `+0.0`.
+mod nt {
+    use crate::Tensor;
+
+    /// Output columns of one tile: the width of one packed panel.
+    pub(super) const NP: usize = 16;
+    /// Output rows of one tile (all of them for a conv weight gradient).
+    pub(super) const TILE_M: usize = 32;
+    /// Shared-dimension block packed at once: a `[KC][NP]` panel is 16 KiB.
+    pub(super) const KC: usize = 256;
+
+    /// The `B` operand, row-major `[n, k]`.
+    #[derive(Clone, Copy)]
+    pub(super) enum Source<'a> {
+        F32(&'a [f32]),
+        /// `u8` offsets, element `(b − 128) as f32 · step`.
+        Offsets {
+            data: &'a [u8],
+            step: f32,
+        },
+    }
+
+    pub(super) fn matmul(a: &Tensor, b: Source<'_>, n: usize) -> Tensor {
+        let (m, k) = (a.shape()[0], a.shape()[1]);
+        let mut c = Tensor::zeros(&[m, n]);
+        if m == 0 || n == 0 || k == 0 {
+            return c;
+        }
+        let av = a.as_slice();
+        axnn_par::par_tiles_mut(c.as_mut_slice(), n, TILE_M, NP, |mut tile| {
+            let (rows, cols) = (tile.rows(), tile.cols());
+            let mut acc = [[0.0f32; NP]; TILE_M];
+            let mut panel = vec![[0.0f32; NP]; KC.min(k)];
+            for k0 in (0..k).step_by(KC) {
+                let kc = KC.min(k - k0);
+                pack(b, k, cols.clone(), k0, &mut panel[..kc]);
+                block(av, k, rows.clone(), k0, &panel[..kc], &mut acc);
+            }
+            for (r, sums) in acc.iter().enumerate().take(rows.len()) {
+                let dst = tile.row_mut(r);
+                let len = dst.len();
+                dst.copy_from_slice(&sums[..len]);
+            }
+        });
+        c
+    }
+
+    /// One offset's `f32` value: the operation the AVX2 packer runs per
+    /// lane.
+    #[inline(always)]
+    fn dequant(o: u8, step: f32) -> f32 {
+        (i32::from(o) - 128) as f32 * step
+    }
+
+    /// Packs `B[cols, k0..k0 + panel.len()]` transposed into `panel`
+    /// (`panel[t][j]` is `B[cols.start + j][k0 + t]`). Columns past `cols`
+    /// may keep stale values: their sums are never stored.
+    pub(super) fn pack(
+        b: Source<'_>,
+        k: usize,
+        cols: std::ops::Range<usize>,
+        k0: usize,
+        panel: &mut [[f32; NP]],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if super::has_avx2() {
+            // SAFETY: guarded by the runtime AVX2 check above.
+            unsafe { avx2::pack(b, k, cols, k0, panel) };
+            return;
+        }
+        pack_portable(b, k, cols, k0, panel);
+    }
+
+    /// The scalar packer.
+    pub(super) fn pack_portable(
+        b: Source<'_>,
+        k: usize,
+        cols: std::ops::Range<usize>,
+        k0: usize,
+        panel: &mut [[f32; NP]],
+    ) {
+        for (t, dst) in panel.iter_mut().enumerate() {
+            for (j, d) in dst.iter_mut().enumerate().take(cols.len()) {
+                let at = (cols.start + j) * k + k0 + t;
+                *d = match b {
+                    Source::F32(v) => v[at],
+                    Source::Offsets { data, step } => dequant(data[at], step),
+                };
+            }
+        }
+    }
+
+    /// Runs every row of `rows` over one packed block, `acc[r]` holding row
+    /// `rows.start + r`'s partial sums.
+    pub(super) fn block(
+        av: &[f32],
+        k: usize,
+        rows: std::ops::Range<usize>,
+        k0: usize,
+        panel: &[[f32; NP]],
+        acc: &mut [[f32; NP]; TILE_M],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if super::has_avx2() {
+            // SAFETY: guarded by the runtime AVX2 check above.
+            unsafe { block_avx2(av, k, rows, k0, panel, acc) };
+            return;
+        }
+        block_rows::<{ super::MR }>(av, k, rows, k0, panel, acc);
+    }
+
+    /// [`block_rows`] recompiled with AVX2 enabled — same operation
+    /// sequence, wider registers.
     #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
-        // SAFETY: guarded by the runtime AVX2 check above.
-        unsafe { kernel_nt_avx2(av, bv, c_block, i0, k, n) };
-        return;
+    #[target_feature(enable = "avx2")]
+    fn block_avx2(
+        av: &[f32],
+        k: usize,
+        rows: std::ops::Range<usize>,
+        k0: usize,
+        panel: &[[f32; NP]],
+        acc: &mut [[f32; NP]; TILE_M],
+    ) {
+        block_rows::<{ super::MR_WIDE }>(av, k, rows, k0, panel, acc);
     }
-    kernel_nt::<MR>(av, bv, c_block, i0, k, n);
-}
 
-/// The scalar body of [`kernel_nt`] recompiled with AVX2 enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn kernel_nt_avx2(
-    av: &[f32],
-    bv: &[f32],
-    c_block: &mut [f32],
-    i0: usize,
-    k: usize,
-    n: usize,
-) {
-    kernel_nt::<MR_WIDE>(av, bv, c_block, i0, k, n);
-}
-
-/// `C = A · Bᵀ` micro-kernel: TILE_ROWS×NT independent dot products advance
-/// together through `k`, giving instruction-level parallelism without
-/// reassociating any single element's sum.
-#[inline(always)]
-fn kernel_nt<const TILE_ROWS: usize>(
-    av: &[f32],
-    bv: &[f32],
-    c_block: &mut [f32],
-    i0: usize,
-    k: usize,
-    n: usize,
-) {
-    let rows = c_block.len() / n;
-    let mut j0 = 0;
-    while j0 < n {
-        let jw = NT.min(n - j0);
-        if rows == TILE_ROWS && jw == NT {
-            let mut acc = [[0.0f32; NT]; TILE_ROWS];
-            for kk in 0..k {
-                for (r, acc_row) in acc.iter_mut().enumerate() {
-                    let a_val = av[(i0 + r) * k + kk];
-                    for (c, dst) in acc_row.iter_mut().enumerate() {
-                        *dst += a_val * bv[(j0 + c) * k + kk];
-                    }
+    /// Groups of `G` rows share each panel load; the last group may be
+    /// shorter.
+    #[inline(always)]
+    pub(super) fn block_rows<const G: usize>(
+        av: &[f32],
+        k: usize,
+        rows: std::ops::Range<usize>,
+        k0: usize,
+        panel: &[[f32; NP]],
+        acc: &mut [[f32; NP]; TILE_M],
+    ) {
+        let mut r = 0;
+        while r < rows.len() {
+            let g = G.min(rows.len() - r);
+            let acc = &mut acc[r..r + g];
+            let a0 = (rows.start + r) * k + k0;
+            if g == G {
+                tile::<G>(av, k, a0, panel, acc);
+            } else {
+                for (i, acc) in acc.chunks_mut(1).enumerate() {
+                    tile::<1>(av, k, a0 + i * k, panel, acc);
                 }
             }
-            for (r, acc_row) in acc.iter().enumerate() {
-                c_block[r * n + j0..r * n + j0 + NT].copy_from_slice(acc_row);
-            }
-        } else {
-            for r in 0..rows {
-                let a_row = &av[(i0 + r) * k..(i0 + r + 1) * k];
-                for j in j0..j0 + jw {
-                    let b_row = &bv[j * k..(j + 1) * k];
-                    let mut acc = 0.0f32;
-                    for (&x, &y) in a_row.iter().zip(b_row) {
-                        acc += x * y;
-                    }
-                    c_block[r * n + j] = acc;
+            r += g;
+        }
+    }
+
+    /// `acc[r][j] += A[row r][k0 + t] · panel[t][j]` for ascending `t`, the
+    /// `G × NP` tile held in registers across the block.
+    #[inline(always)]
+    fn tile<const G: usize>(
+        av: &[f32],
+        k: usize,
+        a0: usize,
+        panel: &[[f32; NP]],
+        acc: &mut [[f32; NP]],
+    ) {
+        let mut tile = [[0.0f32; NP]; G];
+        tile.copy_from_slice(&acc[..G]);
+        let a_rows: [&[f32]; G] = std::array::from_fn(|r| &av[a0 + r * k..][..panel.len()]);
+        for (t, p) in panel.iter().enumerate() {
+            for (acc_row, a_row) in tile.iter_mut().zip(&a_rows) {
+                let a_val = a_row[t];
+                for (dst, &bj) in acc_row.iter_mut().zip(p) {
+                    *dst += a_val * bj;
                 }
             }
         }
-        j0 += jw;
+        acc[..G].copy_from_slice(&tile);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    mod avx2 {
+        use super::{Source, NP};
+        use std::arch::x86_64::*;
+
+        /// [`pack_portable`](super::pack_portable)'s AVX2 arm: each half of
+        /// the panel takes up to 8 rows of `B`, 8 taps at a time, loaded
+        /// (offsets widened and dequantized lane by lane, the scalar
+        /// `dequant` per lane) and transposed in registers, missing rows as
+        /// zeros. The taps after the last whole 8 are copied row by row.
+        #[target_feature(enable = "avx2")]
+        pub(super) fn pack(
+            b: Source<'_>,
+            k: usize,
+            cols: std::ops::Range<usize>,
+            k0: usize,
+            panel: &mut [[f32; NP]],
+        ) {
+            let kc = panel.len();
+            let whole = kc / 8 * 8;
+            for half in 0..NP / 8 {
+                let (j0, lane) = (cols.start + 8 * half, 8 * half);
+                let rows = cols.end.saturating_sub(j0).min(8);
+                let at = |i: usize| (j0 + i) * k + k0;
+                for t in (0..whole).step_by(8) {
+                    let mut r = [_mm256_setzero_ps(); 8];
+                    for (i, r) in r.iter_mut().enumerate().take(rows) {
+                        *r = load8(b, at(i) + t);
+                    }
+                    for (dst, v) in panel[t..t + 8].iter_mut().zip(transpose8(r)) {
+                        let dst = &mut dst[lane..lane + 8];
+                        // SAFETY: `dst` is a borrowed 8-element slice; the
+                        // store is unaligned.
+                        unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), v) };
+                    }
+                }
+                for i in 0..rows {
+                    let tail = panel[whole..].iter_mut().map(|row| &mut row[lane + i]);
+                    let from = at(i) + whole;
+                    match b {
+                        Source::F32(v) => {
+                            for (d, &x) in tail.zip(&v[from..from + kc - whole]) {
+                                *d = x;
+                            }
+                        }
+                        Source::Offsets { data, step } => {
+                            for (d, &o) in tail.zip(&data[from..from + kc - whole]) {
+                                *d = super::dequant(o, step);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        /// The 8 elements of `B` from flat index `at`.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn load8(b: Source<'_>, at: usize) -> __m256 {
+            match b {
+                Source::F32(v) => {
+                    let src = &v[at..at + 8];
+                    // SAFETY: `src` is a borrowed 8-element slice; the load
+                    // is unaligned.
+                    unsafe { _mm256_loadu_ps(src.as_ptr()) }
+                }
+                Source::Offsets { data, step } => {
+                    let src = &data[at..at + 8];
+                    // SAFETY: `src` is a borrowed 8-byte slice; the load is
+                    // unaligned.
+                    let bytes = unsafe { _mm_loadl_epi64(src.as_ptr().cast()) };
+                    let codes =
+                        _mm256_sub_epi32(_mm256_cvtepu8_epi32(bytes), _mm256_set1_epi32(128));
+                    // `cvtepi32_ps` is exact on codes in [-128, 127], and the
+                    // product rounds once, as the scalar `dequant` does.
+                    _mm256_mul_ps(_mm256_cvtepi32_ps(codes), _mm256_set1_ps(step))
+                }
+            }
+        }
+
+        /// Transposes the 8×8 block whose row `i` is `r[i]`: row `j` of the
+        /// result holds column `j`.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
+            let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+            let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+            let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+            let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+            let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+            let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+            let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+            let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+            let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+            let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+            let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+            let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+            let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+            let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+            let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+            let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+            [
+                _mm256_permute2f128_ps::<0x20>(u0, u4),
+                _mm256_permute2f128_ps::<0x20>(u1, u5),
+                _mm256_permute2f128_ps::<0x20>(u2, u6),
+                _mm256_permute2f128_ps::<0x20>(u3, u7),
+                _mm256_permute2f128_ps::<0x31>(u0, u4),
+                _mm256_permute2f128_ps::<0x31>(u1, u5),
+                _mm256_permute2f128_ps::<0x31>(u2, u6),
+                _mm256_permute2f128_ps::<0x31>(u3, u7),
+            ]
+        }
     }
 }
 
@@ -847,6 +1086,120 @@ mod tests {
             );
         }
         axnn_par::set_threads(1);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Tests that set the global thread count run one at a time.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Random `u8` offsets and a power-of-two step (or 0.3, not one).
+    fn rand_offsets(len: usize, rng: &mut axnn_rng::Rng) -> (Vec<u8>, f32) {
+        let data = (0..len).map(|_| rng.gen_range(0u32..256) as u8).collect();
+        let step = match rng.gen_range(0u32..3) {
+            0 => 0.3,
+            e => 2f32.powi(-(e as i32) * 3),
+        };
+        (data, step)
+    }
+
+    /// The packed `A · Bᵀ`, dense and over `u8` offsets, against the naive
+    /// row-dot oracle bit for bit: rows not a multiple of the 4-row tile,
+    /// columns not a multiple of 8 or 16, an inner dimension crossing the
+    /// 256-tap panel blocks, and 1 and 2 threads.
+    #[test]
+    fn packed_nt_bit_matches_reference() {
+        let _g = serial();
+        axnn_rng::cases(96, |mut rng| {
+            let m = rng.gen_range(1usize..=13);
+            let n = rng.gen_range(1usize..=40);
+            let k = match rng.gen_range(0u32..3) {
+                0 => rng.gen_range(1usize..=20),
+                1 => rng.gen_range(250usize..=270),
+                _ => rng.gen_range(500usize..=800),
+            };
+            let a = crate::init::uniform(&[m, k], -1.0, 1.0, &mut rng);
+            let b = crate::init::uniform(&[n, k], -1.0, 1.0, &mut rng);
+            let (offsets, step) = rand_offsets(n * k, &mut rng);
+            let deq: Vec<f32> = offsets
+                .iter()
+                .map(|&o| (i32::from(o) - 128) as f32 * step)
+                .collect();
+            let deq = Tensor::from_vec(deq, &[n, k]).unwrap();
+            let want = reference::matmul_nt(&a, &b);
+            let want_u8 = reference::matmul_nt(&a, &deq);
+            for threads in [1, 2] {
+                axnn_par::set_threads(threads);
+                assert_eq!(
+                    bits(&matmul_nt(&a, &b)),
+                    bits(&want),
+                    "f32 {m}x{k}x{n} t{threads}"
+                );
+                assert_eq!(
+                    bits(&matmul_nt_offsets(&a, &offsets, n, step)),
+                    bits(&want_u8),
+                    "u8 {m}x{k}x{n} t{threads}"
+                );
+            }
+            axnn_par::set_threads(0);
+        });
+    }
+
+    /// The portable packer and row kernel, which non-AVX2 machines run,
+    /// against the dispatched ones (the AVX2 arms where the CPU has them).
+    #[test]
+    fn packed_nt_portable_arm_matches_dispatch() {
+        axnn_rng::cases(64, |mut rng| {
+            let n = rng.gen_range(1usize..=40);
+            let k = rng.gen_range(1usize..=300);
+            let b = crate::init::uniform(&[n, k], -1.0, 1.0, &mut rng);
+            let (offsets, step) = rand_offsets(n * k, &mut rng);
+            let c0 = rng.gen_range(0..n);
+            let cols = c0..(c0 + nt::NP).min(n);
+            let k0 = rng.gen_range(0..k);
+            let kc = rng.gen_range(1..=(k - k0).min(nt::KC));
+            for src in [
+                nt::Source::F32(b.as_slice()),
+                nt::Source::Offsets {
+                    data: &offsets,
+                    step,
+                },
+            ] {
+                let mut fast = vec![[f32::NAN; nt::NP]; kc];
+                let mut slow = vec![[f32::NAN; nt::NP]; kc];
+                nt::pack(src, k, cols.clone(), k0, &mut fast);
+                nt::pack_portable(src, k, cols.clone(), k0, &mut slow);
+                // Only the columns inside `cols` are defined (and read out).
+                let valid = |p: &[[f32; nt::NP]]| -> Vec<u32> {
+                    p.iter()
+                        .flat_map(|row| &row[..cols.len()])
+                        .map(|v| v.to_bits())
+                        .collect()
+                };
+                assert_eq!(
+                    valid(&fast),
+                    valid(&slow),
+                    "pack n={n} k={k} {cols:?} k0={k0}"
+                );
+
+                let rows = rng.gen_range(1usize..=nt::TILE_M);
+                let a = crate::init::uniform(&[rows, k], -1.0, 1.0, &mut rng);
+                let start = [[0.25f32; nt::NP]; nt::TILE_M];
+                let (mut fast_acc, mut slow_acc) = (start, start);
+                nt::block(a.as_slice(), k, 0..rows, k0, &slow, &mut fast_acc);
+                nt::block_rows::<MR>(a.as_slice(), k, 0..rows, k0, &slow, &mut slow_acc);
+                assert_eq!(
+                    valid(&fast_acc[..rows]),
+                    valid(&slow_acc[..rows]),
+                    "block rows={rows} k={k} k0={k0}"
+                );
+            }
+        });
     }
 
     #[test]

@@ -65,6 +65,32 @@ impl ConvGeometry {
         );
         (padded - self.kernel) / self.stride + 1
     }
+
+    /// How many (output index, kernel tap) pairs read each of the `len`
+    /// input indices along one axis. A pixel `(ih, iw)` is copied into
+    /// `counts(h)[ih] · counts(w)[iw]` entries of each image's columns.
+    ///
+    /// ```
+    /// use axnn_tensor::im2col::ConvGeometry;
+    ///
+    /// // 3x3, stride 1, "same": border pixels are read by 2 taps, others by 3.
+    /// assert_eq!(ConvGeometry::new(3, 1, 1).tap_counts(4), vec![2, 3, 3, 2]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// As [`out_dim`](Self::out_dim).
+    pub fn tap_counts(&self, len: usize) -> Vec<u64> {
+        let mut counts = vec![0; len];
+        for o in 0..self.out_dim(len) {
+            for t in 0..self.kernel {
+                if let Some(i) = tap_index(o, self.stride, t, self.pad, len) {
+                    counts[i] += 1;
+                }
+            }
+        }
+        counts
+    }
 }
 
 /// Lowers an `[N, C, H, W]` tensor to the `[C·KH·KW, N·OH·OW]` column matrix.
@@ -99,43 +125,73 @@ pub fn im2col(input: &Tensor, geom: ConvGeometry) -> Tensor {
 /// shape implied by `(input, geom)`.
 pub fn im2col_into(input: &Tensor, geom: ConvGeometry, out: &mut Tensor) {
     assert_eq!(input.shape().len(), 4, "im2col requires an NCHW tensor");
-    let (n, c, h, w) = (
+    let dims = [
         input.shape()[0],
         input.shape()[1],
         input.shape()[2],
         input.shape()[3],
-    );
-    let (k, s, p) = (geom.kernel, geom.stride, geom.pad);
-    let oh = geom.out_dim(h);
-    let ow = geom.out_dim(w);
-    let rows = c * k * k;
-    let cols = n * oh * ow;
+    ];
+    let rows = dims[1] * geom.kernel * geom.kernel;
+    let cols = dims[0] * geom.out_dim(dims[2]) * geom.out_dim(dims[3]);
     assert_eq!(
         out.shape(),
         &[rows, cols],
         "im2col output buffer shape inconsistent with input/geometry"
     );
-    if rows == 0 || cols == 0 {
+    im2col_slice_into(input.as_slice(), dims, geom, 0.0, out.as_mut_slice());
+}
+
+/// The lowering body behind [`im2col_into`], over any element type: lowers
+/// the row-major `[N, C, H, W]` `src` into the `[C·KH·KW, N·OH·OW]` `out`
+/// with padding taps set to `pad`. `f32` columns pad with `0.0`; the 8A4W
+/// executor lowers its `u8` LUT offsets with `128` (code 0). Every element
+/// of `out` is overwritten.
+///
+/// Each matrix row holds one kernel tap `(ci, kh, kw)` and is written by
+/// exactly one thread, so the gather is deterministic for any thread
+/// count. At stride 1 with "same" padding (`OH = H`, `OW = W`), one
+/// (tap, image) block is the image shifted by `(kh − p)·W + (kw − p)`: it
+/// is copied as one span and its border re-padded. Otherwise each (image,
+/// output row) zeroes only its padding and copies its valid span once.
+///
+/// # Panics
+///
+/// Panics if `src` is not `N·C·H·W` long or `out` is not the column
+/// matrix's length.
+pub fn im2col_slice_into<T: Copy + Send + Sync>(
+    src: &[T],
+    [n, c, h, w]: [usize; 4],
+    geom: ConvGeometry,
+    pad: T,
+    out: &mut [T],
+) {
+    let (k, s, p) = (geom.kernel, geom.stride, geom.pad);
+    let oh = geom.out_dim(h);
+    let ow = geom.out_dim(w);
+    let cols = n * oh * ow;
+    assert_eq!(src.len(), n * c * h * w, "im2col input length mismatch");
+    assert_eq!(out.len(), c * k * k * cols, "im2col output length mismatch");
+    if out.is_empty() {
         return;
     }
-    let src = input.as_slice();
-    // Each matrix row holds one kernel tap (ci, kh, kw) and is written by
-    // exactly one thread: rows are disjoint, so the gather is trivially
-    // deterministic for any thread count. Per (image, output row) only the
-    // padding is zeroed and the valid span is copied once.
-    axnn_par::par_chunks_mut(out.as_mut_slice(), cols, |row, dst_row| {
+    let same = s == 1 && oh == h && ow == w;
+    axnn_par::par_chunks_mut(out, cols, |row, dst_row| {
         let (ci, kh, kw) = (row / (k * k), (row / k) % k, row % k);
         let span = valid_span(ow, w, s, p, kw);
         for (ni, dst_img) in dst_row.chunks_exact_mut(oh * ow).enumerate() {
             let img = &src[(ni * c + ci) * h * w..][..h * w];
+            if same {
+                shifted_copy(img, dst_img, [h, w], [kh, kw], p, pad);
+                continue;
+            }
             for (ohi, dst) in dst_img.chunks_exact_mut(ow).enumerate() {
                 let Some(ih) = tap_index(ohi, s, kh, p, h) else {
-                    dst.fill(0.0); // row of zeros from padding
+                    dst.fill(pad); // row of padding
                     continue;
                 };
                 let src_row = &img[ih * w..][..w];
-                dst[..span.start].fill(0.0);
-                dst[span.end..].fill(0.0);
+                dst[..span.start].fill(pad);
+                dst[span.end..].fill(pad);
                 if span.is_empty() {
                     continue;
                 }
@@ -151,6 +207,42 @@ pub fn im2col_into(input: &Tensor, geom: ConvGeometry, out: &mut Tensor) {
             }
         }
     });
+}
+
+/// One (tap, image) block of a stride-1 "same" lowering: `dst[q] =
+/// img[q + (kh − p)·w + (kw − p)]` wherever that index exists, as one span
+/// copy, then `pad` over the rows whose tap falls above or below the image
+/// and the columns whose tap falls left or right of it (the span copy wrapped
+/// neighbouring rows' pixels into those).
+fn shifted_copy<T: Copy>(
+    img: &[T],
+    dst: &mut [T],
+    [h, w]: [usize; 2],
+    [kh, kw]: [usize; 2],
+    p: usize,
+    pad: T,
+) {
+    let hw = h * w;
+    let shift = (kh * w + kw) as isize - (p * w + p) as isize;
+    let lo = (-shift).clamp(0, hw as isize) as usize;
+    let hi = (hw as isize - shift).clamp(lo as isize, hw as isize) as usize;
+    dst[..lo].fill(pad);
+    dst[hi..].fill(pad);
+    let from = (lo as isize + shift) as usize;
+    dst[lo..hi].copy_from_slice(&img[from..from + (hi - lo)]);
+    // Rows [0, p − kh) and [h + p − kh, h) read padding, as do columns
+    // [0, p − kw) and [w + p − kw, w) of every row.
+    let (top, left) = (p.saturating_sub(kh).min(h), p.saturating_sub(kw).min(w));
+    let (bottom, right) = (
+        (h + p).saturating_sub(kh).min(h),
+        (w + p).saturating_sub(kw).min(w),
+    );
+    dst[..top * w].fill(pad);
+    dst[bottom.max(top) * w..].fill(pad);
+    for row in dst.chunks_exact_mut(w) {
+        row[..left].fill(pad);
+        row[right.max(left)..].fill(pad);
+    }
 }
 
 /// Input index `o·s + t − p` that output index `o` reads at kernel tap `t`

@@ -110,6 +110,11 @@ impl Tensor {
         self.data.is_empty()
     }
 
+    /// Consumes the tensor, returning its row-major data.
+    pub fn into_vec(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Immutable view of the underlying row-major buffer.
     pub fn as_slice(&self) -> &[f32] {
         &self.data

@@ -2,7 +2,8 @@
 
 use axnn_rng::{cases, Rng};
 use axnn_tensor::im2col::{
-    col2im, gemm_out_to_nchw, im2col, im2col_into, nchw_to_gemm_out, ConvGeometry,
+    col2im, gemm_out_to_nchw, im2col, im2col_into, im2col_slice_into, nchw_to_gemm_out,
+    ConvGeometry,
 };
 use axnn_tensor::{gemm, Tensor};
 
@@ -212,6 +213,33 @@ fn lowering_matches_the_scalar_oracle() {
             );
         }
         axnn_par::set_threads(0);
+    });
+}
+
+/// The `u8` lowering the 8A4W executor runs on its LUT offsets, padding
+/// with offset 128 (code 0), against the scalar oracle over the codes.
+#[test]
+fn offset_lowering_matches_the_scalar_oracle() {
+    cases(128, |mut rng| {
+        let k = rng.gen_range(1usize..=5);
+        let geom = ConvGeometry::new(k, rng.gen_range(1..=3), rng.gen_range(0..=k));
+        let least = k.saturating_sub(2 * geom.pad).max(1);
+        let (h, w) = (
+            rng.gen_range(least..least + 8),
+            rng.gen_range(least..least + 8),
+        );
+        let shape = [rng.gen_range(1..=3), rng.gen_range(1..=3), h, w];
+        let offsets: Vec<u8> = (0..shape.iter().product::<usize>())
+            .map(|_| rng.gen_range(0u32..256) as u8)
+            .collect();
+        let codes: Vec<f32> = offsets.iter().map(|&o| f32::from(o) - 128.0).collect();
+        let want: Vec<u8> = oracle::im2col(&codes, shape, geom)
+            .iter()
+            .map(|&c| (c + 128.0) as u8)
+            .collect();
+        let mut got = vec![7u8; want.len()];
+        im2col_slice_into(&offsets, shape, geom, 128, &mut got);
+        assert_eq!(got, want, "{shape:?} {geom:?}");
     });
 }
 

@@ -18,9 +18,11 @@ cargo test --workspace -q
 # The bit pins and the kernel properties (the tiled LUT GEMM and the
 # lowering against their scalar oracles) again in the release profile,
 # whose vectorised kernels are the ones that ship, with the interpreter vs
-# compiled-graph pins over the 8A4W core both engines share.
+# compiled-graph pins over the 8A4W core both engines share, and the
+# approximate conv's quantize-once lowering against its column path.
 cargo test --release -q --test train_golden --test executor_golden \
-    --test executor_consistency --test thread_invariance --test graph_invariance
+    --test executor_consistency --test thread_invariance --test graph_invariance \
+    --test conv_codes
 cargo test --release -q -p axnn-proxsim -p axnn-tensor
 cargo fmt --all --check
 # Every `unsafe` block and impl carries its SAFETY comment, and an unsafe

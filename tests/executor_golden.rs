@@ -141,7 +141,7 @@ fn digest(ex: &mut dyn LayerExecutor) -> u64 {
     let train = ex.forward(&wmat, &col, Mode::Train);
     h.tensor(&train.y);
     h.tensor(&train.wmat_eff);
-    h.tensor(&train.col_eff);
+    h.tensor(&train.col_eff());
     match &train.grad_scale {
         Some(s) => h.tensor(s),
         None => h.u64(u64::MAX),

@@ -308,7 +308,7 @@ fn health_telemetry_leaves_numerics_bit_identical() {
 
         assert_eq!(bits(&out_plain.y), bits(&out_tele.y));
         assert_eq!(bits(&out_plain.wmat_eff), bits(&out_tele.wmat_eff));
-        assert_eq!(bits(&out_plain.col_eff), bits(&out_tele.col_eff));
+        assert_eq!(bits(&out_plain.col_eff()), bits(&out_tele.col_eff()));
         match (&out_plain.grad_scale, &out_tele.grad_scale) {
             (Some(a), Some(b)) => assert_eq!(bits(a), bits(b)),
             (None, None) => {}
