@@ -2,8 +2,7 @@
 //! `Sequential` interpreter on a paper-scale conv model (ResNet-20,
 //! width 0.25, 16x16 input), one row per executor family, written to
 //! `results/BENCH_graph.json` from interleaved min-of-N wall-clock
-//! measurements — the artifact behind the >=1.25x compiled-vs-interpreter
-//! acceptance gate.
+//! measurements.
 //!
 //! Both paths run the *same folded weights*: `GraphExecutor::compile` folds
 //! batch norm into the source network, so the interpreter rows below pay no
@@ -28,9 +27,10 @@ const WIDTH: f32 = 0.25;
 
 const FAMILIES: [&str; 3] = ["exact", "quant", "approx"];
 
-/// Builds one executor family over identical initial weights and compiles
-/// it; the returned interpreter holds the same folded weights the compiled
-/// executor was lowered from.
+/// Builds one executor family over identical initial weights, calibrates
+/// the 8A4W families' activation steps as every program does before it
+/// compiles, and compiles it; the returned interpreter holds the same
+/// folded weights the compiled executor was lowered from.
 fn family(name: &str) -> (Sequential, GraphExecutor) {
     let cfg = ModelConfig::paper().with_width(WIDTH).with_input_hw(HW);
     let mut net = resnet20(&cfg, &mut Rng::seed(11));
@@ -42,6 +42,10 @@ fn family(name: &str) -> (Sequential, GraphExecutor) {
         ),
         "approx" => approximate_network(&mut net, &TruncatedMul::new(5), None),
         _ => {}
+    }
+    if name != "exact" {
+        let calib = init::uniform(&[32, 3, HW, HW], -1.0, 1.0, &mut Rng::seed(29));
+        net.forward(&calib, Mode::Calibrate);
     }
     let exec = GraphExecutor::compile(&mut net).expect("resnet20 lowers");
     (net, exec)
@@ -89,7 +93,7 @@ fn main() {
         "{{\n  \"bench\": \"graph_fusion_resnet20_w{WIDTH}_hw{HW}_batch{BATCH}\",\n  \
          \"timing\": \"min of {REPS} interleaved repetitions per family, release build, milliseconds\",\n  \
          \"baseline\": \"interpreter_ms is Sequential::forward on the same BN-folded weights the graph was compiled from\",\n  \
-         \"note\": \"compiled path fuses bias+activation into the kernel epilogue and reuses one planned buffer arena per batch shape (a single warm-up call takes the only plan-cache miss); the exact family additionally runs convolutions as implicit-GEMM direct kernels with no im2col gather or NCHW shuffle, while the quantized/approximate families keep the column matrix their arithmetic is defined over\",\n  \
+         \"note\": \"compiled path fuses bias+activation into the kernel epilogue and reuses one planned buffer arena per batch shape (a single warm-up call takes the only plan-cache miss); every backend lowers its own conv: the exact family runs implicit-GEMM direct kernels with no im2col gather or NCHW shuffle; the calibrated quantized family lowers f32 columns and the calibrated approximate family quantizes each input once and lowers u8 LUT offsets, both in per-thread buffers, so their arenas equal the exact one\",\n  \
          \"configs\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );

@@ -4,7 +4,7 @@ use crate::executor::ExecOutput;
 use crate::layer::{GemmCore, Layer, Mode};
 use crate::param::Param;
 use axnn_rng::Rng;
-use axnn_tensor::im2col::{col2im, gemm_out_to_nchw, nchw_to_gemm_out, ConvGeometry};
+use axnn_tensor::im2col::{col2im, gemm_out_to_nchw_into, nchw_to_gemm_out, ConvGeometry};
 use axnn_tensor::{gemm, init, Tensor};
 
 /// Per-group cache kept between forward and backward.
@@ -22,8 +22,6 @@ struct ConvScratch {
     /// allocated only by executors that lower `f32` columns (see
     /// [`LayerExecutor::forward_conv`](crate::LayerExecutor::forward_conv)).
     col: Option<Tensor>,
-    /// Assembled GEMM output `[OC, M]` (grouped convolutions only).
-    out_mat: Option<Tensor>,
     /// Assembled weight gradient (weight shape) in backward.
     dw: Option<Tensor>,
 }
@@ -230,50 +228,28 @@ impl Layer for Conv2d {
             .expect("weight reshape is size-preserving");
 
         let _span = axnn_obs::span(&self.core.fwd_span);
-        let m = n * oh * ow;
+        let mut out = Tensor::zeros(&[n, self.out_channels, oh, ow]);
         let mut group_caches = Vec::with_capacity(self.groups);
-        let mut out_rows = Vec::with_capacity(self.groups);
         for g in 0..self.groups {
-            let group_view;
-            let input_g = if self.groups == 1 {
-                input
-            } else {
-                group_view = input.slice_channels(g * cg, (g + 1) * cg);
-                &group_view
-            };
             let wmat_g = wmat.slice_outer(g * ocg, (g + 1) * ocg);
             // All groups share one column buffer: the lowering overwrites
             // every element, and executors copy what they need to keep.
             let mut exec = self.core.executor.forward_conv(
                 &wmat_g,
-                input_g,
+                input,
+                g * cg,
                 self.geom,
                 mode,
                 &mut self.scratch.col,
             );
-            // Backward differentiates the effective operands and never reads
-            // `y`, so move the output rows out instead of cloning them.
-            out_rows.push(std::mem::replace(&mut exec.y, Tensor::zeros(&[0, 0])));
+            let group_out = &mut out.as_mut_slice()[g * ocg * oh * ow..];
+            gemm_out_to_nchw_into(&exec.y, n, self.out_channels, oh, ow, group_out);
+            // Backward differentiates the effective operands and never
+            // reads `y`, so the cache does not keep it.
+            exec.y = Tensor::zeros(&[0, 0]);
             group_caches.push(GroupCache { exec });
         }
 
-        // Group outputs are consecutive row blocks of the full [OC, M] matrix.
-        let grouped_mat = self.groups > 1;
-        let out_mat = if self.groups == 1 {
-            out_rows.pop().expect("one group")
-        } else {
-            let mut mat = scratch_buf(&mut self.scratch.out_mat, &[self.out_channels, m]);
-            let dst = mat.as_mut_slice();
-            for (g, y) in out_rows.iter().enumerate() {
-                dst[g * ocg * m..(g + 1) * ocg * m].copy_from_slice(y.as_slice());
-            }
-            mat
-        };
-
-        let mut out = gemm_out_to_nchw(&out_mat, n, self.out_channels, oh, ow);
-        if grouped_mat {
-            self.scratch.out_mat = Some(out_mat);
-        }
         if let Some(b) = &self.core.bias {
             out.add_channel_bias(&b.value);
         }

@@ -12,7 +12,7 @@
 //! estimation (eq. 10/12).
 
 use crate::Mode;
-use axnn_tensor::im2col::{im2col_into, ConvGeometry};
+use axnn_tensor::im2col::{im2col_slice_into, ConvGeometry};
 use axnn_tensor::{gemm, Tensor};
 use std::fmt;
 
@@ -137,11 +137,14 @@ pub trait LayerExecutor: fmt::Debug + Send {
     /// operands the backward pass should differentiate through.
     fn forward(&mut self, wmat: &Tensor, col: &Tensor, mode: Mode) -> ExecOutput;
 
-    /// The forward product of one convolution (group): `wmat` (`[OC, K]`)
-    /// times the lowering of the NCHW `input` under `geom`.
+    /// The forward product of one convolution group: `wmat` (`[OCG, K]`,
+    /// `K = CG·KH·KW`) times the lowering of input channels `[c0, c0 + CG)`
+    /// of the NCHW `input` under `geom`. The group's channels are read in
+    /// place, as [`GemmBackend::forward_conv`](crate::GemmBackend::forward_conv)
+    /// reads them.
     ///
-    /// The default lowers `input` with `im2col` into `col` (kept across
-    /// calls; reallocated when the lowered shape changes) and runs
+    /// The default lowers those channels with `im2col` into `col` (kept
+    /// across calls; reallocated when the lowered shape changes) and runs
     /// [`forward`](Self::forward) on it. An executor may override it to
     /// lower something cheaper than `f32` columns; its output must equal
     /// the default's bit for bit.
@@ -149,11 +152,12 @@ pub trait LayerExecutor: fmt::Debug + Send {
         &mut self,
         wmat: &Tensor,
         input: &Tensor,
+        c0: usize,
         geom: ConvGeometry,
         mode: Mode,
         col: &mut Option<Tensor>,
     ) -> ExecOutput {
-        forward_conv_columns(self, wmat, input, geom, mode, col)
+        forward_conv_columns(self, wmat, input, c0, geom, mode, col)
     }
 
     /// Which family this executor belongs to.
@@ -188,35 +192,45 @@ pub trait LayerExecutor: fmt::Debug + Send {
     }
 }
 
-/// The default [`LayerExecutor::forward_conv`]: lowers `input` into the
-/// `f32` columns `col` with `im2col` (reusing the buffer when its shape
-/// still fits) and runs `ex.forward` on them. Overrides call it for the
-/// cases they leave to the column path.
+/// The default [`LayerExecutor::forward_conv`]: lowers input channels
+/// `[c0, c0 + CG)` into the `f32` columns `col` with [`lower_columns`]
+/// (reusing the buffer when its shape still fits) and runs `ex.forward` on
+/// them. Overrides call it for the cases they leave to the column path.
 pub fn forward_conv_columns<E: LayerExecutor + ?Sized>(
     ex: &mut E,
     wmat: &Tensor,
     input: &Tensor,
+    c0: usize,
     geom: ConvGeometry,
     mode: Mode,
     col: &mut Option<Tensor>,
 ) -> ExecOutput {
-    let (n, c, h, w) = (
-        input.shape()[0],
-        input.shape()[1],
-        input.shape()[2],
-        input.shape()[3],
-    );
-    let lowered = [
-        c * geom.kernel * geom.kernel,
-        n * geom.out_dim(h) * geom.out_dim(w),
-    ];
+    let (n, h, w) = (input.shape()[0], input.shape()[2], input.shape()[3]);
+    let lowered = [wmat.shape()[1], n * geom.out_dim(h) * geom.out_dim(w)];
     let col = match col {
         Some(t) if t.shape() == lowered => t,
         _ => col.insert(Tensor::zeros(&lowered)),
     };
-    im2col_into(input, geom, col);
-    axnn_obs::count(axnn_obs::Counter::Im2colBytes, (col.len() * 4) as u64);
+    lower_columns(input, c0, geom, col);
     ex.forward(wmat, col, mode)
+}
+
+/// The column path of a conv group, in both engines: lowers input channels
+/// `[c0, c0 + CG)` of the NCHW `input`, read in place, into the `f32`
+/// columns `col` (`[CG·KH·KW, M]`, every element overwritten) with `im2col`,
+/// and counts their bytes.
+pub fn lower_columns(input: &Tensor, c0: usize, geom: ConvGeometry, col: &mut Tensor) {
+    let dims: [usize; 4] = input.shape().try_into().expect("conv input is NCHW");
+    let channels = c0..c0 + col.shape()[0] / (geom.kernel * geom.kernel);
+    im2col_slice_into(
+        input.as_slice(),
+        dims,
+        channels,
+        geom,
+        0.0,
+        col.as_mut_slice(),
+    );
+    axnn_obs::count(axnn_obs::Counter::Im2colBytes, (col.len() * 4) as u64);
 }
 
 /// Full-precision executor: plain f32 GEMM, identity effective operands.
@@ -272,18 +286,15 @@ impl LayerExecutor for ExactExecutor {
     }
 }
 
-/// Compiled form of [`ExactExecutor`]: one fused blocked GEMM applying the
-/// bias/activation epilogue while the output tile is hot in cache.
+/// Compiled form of [`ExactExecutor`]: the fused blocked GEMM (linear ops)
+/// and the implicit-GEMM direct conv, both applying the bias/activation
+/// epilogue while the output tile is hot in cache.
 #[derive(Debug)]
 pub(crate) struct ExactBackend {
     w: Tensor,
 }
 
 impl crate::GemmBackend for ExactBackend {
-    fn out_rows(&self) -> usize {
-        self.w.shape()[0]
-    }
-
     fn forward(&mut self, col: &Tensor, bias: Option<&[f32]>, ep: gemm::Epilogue, out: &mut [f32]) {
         if axnn_obs::enabled() {
             let (oc, k) = (self.w.shape()[0], self.w.shape()[1]);
@@ -291,10 +302,6 @@ impl crate::GemmBackend for ExactBackend {
             axnn_obs::count(axnn_obs::Counter::GemmMacs, (oc * k * m) as u64);
         }
         gemm::matmul_bias_act_into(&self.w, col, bias, ep, out);
-    }
-
-    fn has_conv_kernel(&self) -> bool {
-        true
     }
 
     fn forward_conv(

@@ -4,15 +4,16 @@
 //! fused ops: batch norm is folded into conv weights first (via
 //! [`Layer::fold_batch_norm`]), then conv+bias+activation and
 //! linear+bias+activation collapse into single blocked kernels that apply
-//! the epilogue while the output tile is hot in cache. Backends that
-//! provide a direct-convolution kernel
-//! ([`GemmBackend::has_conv_kernel`] — the exact f32 core does) skip the
-//! im2col gather and the `[OC, M] → NCHW` shuffle entirely and write
-//! epilogued NCHW output straight from the input activation
-//! ([`axnn_tensor::conv_direct`]); the rest run the fused GEMM over the
-//! planned column matrix. All scratch buffers are planned once per input
-//! shape into a reused arena; steady-state calls hit the plan cache and
-//! allocate nothing but the returned output tensor.
+//! the epilogue while the output tile is hot in cache. A conv op hands each
+//! group's input channels to its backend's
+//! [`forward_conv`](GemmBackend::forward_conv), which lowers the conv its
+//! own way and writes epilogued NCHW rows into the op's output: the exact
+//! f32 core runs an implicit-GEMM direct kernel
+//! ([`axnn_tensor::conv_direct`]), the 8A4W core the lowering its
+//! interpreter executor runs. The graph itself never builds a column
+//! matrix. Op outputs are planned once per input shape into a reused
+//! arena; steady-state calls hit the plan cache and allocate nothing but
+//! the returned output tensor.
 //!
 //! The arithmetic seam is [`GemmBackend`]: the exact f32 core and the
 //! 8A4W core of `axnn-quant` (fake-quant exact products, or the LUT product
@@ -32,7 +33,7 @@ use crate::layer::Layer;
 use crate::pool::{avg_pool_into, flatten_into, global_avg_pool_into};
 use crate::seq::Sequential;
 use axnn_tensor::gemm::Epilogue;
-use axnn_tensor::im2col::{gemm_out_to_nchw_into, im2col_into, ConvGeometry};
+use axnn_tensor::im2col::ConvGeometry;
 use axnn_tensor::Tensor;
 use std::collections::HashMap;
 use std::fmt;
@@ -72,35 +73,27 @@ impl fmt::Display for Unsupported {
 
 impl std::error::Error for Unsupported {}
 
-/// A fused GEMM arithmetic core behind the compiled graph.
+/// A fused GEMM arithmetic core behind the compiled graph, over one frozen
+/// weight block (one layer, or one conv group).
 ///
-/// `forward` computes `ep(W·col + bias[row])` into the row-major `[OC, M]`
-/// slice `out`, overwriting every element. When `bias` is `None` no add is
-/// performed at all (adding `0.0` would flip `-0.0` outputs). The result
-/// must be bit-identical to the interpreter's executor GEMM followed by the
+/// Both entries apply the epilogue `ep(· + bias[row])` and overwrite every
+/// element they own. When `bias` is `None` no add is performed at all
+/// (adding `0.0` would flip `-0.0` outputs). The result must be
+/// bit-identical to the interpreter's executor product followed by the
 /// owning layer's separate bias and activation passes.
 pub trait GemmBackend: fmt::Debug + Send {
-    /// Output rows (`OC`) of this backend's frozen weight block.
-    fn out_rows(&self) -> usize;
-
-    /// Computes the fused GEMM + epilogue into `out` (`[OC, M]` row-major).
+    /// Computes the fused GEMM + epilogue `ep(W·col + bias)` into `out`
+    /// (`[OC, M]` row-major). The linear op's entry.
     fn forward(&mut self, col: &Tensor, bias: Option<&[f32]>, ep: Epilogue, out: &mut [f32]);
 
-    /// True when the backend provides a fused direct-convolution kernel
-    /// ([`GemmBackend::forward_conv`]). Conv plans then skip the column
-    /// matrix, the grouped channel-slice copy and the `[OC, M] → NCHW`
-    /// shuffle entirely. Backends whose arithmetic is *defined* over the
-    /// column matrix (fake-quant, packed-LUT approximate) keep the default.
-    fn has_conv_kernel(&self) -> bool {
-        false
-    }
-
-    /// Fused direct convolution over input channels `[c0, c0 + CG)`,
-    /// writing epilogued NCHW rows straight into `out` (the full output
-    /// buffer offset to this group's first channel; `out_channels` is the
-    /// total channel count). Must be bit-identical to
-    /// [`GemmBackend::forward`] over the im2col lowering of the same
-    /// channels. Only called when [`GemmBackend::has_conv_kernel`] is true.
+    /// The conv op's entry: the fused convolution of input channels
+    /// `[c0, c0 + CG)` of the NCHW `input`, read in place, writing
+    /// epilogued NCHW rows into `out` (the full output buffer offset to
+    /// this group's first channel; `out_channels` is the total channel
+    /// count). Each backend lowers the conv its own way; the result must be
+    /// bit-identical to the layer's executor
+    /// [`LayerExecutor::forward_conv`](crate::LayerExecutor::forward_conv)
+    /// over the same channels, with the layer's bias and activation passes.
     #[allow(clippy::too_many_arguments)]
     fn forward_conv(
         &mut self,
@@ -111,10 +104,7 @@ pub trait GemmBackend: fmt::Debug + Send {
         ep: Epilogue,
         out: &mut [f32],
         out_channels: usize,
-    ) {
-        let _ = (input, c0, geom, bias, ep, out, out_channels);
-        unreachable!("backend without a conv kernel reached the direct path");
-    }
+    );
 }
 
 fn epilogue_of(kind: ActivationKind) -> Epilogue {
@@ -130,15 +120,12 @@ enum Op {
     Conv {
         span: String,
         geom: ConvGeometry,
-        groups: usize,
         in_channels: usize,
         out_channels: usize,
         bias: Option<Vec<f32>>,
         ep: Epilogue,
         /// One backend per group, over that group's weight row block.
         backends: Vec<Box<dyn GemmBackend>>,
-        /// All backends expose a direct-conv kernel: skip im2col entirely.
-        direct: bool,
     },
     Linear {
         span: String,
@@ -232,17 +219,14 @@ impl GraphBuilder {
         backends: Vec<Box<dyn GemmBackend>>,
     ) {
         assert_eq!(backends.len(), groups, "one backend per conv group");
-        let direct = backends.iter().all(|b| b.has_conv_kernel());
         self.ops.push(Op::Conv {
             span: exec_span(label),
             geom,
-            groups,
             in_channels,
             out_channels,
             bias,
             ep: epilogue_of(act),
             backends,
-            direct,
         });
     }
 
@@ -344,21 +328,10 @@ impl Default for GraphBuilder {
 /// Per-op arena buffers for one `(model, input shape)` pair.
 ///
 /// Every tensor is allocated once at plan time and overwritten in full on
-/// every execution, so plans are reused with no per-call allocation.
+/// every execution, so plans are reused with no per-call allocation. A conv
+/// op's plan is its output alone: its backends keep whatever scratch their
+/// lowering needs.
 enum OpPlan {
-    Conv {
-        /// Channel-slice scratch (`[N, C/g, H, W]`) for grouped convs on
-        /// the im2col path; direct-conv plans read channels in place.
-        in_slice: Option<Tensor>,
-        /// im2col scratch `[K/g, M]`, shared across groups; `None` when
-        /// every backend runs the direct kernel.
-        col: Option<Tensor>,
-        /// Fused GEMM output `[OC, M]` (groups fill consecutive row
-        /// blocks); `None` on the direct path, which writes NCHW directly.
-        gemm: Option<Tensor>,
-        /// NCHW output.
-        out: Tensor,
-    },
     Linear {
         /// Transposed input `[IN, N]`.
         col: Tensor,
@@ -380,28 +353,15 @@ enum OpPlan {
 impl OpPlan {
     fn out(&self) -> &Tensor {
         match self {
-            OpPlan::Conv { out, .. }
-            | OpPlan::Linear { out, .. }
-            | OpPlan::Simple { out }
-            | OpPlan::Residual { out, .. } => out,
+            OpPlan::Linear { out, .. } | OpPlan::Simple { out } | OpPlan::Residual { out, .. } => {
+                out
+            }
         }
     }
 
     /// Total arena bytes held by this plan node (scratch + outputs).
     fn bytes(&self) -> usize {
         match self {
-            OpPlan::Conv {
-                in_slice,
-                col,
-                gemm,
-                out,
-            } => {
-                (in_slice.as_ref().map_or(0, Tensor::len)
-                    + col.as_ref().map_or(0, Tensor::len)
-                    + gemm.as_ref().map_or(0, Tensor::len)
-                    + out.len())
-                    * 4
-            }
             OpPlan::Linear { col, gemm, out } => (col.len() + gemm.len() + out.len()) * 4,
             OpPlan::Simple { out } => out.len() * 4,
             OpPlan::Residual {
@@ -421,27 +381,6 @@ impl OpPlan {
 
 fn plan_op(op: &Op, s: &[usize]) -> OpPlan {
     match op {
-        Op::Conv {
-            geom,
-            groups,
-            in_channels,
-            out_channels,
-            direct,
-            ..
-        } => {
-            let (n, h, w) = (s[0], s[2], s[3]);
-            assert_eq!(s[1], *in_channels, "conv input channel mismatch");
-            let (oh, ow) = (geom.out_dim(h), geom.out_dim(w));
-            let cg = in_channels / groups;
-            let kpg = cg * geom.kernel * geom.kernel;
-            let m = n * oh * ow;
-            OpPlan::Conv {
-                in_slice: (!*direct && *groups > 1).then(|| Tensor::zeros(&[n, cg, h, w])),
-                col: (!*direct).then(|| Tensor::zeros(&[kpg, m])),
-                gemm: (!*direct).then(|| Tensor::zeros(&[*out_channels, m])),
-                out: Tensor::zeros(&[n, *out_channels, oh, ow]),
-            }
-        }
         Op::Linear {
             in_features,
             out_features,
@@ -492,73 +431,38 @@ fn exec_op(op: &mut Op, x: &Tensor, plan: &mut OpPlan) {
             Op::Conv {
                 span,
                 geom,
-                groups,
                 in_channels,
                 out_channels,
                 bias,
                 ep,
                 backends,
-                direct,
             },
-            OpPlan::Conv {
-                in_slice,
-                col,
-                gemm,
-                out,
-            },
+            OpPlan::Simple { out },
         ) => {
             let _s = axnn_obs::span(span);
             assert_eq!(
                 x.shape(),
-                &[x.shape()[0], *in_channels, x.shape()[2], x.shape()[3]]
+                &[x.shape()[0], *in_channels, x.shape()[2], x.shape()[3]],
+                "conv input channel mismatch"
             );
-            let cg = *in_channels / *groups;
-            let ocg = *out_channels / *groups;
-            if *direct {
-                // Implicit-GEMM path: every backend reads its channel
-                // range in place and writes epilogued NCHW rows directly —
-                // no column matrix, no layout shuffle.
-                let ohw = out.shape()[2] * out.shape()[3];
-                let os = out.as_mut_slice();
-                for (g, backend) in backends.iter_mut().enumerate() {
-                    let bias_g = bias.as_ref().map(|b| &b[g * ocg..(g + 1) * ocg]);
-                    backend.forward_conv(
-                        x,
-                        g * cg,
-                        *geom,
-                        bias_g,
-                        *ep,
-                        &mut os[g * ocg * ohw..],
-                        *out_channels,
-                    );
-                }
-                return;
-            }
-            let (col, gemm) = (
-                col.as_mut().expect("im2col conv plan has a column buffer"),
-                gemm.as_mut().expect("im2col conv plan has a GEMM buffer"),
-            );
-            let m = gemm.shape()[1];
+            // Every backend reads its group's channels in place and writes
+            // its epilogued NCHW rows at the group's channel offset.
+            let cg = *in_channels / backends.len();
+            let ocg = *out_channels / backends.len();
+            let ohw = out.shape()[2] * out.shape()[3];
+            let os = out.as_mut_slice();
             for (g, backend) in backends.iter_mut().enumerate() {
-                let xg: &Tensor = match in_slice {
-                    None => x,
-                    Some(slice) => {
-                        x.slice_channels_into(g * cg, slice);
-                        slice
-                    }
-                };
-                im2col_into(xg, *geom, col);
-                axnn_obs::count(axnn_obs::Counter::Im2colBytes, (col.len() * 4) as u64);
                 let bias_g = bias.as_ref().map(|b| &b[g * ocg..(g + 1) * ocg]);
-                backend.forward(
-                    col,
+                backend.forward_conv(
+                    x,
+                    g * cg,
+                    *geom,
                     bias_g,
                     *ep,
-                    &mut gemm.as_mut_slice()[g * ocg * m..(g + 1) * ocg * m],
+                    &mut os[g * ocg * ohw..],
+                    *out_channels,
                 );
             }
-            let (oh, ow) = (out.shape()[2], out.shape()[3]);
-            gemm_out_to_nchw_into(gemm, x.shape()[0], *out_channels, oh, ow, out);
         }
         (
             Op::Linear {
@@ -848,26 +752,20 @@ mod tests {
     }
 
     #[test]
-    fn direct_conv_plans_skip_column_buffers() {
-        // The exact backend runs convolutions directly, so its plans hold
-        // no im2col / GEMM-layout scratch: for the same architecture and
-        // input shape the arena must be strictly smaller than the sum the
-        // column-matrix path would need. Reconstruct that sum from the
-        // plan: conv scratch is [K/g, M] + [OC, M] per conv.
+    fn conv_plans_hold_only_their_output() {
+        // The arena is every op's output plus the linear op's two
+        // transposes: conv backends keep their own scratch.
         let mut rng = Rng::seed(45);
         let mut net = small_cnn(&mut rng, false);
         let mut exec = GraphExecutor::compile(&mut net).expect("cnn lowers");
         let x = init::uniform(&[2, 3, 8, 8], -1.0, 1.0, &mut rng);
         exec.forward(&x);
-        // Three 3x3 convs on 8x8 inputs at batch 2: M = 128. Stem 3->8
-        // (col 27x128, gemm 8x128), two residual convs 8->8 (col 72x128,
-        // gemm 8x128 each). The im2col path would add those buffers.
-        let col_path_extra = 4 * (128 * (27 + 8) + 2 * 128 * (72 + 8));
-        assert!(
-            exec.arena_bytes() < col_path_extra,
-            "whole direct arena ({}) should undercut the dropped column scratch alone ({col_path_extra})",
-            exec.arena_bytes()
-        );
+        // Batch 2: the stem conv, the two residual convs and the residual
+        // sum at [2, 8, 8, 8]; max pool [2, 8, 4, 4]; avg pool [2, 8, 2, 2];
+        // global pool and flatten [2, 8]; the linear op's [8, 2] input,
+        // [10, 2] GEMM output and [2, 10] output. Dropout lowers to nothing.
+        let floats = 4 * 1024 + 256 + 64 + 2 * 16 + 16 + 20 + 20;
+        assert_eq!(exec.arena_bytes(), 4 * floats);
     }
 
     #[test]

@@ -64,7 +64,8 @@ pub use bn::BatchNorm2d;
 pub use checkpoint::{Checkpoint, ParseCheckpointError, RestoreCheckpointError};
 pub use conv::Conv2d;
 pub use executor::{
-    forward_conv_columns, ExactExecutor, ExecOutput, ExecutorKind, LayerExecutor, SteInput,
+    forward_conv_columns, lower_columns, ExactExecutor, ExecOutput, ExecutorKind, LayerExecutor,
+    SteInput,
 };
 pub use extra_layers::{Dropout, MaxPool2d};
 pub use graph::{GemmBackend, GraphBuilder, GraphExecutor, PlanCacheStats, Unsupported};

@@ -3,12 +3,12 @@
 
 use crate::quantizer::{QuantSpec, Quantizer};
 use axnn_nn::{
-    forward_conv_columns, ExecOutput, ExecutorKind, Layer, LayerExecutor, Mode, Sequential,
-    SteInput,
+    forward_conv_columns, lower_columns, ExecOutput, ExecutorKind, Layer, LayerExecutor, Mode,
+    Sequential, SteInput,
 };
 use axnn_obs::Counter;
 use axnn_tensor::gemm::{self, Epilogue};
-use axnn_tensor::im2col::{im2col_slice_into, ConvGeometry};
+use axnn_tensor::im2col::{gemm_out_to_nchw_into, im2col_slice_into, ConvGeometry};
 use axnn_tensor::Tensor;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -83,16 +83,60 @@ fn batch_x_quantizer(frozen: Option<Quantizer>, col: &Tensor, spec: QuantSpec) -
     frozen.unwrap_or_else(|| abs_max_quantizer(col, spec))
 }
 
+/// Resizes `buf` to `len`. It keeps its capacity, so a buffer kept across
+/// calls allocates only to grow past its largest length so far.
+fn resize_exact<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
+    buf.reserve_exact(len.saturating_sub(buf.len()));
+    buf.resize(len, T::default());
+}
+
 /// Quantizes activations straight into the `u8` LUT offsets (`code + 128`)
 /// an [`ApproxProduct`] reads: one [`Quantizer::map_codes`] pass, no `i32`
-/// codes in between. `xi` keeps its capacity, so a buffer kept across calls
-/// allocates only to grow past its largest length so far. `xq` is at
-/// most 8 bits wide ([`QuantExecutor::with_product`] checks), so every code
-/// fits an offset.
+/// codes in between. `xq` is at most 8 bits wide
+/// ([`QuantExecutor::with_product`] checks), so every code fits an offset.
 fn lut_offsets(xq: &Quantizer, col: &[f32], xi: &mut Vec<u8>) {
-    xi.reserve_exact(col.len().saturating_sub(xi.len()));
-    xi.resize(col.len(), 0);
+    resize_exact(xi, col.len());
     xq.map_codes(col, xi, |c| (c + 128) as u8);
+}
+
+/// Each image's input channels `[c0, c0 + cg)` of the NCHW `input`: one
+/// contiguous span per image.
+fn group_spans(input: &Tensor, c0: usize, cg: usize) -> impl Iterator<Item = &[f32]> {
+    let plane = input.shape()[2] * input.shape()[3];
+    let image = (input.shape()[1] * plane).max(1);
+    let spans = input.as_slice().chunks_exact(image);
+    spans.map(move |img| &img[c0 * plane..][..cg * plane])
+}
+
+/// The quantize-once lowering of a calibrated approximate conv, run by
+/// both engines' conv entries: quantizes input channels `[c0, c0 + CG)` of
+/// the NCHW `input` once by `xq` into the thread's `XIN`, then lowers those
+/// offsets into the `[k, M]` `xi` (`k = CG·KH·KW`), padding with offset 128
+/// (code 0). They are the offsets [`lut_offsets`] quantizes from the
+/// group's `f32` columns, so the product's bits are the same, and a 3×3
+/// conv quantizes each pixel once instead of up to nine times. Returns `M`.
+fn lower_offsets(
+    xq: &Quantizer,
+    input: &Tensor,
+    c0: usize,
+    k: usize,
+    geom: ConvGeometry,
+    xi: &mut Vec<u8>,
+) -> usize {
+    let [n, h, w] = [input.shape()[0], input.shape()[2], input.shape()[3]];
+    let cg = k / (geom.kernel * geom.kernel);
+    let m = n * geom.out_dim(h) * geom.out_dim(w);
+    resize_exact(xi, k * m);
+    XIN.with_borrow_mut(|xin| {
+        resize_exact(xin, n * cg * h * w);
+        let images = xin.chunks_exact_mut((cg * h * w).max(1));
+        for (src, dst) in group_spans(input, c0, cg).zip(images) {
+            xq.map_codes(src, dst, |c| (c + 128) as u8);
+        }
+        im2col_slice_into(xin, [n, cg, h, w], 0..cg, geom, 128, xi);
+    });
+    axnn_obs::count(Counter::Im2colBytes, (k * m) as u64);
+    m
 }
 
 thread_local! {
@@ -103,12 +147,33 @@ thread_local! {
     /// call. A Train forward moves it into its STE operand (the backward
     /// reads it), and the next call on the thread starts a new one.
     static XI: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-    /// The NCHW input's offsets, quantized once by
-    /// [`QuantExecutor::forward_conv`] before they are lowered into `XI`.
+    /// The conv group's input offsets, quantized once by [`lower_offsets`]
+    /// before they are lowered into `XI`.
     static XIN: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
     /// The fake-quantized activations of [`Core::Exact`], per thread for
     /// the same reason as `XI`.
     static XQ: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// The compiled conv's `f32` columns, when it lowers columns.
+    static XCOL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// The compiled conv's `[OCG, M]` product, before it is written NCHW.
+    static YCONV: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on a `shape`d tensor over the thread's buffer `buf`, whose
+/// contents are unspecified on entry and kept on exit, as is its capacity.
+fn with_scratch<R>(
+    buf: &'static std::thread::LocalKey<RefCell<Vec<f32>>>,
+    shape: &[usize],
+    f: impl FnOnce(&mut Tensor) -> R,
+) -> R {
+    buf.with_borrow_mut(|buf| {
+        let mut data = std::mem::take(buf);
+        resize_exact(&mut data, shape.iter().product());
+        let mut t = Tensor::from_vec(data, shape).expect("one value per element");
+        let r = f(&mut t);
+        *buf = t.into_vec();
+        r
+    })
 }
 
 /// Whether the `f32` GEMM of the dequantized weight codes (step `wq`) and
@@ -592,18 +657,18 @@ impl LayerExecutor for QuantExecutor {
         }
     }
 
-    /// With an approximate product and a frozen activation step, quantizes
-    /// the NCHW input once and lowers its `u8` offsets (padding as offset
-    /// 128, code 0) instead of `f32` columns: the same offsets the column
-    /// path quantizes, so the same output bits, and a 3×3 conv quantizes
-    /// each pixel once instead of up to nine times. `sat_x` weights each
-    /// clipped pixel by the taps that read it, the column path's count.
-    /// Calibration and the dynamic abs-max step are defined over the
-    /// `f32` columns, so they keep the column path, as does the exact core.
+    /// With an approximate product and a frozen activation step, lowers
+    /// the group's `u8` offsets, quantized once (`lower_offsets`), instead
+    /// of `f32` columns: the same offsets, so the same output bits. `sat_x`
+    /// weights each clipped pixel by the taps that read it, the column
+    /// path's count. Calibration and the dynamic abs-max step are defined
+    /// over the `f32` columns, so they keep the column path, as does the
+    /// exact core.
     fn forward_conv(
         &mut self,
         wmat: &Tensor,
         input: &Tensor,
+        c0: usize,
         geom: ConvGeometry,
         mode: Mode,
         col: &mut Option<Tensor>,
@@ -613,7 +678,7 @@ impl LayerExecutor for QuantExecutor {
             _ => self.frozen_x_quantizer(),
         };
         let (Some(xq), Some(_)) = (frozen, &self.product) else {
-            return forward_conv_columns(self, wmat, input, geom, mode, col);
+            return forward_conv_columns(self, wmat, input, c0, geom, mode, col);
         };
         self.x_quantizer = Some(xq);
         let wq = self.weight_quantizer(wmat);
@@ -623,30 +688,19 @@ impl LayerExecutor for QuantExecutor {
         else {
             unreachable!("an executor with a product builds the LUT core")
         };
-        let dims = [
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        ];
-        let [n, c, h, w] = dims;
-        let k = c * geom.kernel * geom.kernel;
-        let m = n * geom.out_dim(h) * geom.out_dim(w);
+        let k = wmat.shape()[1];
         let mut xi = XI.take();
-        xi.reserve_exact((k * m).saturating_sub(xi.len()));
-        xi.resize(k * m, 0);
-        XIN.with_borrow_mut(|xin| {
-            lut_offsets(&xq, input.as_slice(), xin);
-            im2col_slice_into(xin, dims, geom, 128, &mut xi);
-        });
-        axnn_obs::count(Counter::Im2colBytes, (k * m) as u64);
+        let m = lower_offsets(&xq, input, c0, k, geom, &mut xi);
         let sat_x = || {
+            let (h, w) = (input.shape()[2], input.shape()[3]);
             let (rows, cols) = (geom.tap_counts(h), geom.tap_counts(w));
             let limit = xq.clip_limit();
             let mut sat = 0;
-            for (i, &x) in input.as_slice().iter().enumerate() {
-                if x.abs() >= limit {
-                    sat += rows[i / w % h] * cols[i % w];
+            for span in group_spans(input, c0, k / (geom.kernel * geom.kernel)) {
+                for (i, &x) in span.iter().enumerate() {
+                    if x.abs() >= limit {
+                        sat += rows[i / w % h] * cols[i % w];
+                    }
                 }
             }
             (sat, (k * m) as u64)
@@ -686,7 +740,8 @@ impl LayerExecutor for QuantExecutor {
 
 /// Compiled-graph GEMM core of a [`QuantExecutor`]: the [`Core`] built once
 /// over the frozen weights, run with the epilogue fused. Bit-identical to
-/// [`QuantExecutor::forward`] followed by the bias and activation passes.
+/// [`QuantExecutor::forward`] and [`QuantExecutor::forward_conv`] followed
+/// by the bias and activation passes.
 #[derive(Debug)]
 struct CompiledQuant {
     x_quantizer: Option<Quantizer>,
@@ -695,16 +750,53 @@ struct CompiledQuant {
 }
 
 impl axnn_nn::GemmBackend for CompiledQuant {
-    fn out_rows(&self) -> usize {
-        match &self.core {
-            Core::Exact { w_eff } => w_eff.shape()[0],
-            Core::Lut { oc, .. } => *oc,
-        }
-    }
-
     fn forward(&mut self, col: &Tensor, bias: Option<&[f32]>, ep: Epilogue, out: &mut [f32]) {
         let xq = batch_x_quantizer(self.x_quantizer, col, self.x_spec);
         self.core.forward(&xq, col, bias, ep, out);
+    }
+
+    /// The interpreter's conv lowering: the LUT core with a frozen step
+    /// lowers the group's offsets ([`lower_offsets`]); otherwise the
+    /// group's `f32` columns run [`forward`](Self::forward). Both go
+    /// through per-thread buffers, and the `[OCG, M]` product is then
+    /// written into the group's NCHW channels.
+    fn forward_conv(
+        &mut self,
+        input: &Tensor,
+        c0: usize,
+        geom: ConvGeometry,
+        bias: Option<&[f32]>,
+        ep: Epilogue,
+        out: &mut [f32],
+        out_channels: usize,
+    ) {
+        let (n, h, w) = (input.shape()[0], input.shape()[2], input.shape()[3]);
+        let (oh, ow) = (geom.out_dim(h), geom.out_dim(w));
+        let [oc, k] = self.core.dims();
+        let m = n * oh * ow;
+        with_scratch(&YCONV, &[oc, m], |y| {
+            match (&self.core, self.x_quantizer) {
+                (
+                    Core::Lut {
+                        product,
+                        w_codes,
+                        w_step,
+                        ..
+                    },
+                    Some(xq),
+                ) => XI.with_borrow_mut(|xi| {
+                    lower_offsets(&xq, input, c0, k, geom, xi);
+                    let y = y.as_mut_slice();
+                    product.matmul(w_codes, xi, [oc, k, m], *w_step * xq.step(), y);
+                    gemm::apply_epilogue(y, bias, ep, m);
+                }),
+                _ => with_scratch(&XCOL, &[k, m], |col| {
+                    lower_columns(input, c0, geom, col);
+                    self.forward(col, bias, ep, y.as_mut_slice());
+                }),
+            }
+            gemm_out_to_nchw_into(y, n, out_channels, oh, ow, out);
+        });
     }
 }
 
@@ -728,6 +820,14 @@ enum Core {
 }
 
 impl Core {
+    /// The weight block's `[rows, taps]`.
+    fn dims(&self) -> [usize; 2] {
+        match self {
+            Core::Exact { w_eff } => [w_eff.shape()[0], w_eff.shape()[1]],
+            Core::Lut { oc, k, .. } => [*oc, *k],
+        }
+    }
+
     /// `ep(W·col + bias)` into the row-major `[OC, M]` `out`, with `col`
     /// quantized by `xq`, counting the exact core's MACs.
     fn forward(
@@ -769,13 +869,9 @@ fn exact_forward(
     out: &mut [f32],
 ) {
     axnn_obs::count(Counter::GemmMacs, (w_eff.len() * col.shape()[1]) as u64);
-    XQ.with_borrow_mut(|buf| {
-        let mut xf = std::mem::take(buf);
-        xf.resize(col.len(), 0.0);
-        let mut xf = Tensor::from_vec(xf, col.shape()).expect("one value per entry");
+    with_scratch(&XQ, col.shape(), |xf| {
         xq.fake_quant_into(col.as_slice(), xf.as_mut_slice());
-        gemm::matmul_bias_act_into(w_eff, &xf, bias, ep, out);
-        *buf = xf.into_vec();
+        gemm::matmul_bias_act_into(w_eff, xf, bias, ep, out);
     });
 }
 

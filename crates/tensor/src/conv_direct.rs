@@ -1,9 +1,9 @@
 //! Implicit-GEMM direct convolution for the compiled graph executor.
 //!
 //! [`crate::im2col`] lowers a convolution to `W_mat · col`, which is how the
-//! interpreter (and the quantized / approximate executors, whose arithmetic
-//! is defined over the column matrix) compute it. For the *exact* executor
-//! the column matrix is pure overhead: every entry is either a copy of an
+//! interpreter computes it, and how the 8A4W executors lower their
+//! quantized activations (as `f32` columns, or as `u8` LUT offsets) in both
+//! engines. For the *exact* executor the column matrix is pure overhead: every entry is either a copy of an
 //! input element or a padding zero, and on paper-scale models the gather
 //! costs several times the GEMM that consumes it. [`conv2d_bias_act_into`]
 //! computes the same fused `ep(W·col + bias)` product while reading the
@@ -372,7 +372,7 @@ mod tests {
         let col = im2col(input, geom);
         let mat = gemm::matmul_bias_act(w, &col, bias, ep);
         let mut out = Tensor::zeros(&[n, oc, oh, ow]);
-        gemm_out_to_nchw_into(&mat, n, oc, oh, ow, &mut out);
+        gemm_out_to_nchw_into(&mat, n, oc, oh, ow, out.as_mut_slice());
         out
     }
 

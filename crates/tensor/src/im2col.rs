@@ -138,12 +138,20 @@ pub fn im2col_into(input: &Tensor, geom: ConvGeometry, out: &mut Tensor) {
         &[rows, cols],
         "im2col output buffer shape inconsistent with input/geometry"
     );
-    im2col_slice_into(input.as_slice(), dims, geom, 0.0, out.as_mut_slice());
+    im2col_slice_into(
+        input.as_slice(),
+        dims,
+        0..dims[1],
+        geom,
+        0.0,
+        out.as_mut_slice(),
+    );
 }
 
 /// The lowering body behind [`im2col_into`], over any element type: lowers
-/// the row-major `[N, C, H, W]` `src` into the `[C·KH·KW, N·OH·OW]` `out`
-/// with padding taps set to `pad`. `f32` columns pad with `0.0`; the 8A4W
+/// the input `channels` (`[c0, c0 + CG)`, one conv group) of the row-major
+/// `[N, C, H, W]` `src` in place into the `[CG·KH·KW, N·OH·OW]` `out`, with
+/// padding taps set to `pad`. `f32` columns pad with `0.0`; the 8A4W
 /// executor lowers its `u8` LUT offsets with `128` (code 0). Every element
 /// of `out` is overwritten.
 ///
@@ -156,11 +164,12 @@ pub fn im2col_into(input: &Tensor, geom: ConvGeometry, out: &mut Tensor) {
 ///
 /// # Panics
 ///
-/// Panics if `src` is not `N·C·H·W` long or `out` is not the column
-/// matrix's length.
+/// Panics if `src` is not `N·C·H·W` long, `channels` reaches past `C`, or
+/// `out` is not the column matrix's length.
 pub fn im2col_slice_into<T: Copy + Send + Sync>(
     src: &[T],
     [n, c, h, w]: [usize; 4],
+    channels: std::ops::Range<usize>,
     geom: ConvGeometry,
     pad: T,
     out: &mut [T],
@@ -170,13 +179,18 @@ pub fn im2col_slice_into<T: Copy + Send + Sync>(
     let ow = geom.out_dim(w);
     let cols = n * oh * ow;
     assert_eq!(src.len(), n * c * h * w, "im2col input length mismatch");
-    assert_eq!(out.len(), c * k * k * cols, "im2col output length mismatch");
+    assert!(channels.end <= c, "im2col channels {channels:?} out of {c}");
+    assert_eq!(
+        out.len(),
+        channels.len() * k * k * cols,
+        "im2col output length mismatch"
+    );
     if out.is_empty() {
         return;
     }
     let same = s == 1 && oh == h && ow == w;
     axnn_par::par_chunks_mut(out, cols, |row, dst_row| {
-        let (ci, kh, kw) = (row / (k * k), (row / k) % k, row % k);
+        let (ci, kh, kw) = (channels.start + row / (k * k), (row / k) % k, row % k);
         let span = valid_span(ow, w, s, p, kw);
         for (ni, dst_img) in dst_row.chunks_exact_mut(oh * ow).enumerate() {
             let img = &src[(ni * c + ci) * h * w..][..h * w];
@@ -336,36 +350,44 @@ pub fn col2im(cols: &Tensor, input_shape: &[usize; 4], geom: ConvGeometry) -> Te
 ///
 /// Panics if the matrix shape is inconsistent with `(n, oc, oh, ow)`.
 pub fn gemm_out_to_nchw(mat: &Tensor, n: usize, oc: usize, oh: usize, ow: usize) -> Tensor {
+    assert_eq!(mat.shape(), &[oc, n * oh * ow]);
     let mut out = Tensor::zeros(&[n, oc, oh, ow]);
-    gemm_out_to_nchw_into(mat, n, oc, oh, ow, &mut out);
+    gemm_out_to_nchw_into(mat, n, oc, oh, ow, out.as_mut_slice());
     out
 }
 
-/// As [`gemm_out_to_nchw`], but permutes into a caller-provided
-/// `[N, OC, OH, OW]` buffer (every element is overwritten).
+/// As [`gemm_out_to_nchw`], for one conv group: permutes the group's GEMM
+/// output `mat` (`[OCG, N·OH·OW]`) into its channels of an
+/// `[N, OC, OH, OW]` buffer. `out` is that buffer *offset to the group's
+/// first channel* (`&mut full[c0·OH·OW..]`), the convention of
+/// [`conv2d_bias_act_into`](crate::conv_direct::conv2d_bias_act_into): row
+/// `r` of image `ni` lands at `(ni·OC + r)·OH·OW`. Every element the group
+/// owns is overwritten; no other is touched.
 ///
 /// # Panics
 ///
-/// Panics if the matrix or output buffer shape is inconsistent with
-/// `(n, oc, oh, ow)`.
+/// Panics if `mat` is not `[OCG, N·OH·OW]` with `OCG ≤ OC`, or `out` is too
+/// short to hold the group's last image.
 pub fn gemm_out_to_nchw_into(
     mat: &Tensor,
     n: usize,
     oc: usize,
     oh: usize,
     ow: usize,
-    out: &mut Tensor,
+    out: &mut [f32],
 ) {
-    assert_eq!(mat.shape(), &[oc, n * oh * ow]);
-    assert_eq!(out.shape(), &[n, oc, oh, ow]);
     let spatial = oh * ow;
-    if n * oc * spatial == 0 {
+    let ocg = mat.shape()[0];
+    assert_eq!(mat.shape(), &[ocg, n * spatial]);
+    assert!(ocg <= oc, "group rows exceed output channels");
+    if n * ocg * spatial == 0 {
         return;
     }
+    let out = &mut out[..(n - 1) * oc * spatial + ocg * spatial];
     let src = mat.as_slice();
     // Pure permutation of disjoint spatial blocks, partitioned by image.
-    axnn_par::par_chunks_mut(out.as_mut_slice(), oc * spatial, |ni, img| {
-        for o in 0..oc {
+    axnn_par::par_chunks_mut(out, oc * spatial, |ni, img| {
+        for o in 0..ocg {
             let src_base = o * n * spatial + ni * spatial;
             let dst_base = o * spatial;
             img[dst_base..dst_base + spatial].copy_from_slice(&src[src_base..src_base + spatial]);
@@ -542,7 +564,7 @@ mod tests {
         let mat = arange(&[4, 2 * 5 * 5]);
         let want_img = gemm_out_to_nchw(&mat, 2, 4, 5, 5);
         let mut img = Tensor::from_vec(vec![-3.0; want_img.len()], want_img.shape()).unwrap();
-        gemm_out_to_nchw_into(&mat, 2, 4, 5, 5, &mut img);
+        gemm_out_to_nchw_into(&mat, 2, 4, 5, 5, img.as_mut_slice());
         assert_eq!(img, want_img, "reused NCHW buffer must match fresh");
     }
 

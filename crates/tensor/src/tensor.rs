@@ -321,42 +321,21 @@ impl Tensor {
         }
     }
 
-    /// Copies channels `[start, end)` of an `[N, C, H, W]` tensor — used to
-    /// split activations for grouped/depthwise convolutions.
+    /// Copies channels `[start, end)` of an `[N, C, H, W]` tensor.
     ///
     /// # Panics
     ///
     /// Panics if the tensor is not 4-D or the range is out of bounds.
     pub fn slice_channels(&self, start: usize, end: usize) -> Self {
         assert_eq!(self.shape.len(), 4, "slice_channels requires NCHW");
-        let (n, h, w) = (self.shape[0], self.shape[2], self.shape[3]);
-        assert!(start <= end, "channel range out of bounds");
-        let mut out = Self::zeros(&[n, end - start, h, w]);
-        self.slice_channels_into(start, &mut out);
-        out
-    }
-
-    /// Copies channels `[start, start + G)` of an `[N, C, H, W]` tensor into
-    /// `out` (`[N, G, H, W]`) — the allocation-free form of
-    /// [`Self::slice_channels`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either tensor is not 4-D, the batch/spatial dims differ,
-    /// or the range is out of bounds.
-    pub fn slice_channels_into(&self, start: usize, out: &mut Self) {
-        assert_eq!(self.shape.len(), 4, "slice_channels requires NCHW");
         let (n, c, h, w) = (self.shape[0], self.shape[1], self.shape[2], self.shape[3]);
-        let gc = out.shape[1];
-        assert_eq!(out.shape, [n, gc, h, w], "slice_channels output shape");
-        assert!(start + gc <= c, "channel range out of bounds");
+        assert!(start <= end && end <= c, "channel range out of bounds");
         let hw = h * w;
+        let mut data = Vec::with_capacity(n * (end - start) * hw);
         for ni in 0..n {
-            let src_base = (ni * c + start) * hw;
-            let dst_base = ni * gc * hw;
-            out.data[dst_base..dst_base + gc * hw]
-                .copy_from_slice(&self.data[src_base..src_base + gc * hw]);
+            data.extend_from_slice(&self.data[(ni * c + start) * hw..(ni * c + end) * hw]);
         }
+        Self::from_vec(data, &[n, end - start, h, w]).expect("one value per element")
     }
 
     /// Concatenates `[N, Cᵢ, H, W]` tensors along the channel dimension.

@@ -2,8 +2,8 @@
 
 use axnn_rng::{cases, Rng};
 use axnn_tensor::im2col::{
-    col2im, gemm_out_to_nchw, im2col, im2col_into, im2col_slice_into, nchw_to_gemm_out,
-    ConvGeometry,
+    col2im, gemm_out_to_nchw, gemm_out_to_nchw_into, im2col, im2col_into, im2col_slice_into,
+    nchw_to_gemm_out, ConvGeometry,
 };
 use axnn_tensor::{gemm, Tensor};
 
@@ -75,7 +75,16 @@ fn gemm_layout_round_trip() {
         let h = rng.gen_range(1usize..4);
         let w = rng.gen_range(1usize..4);
         let t = axnn_tensor::init::uniform(&[n, c, h, w], -1.0, 1.0, &mut rng);
-        let back = gemm_out_to_nchw(&nchw_to_gemm_out(&t), n, c, h, w);
+        let mat = nchw_to_gemm_out(&t);
+        assert_eq!(gemm_out_to_nchw(&mat, n, c, h, w), t);
+        // Two groups' row blocks, each written at its channel offset.
+        let c0 = rng.gen_range(0..=c);
+        let mut back = Tensor::from_vec(vec![f32::NAN; t.len()], t.shape()).unwrap();
+        for rows in [0..c0, c0..c] {
+            let block = mat.slice_outer(rows.start, rows.end);
+            let out = &mut back.as_mut_slice()[rows.start * h * w..];
+            gemm_out_to_nchw_into(&block, n, c, h, w, out);
+        }
         assert_eq!(back, t);
     });
 }
@@ -228,18 +237,27 @@ fn offset_lowering_matches_the_scalar_oracle() {
             rng.gen_range(least..least + 8),
             rng.gen_range(least..least + 8),
         );
-        let shape = [rng.gen_range(1..=3), rng.gen_range(1..=3), h, w];
+        let shape = [rng.gen_range(1..=3), rng.gen_range(1..=4), h, w];
         let offsets: Vec<u8> = (0..shape.iter().product::<usize>())
             .map(|_| rng.gen_range(0u32..256) as u8)
             .collect();
-        let codes: Vec<f32> = offsets.iter().map(|&o| f32::from(o) - 128.0).collect();
-        let want: Vec<u8> = oracle::im2col(&codes, shape, geom)
+        // One conv group's channels, read in place.
+        let c0 = rng.gen_range(0..shape[1]);
+        let channels = c0..rng.gen_range(c0 + 1..=shape[1]);
+        let group = [shape[0], channels.len(), h, w];
+        let codes: Vec<f32> = offsets
+            .chunks_exact(h * w)
+            .enumerate()
+            .filter(|(i, _)| channels.contains(&(i % shape[1])))
+            .flat_map(|(_, img)| img.iter().map(|&o| f32::from(o) - 128.0))
+            .collect();
+        let want: Vec<u8> = oracle::im2col(&codes, group, geom)
             .iter()
             .map(|&c| (c + 128.0) as u8)
             .collect();
         let mut got = vec![7u8; want.len()];
-        im2col_slice_into(&offsets, shape, geom, 128, &mut got);
-        assert_eq!(got, want, "{shape:?} {geom:?}");
+        im2col_slice_into(&offsets, shape, channels.clone(), geom, 128, &mut got);
+        assert_eq!(got, want, "{shape:?} {channels:?} {geom:?}");
     });
 }
 

@@ -105,49 +105,52 @@ fn assert_same(a: &ExecOutput, b: &ExecOutput, dy: &Tensor, what: &str) {
     }
 }
 
-/// One executor call per geometry and mode, both ways.
+/// One executor call per geometry and mode, both ways, on a conv group's
+/// channels at offset `c0` (0, and 2 of a wider input, read in place).
 #[test]
 fn quantize_once_lowering_matches_the_column_path() {
     let _g = serial();
     for (i, &(k, s, p)) in GEOMETRIES.iter().enumerate() {
-        let geom = ConvGeometry::new(k, s, p);
-        let mut rng = Rng::seed(40 + i as u64);
-        let (c, oc) = (3, 5);
-        let shape = [2, c, 9, 7];
-        let wmat = init::uniform(&[oc, c * k * k], -0.5, 0.5, &mut rng);
-        let mut fast = executor();
-        let mut slow = Columns(executor());
-        for _ in 0..2 {
-            let calib = init::uniform(&shape, -1.0, 1.0, &mut rng);
-            fast.forward_conv(&wmat, &calib, geom, Mode::Calibrate, &mut None);
-            slow.forward_conv(&wmat, &calib, geom, Mode::Calibrate, &mut None);
-        }
-        let x = input(&shape, &mut rng);
-        let m = shape[0] * geom.out_dim(shape[2]) * geom.out_dim(shape[3]);
-        let dy = init::uniform(&[oc, m], -1.0, 1.0, &mut rng);
+        for c0 in [0, 2] {
+            let geom = ConvGeometry::new(k, s, p);
+            let mut rng = Rng::seed(40 + i as u64);
+            let (c, oc) = (3, 5);
+            let shape = [2, c0 + c, 9, 7];
+            let wmat = init::uniform(&[oc, c * k * k], -0.5, 0.5, &mut rng);
+            let mut fast = executor();
+            let mut slow = Columns(executor());
+            for _ in 0..2 {
+                let calib = init::uniform(&shape, -1.0, 1.0, &mut rng);
+                fast.forward_conv(&wmat, &calib, c0, geom, Mode::Calibrate, &mut None);
+                slow.forward_conv(&wmat, &calib, c0, geom, Mode::Calibrate, &mut None);
+            }
+            let x = input(&shape, &mut rng);
+            let m = shape[0] * geom.out_dim(shape[2]) * geom.out_dim(shape[3]);
+            let dy = init::uniform(&[oc, m], -1.0, 1.0, &mut rng);
 
-        obs::reset();
-        obs::set_health_enabled(true);
-        fast.set_obs_label("fast");
-        slow.set_obs_label("slow");
-        for mode in [Mode::Train, Mode::Eval, Mode::Train] {
-            let a = fast.forward_conv(&wmat, &x, geom, mode, &mut None);
-            let b = slow.forward_conv(&wmat, &x, geom, mode, &mut None);
-            assert_same(&a, &b, &dy, &format!("{geom:?} {mode:?}"));
+            obs::reset();
+            obs::set_health_enabled(true);
+            fast.set_obs_label("fast");
+            slow.set_obs_label("slow");
+            for mode in [Mode::Train, Mode::Eval, Mode::Train] {
+                let a = fast.forward_conv(&wmat, &x, c0, geom, mode, &mut None);
+                let b = slow.forward_conv(&wmat, &x, c0, geom, mode, &mut None);
+                assert_same(&a, &b, &dy, &format!("{geom:?} c0 {c0} {mode:?}"));
+            }
+            obs::set_health_enabled(false);
+            let profile = obs::RunProfile::capture("conv_codes");
+            obs::reset();
+            let (a, b) = (health(&profile, "fast"), health(&profile, "slow"));
+            assert!(
+                a.iter().any(|(name, c)| name == "sat_x" && c[0] > 0),
+                "no clipped entries counted {geom:?} c0 {c0}: {a:?}"
+            );
+            assert!(
+                a.iter().any(|(name, _)| name == "eps"),
+                "no ε sample {geom:?} c0 {c0}"
+            );
+            assert_eq!(a, b, "health records {geom:?} c0 {c0}");
         }
-        obs::set_health_enabled(false);
-        let profile = obs::RunProfile::capture("conv_codes");
-        obs::reset();
-        let (a, b) = (health(&profile, "fast"), health(&profile, "slow"));
-        assert!(
-            a.iter().any(|(name, c)| name == "sat_x" && c[0] > 0),
-            "no clipped entries counted {geom:?}: {a:?}"
-        );
-        assert!(
-            a.iter().any(|(name, _)| name == "eps"),
-            "no ε sample {geom:?}"
-        );
-        assert_eq!(a, b, "health records {geom:?}");
     }
 }
 

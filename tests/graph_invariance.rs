@@ -107,9 +107,17 @@ fn build(seed: u64, family: usize) -> Sequential {
     net
 }
 
+/// Freezes every 8A4W layer's activation step on one seeded batch, as
+/// every program that compiles a quantized net does first.
+fn calibrate(net: &mut Sequential, seed: u64, hw: usize) {
+    let x = init::uniform(&[4, 3, hw, hw], -1.0, 1.0, &mut Rng::seed(seed ^ 0xCA1B));
+    net.forward(&x, Mode::Calibrate);
+}
+
 /// The compiled path reproduces the interpreter bit for bit across
-/// executor families, a sequence of batch shapes, and thread counts —
-/// and its plan cache misses exactly once per distinct shape.
+/// executor families, calibrated or on the dynamic abs-max step, a
+/// sequence of batch shapes, and thread counts — and its plan cache misses
+/// exactly once per distinct shape.
 #[test]
 fn compiled_is_bit_identical_to_interpreter() {
     cases(24, |mut rng| {
@@ -120,9 +128,13 @@ fn compiled_is_bit_identical_to_interpreter() {
             .collect::<Vec<_>>();
         let hw = rng.gen_range(6usize..9);
         let threads = rng.gen_range(2usize..9);
+        let calibrated = family > 0 && rng.gen_bool(0.5);
         let _g = serial();
         par::set_threads(threads);
         let mut net = build(seed, family);
+        if calibrated {
+            calibrate(&mut net, seed, hw);
+        }
         let mut exec = GraphExecutor::compile(&mut net).expect("model must lower");
 
         let mut r = Rng::seed(seed ^ 0x9E37);
@@ -132,7 +144,11 @@ fn compiled_is_bit_identical_to_interpreter() {
             let x = init::uniform(&[n, 3, hw, hw], -1.0, 1.0, &mut r);
             let want = net.forward(&x, Mode::Eval);
             let got = exec.forward(&x);
-            assert_eq!(bits(&want), bits(&got), "family {} batch {}", family, n);
+            assert_eq!(
+                bits(&want),
+                bits(&got),
+                "family {family} calibrated {calibrated} batch {n}"
+            );
             // The compiled kernels themselves must be worker-count
             // invariant: re-run the same batch single-threaded.
             par::set_threads(1);
@@ -153,6 +169,29 @@ fn compiled_is_bit_identical_to_interpreter() {
         assert_eq!(stats.hits, 2 * batches.len() as u64 - seen.len() as u64);
         assert_eq!(exec.plan_count(), seen.len());
     });
+}
+
+/// A conv op's plan is its output alone in every family: after one
+/// forward, the calibrated quantized and approximate arenas equal the
+/// exact family's for the same net and shape.
+#[test]
+fn conv_plans_hold_no_scratch_in_any_family() {
+    let _g = serial();
+    let x = init::uniform(&[3, 3, 8, 8], -1.0, 1.0, &mut Rng::seed(5));
+    let arena = |family| {
+        let mut net = build(7, family);
+        if family > 0 {
+            calibrate(&mut net, 7, 8);
+        }
+        let mut exec = GraphExecutor::compile(&mut net).expect("model must lower");
+        exec.forward(&x);
+        exec.arena_bytes()
+    };
+    let exact = arena(0);
+    assert!(exact > 0);
+    for family in 1..4 {
+        assert_eq!(arena(family), exact, "family {family}");
+    }
 }
 
 /// Compiling must leave the source network inference-equivalent: the
