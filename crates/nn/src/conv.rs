@@ -61,6 +61,8 @@ pub struct Conv2d {
     out_channels: usize,
     geom: ConvGeometry,
     groups: usize,
+    /// A `Linear`'s conv: lowers to a conv op over `[N, F]` inputs.
+    flat: bool,
     cache: Option<ConvCache>,
     scratch: ConvScratch,
 }
@@ -108,6 +110,27 @@ impl Conv2d {
             out_channels,
             geom,
             groups,
+            flat: false,
+            cache: None,
+            scratch: ConvScratch::default(),
+        }
+    }
+
+    /// The 1×1, stride-1, unpadded conv a [`Linear`](crate::Linear) runs
+    /// over `core`'s `[OUT, IN]` weights: the conv body reads any weight as
+    /// its `[OC, CG·K·K]` matrix, so they keep their layout and label. It
+    /// lowers to a `flat` conv op (see
+    /// [`GraphBuilder::push_conv`](crate::GraphBuilder::push_conv)).
+    pub(crate) fn fc(core: GemmCore) -> Self {
+        let shape = core.weight.value.shape();
+        let [out_channels, in_channels] = shape.try_into().expect("[OUT, IN] weights");
+        Self {
+            core,
+            in_channels,
+            out_channels,
+            geom: ConvGeometry::new(1, 1, 0),
+            groups: 1,
+            flat: true,
             cache: None,
             scratch: ConvScratch::default(),
         }
@@ -332,6 +355,7 @@ impl Layer for Conv2d {
             self.core.bias.as_ref().map(|b| b.value.as_slice().to_vec()),
             crate::ActivationKind::Identity,
             backends,
+            self.flat,
         );
         Ok(())
     }

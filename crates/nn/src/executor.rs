@@ -1,7 +1,8 @@
 //! Pluggable arithmetic for GEMM-lowered layers.
 //!
-//! Every [`Conv2d`](crate::Conv2d) and [`Linear`](crate::Linear) layer
-//! computes its forward product through a [`LayerExecutor`]. The default
+//! Every [`Conv2d`](crate::Conv2d) layer, and so every
+//! [`Linear`](crate::Linear) (a 1×1 conv), computes its forward product
+//! through a [`LayerExecutor`]. The default
 //! [`ExactExecutor`] is plain f32 GEMM; the quantization crate's one 8A4W
 //! executor replaces it for both quantized families — exact products, or
 //! the approximate product the ProxSim crate supplies through
@@ -205,31 +206,30 @@ pub fn forward_conv_columns<E: LayerExecutor + ?Sized>(
     mode: Mode,
     col: &mut Option<Tensor>,
 ) -> ExecOutput {
-    let (n, h, w) = (input.shape()[0], input.shape()[2], input.shape()[3]);
+    let dims: [usize; 4] = input.shape().try_into().expect("conv input is NCHW");
+    let [n, _, h, w] = dims;
     let lowered = [wmat.shape()[1], n * geom.out_dim(h) * geom.out_dim(w)];
     let col = match col {
         Some(t) if t.shape() == lowered => t,
         _ => col.insert(Tensor::zeros(&lowered)),
     };
-    lower_columns(input, c0, geom, col);
+    lower_columns(input.as_slice(), dims, c0, geom, col);
     ex.forward(wmat, col, mode)
 }
 
 /// The column path of a conv group, in both engines: lowers input channels
-/// `[c0, c0 + CG)` of the NCHW `input`, read in place, into the `f32`
-/// columns `col` (`[CG·KH·KW, M]`, every element overwritten) with `im2col`,
-/// and counts their bytes.
-pub fn lower_columns(input: &Tensor, c0: usize, geom: ConvGeometry, col: &mut Tensor) {
-    let dims: [usize; 4] = input.shape().try_into().expect("conv input is NCHW");
+/// `[c0, c0 + CG)` of the row-major `dims = [N, C, H, W]` `input`, read in
+/// place, into the `f32` columns `col` (`[CG·KH·KW, M]`, every element
+/// overwritten) with `im2col`, and counts their bytes.
+pub fn lower_columns(
+    input: &[f32],
+    dims: [usize; 4],
+    c0: usize,
+    geom: ConvGeometry,
+    col: &mut Tensor,
+) {
     let channels = c0..c0 + col.shape()[0] / (geom.kernel * geom.kernel);
-    im2col_slice_into(
-        input.as_slice(),
-        dims,
-        channels,
-        geom,
-        0.0,
-        col.as_mut_slice(),
-    );
+    im2col_slice_into(input, dims, channels, geom, 0.0, col.as_mut_slice());
     axnn_obs::count(axnn_obs::Counter::Im2colBytes, (col.len() * 4) as u64);
 }
 
@@ -286,29 +286,21 @@ impl LayerExecutor for ExactExecutor {
     }
 }
 
-/// Compiled form of [`ExactExecutor`]: the fused blocked GEMM (linear ops)
-/// and the implicit-GEMM direct conv, both applying the bias/activation
-/// epilogue while the output tile is hot in cache.
+/// Compiled form of [`ExactExecutor`]: the implicit-GEMM direct conv,
+/// applying the bias/activation epilogue while the output tile is hot in
+/// cache.
 #[derive(Debug)]
 pub(crate) struct ExactBackend {
     w: Tensor,
 }
 
 impl crate::GemmBackend for ExactBackend {
-    fn forward(&mut self, col: &Tensor, bias: Option<&[f32]>, ep: gemm::Epilogue, out: &mut [f32]) {
-        if axnn_obs::enabled() {
-            let (oc, k) = (self.w.shape()[0], self.w.shape()[1]);
-            let m = col.shape()[1];
-            axnn_obs::count(axnn_obs::Counter::GemmMacs, (oc * k * m) as u64);
-        }
-        gemm::matmul_bias_act_into(&self.w, col, bias, ep, out);
-    }
-
     fn forward_conv(
         &mut self,
-        input: &Tensor,
+        input: &[f32],
+        dims: [usize; 4],
         c0: usize,
-        geom: axnn_tensor::im2col::ConvGeometry,
+        geom: ConvGeometry,
         bias: Option<&[f32]>,
         ep: gemm::Epilogue,
         out: &mut [f32],
@@ -316,14 +308,14 @@ impl crate::GemmBackend for ExactBackend {
     ) {
         if axnn_obs::enabled() {
             // Same nominal MAC count as the GEMM lowering of this group.
-            let (oc, k) = (self.w.shape()[0], self.w.shape()[1]);
-            let (n, h, w) = (input.shape()[0], input.shape()[2], input.shape()[3]);
+            let [n, _, h, w] = dims;
             let m = n * geom.out_dim(h) * geom.out_dim(w);
-            axnn_obs::count(axnn_obs::Counter::GemmMacs, (oc * k * m) as u64);
+            axnn_obs::count(axnn_obs::Counter::GemmMacs, (self.w.len() * m) as u64);
         }
         axnn_tensor::conv_direct::conv2d_bias_act_into(
             &self.w,
             input,
+            dims,
             c0,
             geom,
             bias,

@@ -2,18 +2,20 @@
 //!
 //! [`GraphExecutor::compile`] lowers a [`Sequential`] into a small graph of
 //! fused ops: batch norm is folded into conv weights first (via
-//! [`Layer::fold_batch_norm`]), then conv+bias+activation and
-//! linear+bias+activation collapse into single blocked kernels that apply
-//! the epilogue while the output tile is hot in cache. A conv op hands each
-//! group's input channels to its backend's
+//! [`Layer::fold_batch_norm`]), then conv+bias+activation collapses into
+//! one op that applies the epilogue while the output tile is hot in cache.
+//! It is the graph's only GEMM op: a `Linear` lowers to it as a 1×1,
+//! stride-1, unpadded conv that reads its `[N, F]` input as `[N, F, 1, 1]`
+//! and writes `[N, OUT]`, the same strides, so nothing is copied. A conv
+//! op hands each group's input channels to its backend's
 //! [`forward_conv`](GemmBackend::forward_conv), which lowers the conv its
 //! own way and writes epilogued NCHW rows into the op's output: the exact
 //! f32 core runs an implicit-GEMM direct kernel
 //! ([`axnn_tensor::conv_direct`]), the 8A4W core the lowering its
 //! interpreter executor runs. The graph itself never builds a column
 //! matrix. Op outputs are planned once per input shape into a reused
-//! arena; steady-state calls hit the plan cache and allocate nothing but
-//! the returned output tensor.
+//! arena, which holds nothing else; steady-state calls hit the plan cache
+//! and allocate nothing but the returned output tensor.
 //!
 //! The arithmetic seam is [`GemmBackend`]: the exact f32 core and the
 //! 8A4W core of `axnn-quant` (fake-quant exact products, or the LUT product
@@ -74,30 +76,24 @@ impl fmt::Display for Unsupported {
 impl std::error::Error for Unsupported {}
 
 /// A fused GEMM arithmetic core behind the compiled graph, over one frozen
-/// weight block (one layer, or one conv group).
-///
-/// Both entries apply the epilogue `ep(· + bias[row])` and overwrite every
-/// element they own. When `bias` is `None` no add is performed at all
-/// (adding `0.0` would flip `-0.0` outputs). The result must be
-/// bit-identical to the interpreter's executor product followed by the
-/// owning layer's separate bias and activation passes.
+/// weight block (one conv group, or a whole layer).
 pub trait GemmBackend: fmt::Debug + Send {
-    /// Computes the fused GEMM + epilogue `ep(W·col + bias)` into `out`
-    /// (`[OC, M]` row-major). The linear op's entry.
-    fn forward(&mut self, col: &Tensor, bias: Option<&[f32]>, ep: Epilogue, out: &mut [f32]);
-
     /// The conv op's entry: the fused convolution of input channels
-    /// `[c0, c0 + CG)` of the NCHW `input`, read in place, writing
-    /// epilogued NCHW rows into `out` (the full output buffer offset to
-    /// this group's first channel; `out_channels` is the total channel
-    /// count). Each backend lowers the conv its own way; the result must be
+    /// `[c0, c0 + CG)` of the row-major `dims = [N, C, H, W]` `input`, read
+    /// in place, writing epilogued NCHW rows into `out` (the full output
+    /// buffer offset to this group's first channel; `out_channels` is the
+    /// total channel count). It applies the epilogue `ep(· + bias[row])`
+    /// and overwrites every element the group owns; with `bias` `None` no
+    /// add is performed at all (adding `0.0` would flip `-0.0` outputs).
+    /// Each backend lowers the conv its own way; the result must be
     /// bit-identical to the layer's executor
     /// [`LayerExecutor::forward_conv`](crate::LayerExecutor::forward_conv)
     /// over the same channels, with the layer's bias and activation passes.
     #[allow(clippy::too_many_arguments)]
     fn forward_conv(
         &mut self,
-        input: &Tensor,
+        input: &[f32],
+        dims: [usize; 4],
         c0: usize,
         geom: ConvGeometry,
         bias: Option<&[f32]>,
@@ -105,6 +101,19 @@ pub trait GemmBackend: fmt::Debug + Send {
         out: &mut [f32],
         out_channels: usize,
     );
+}
+
+impl dyn GemmBackend {
+    /// [`forward_conv`](GemmBackend::forward_conv) over a `[K, M]` column
+    /// matrix: `ep(W·col + bias)` into the row-major `[OC, M]` `out`. `col`
+    /// is laid out as one `[1, K, 1, M]` image, whose 1×1 conv output has
+    /// `out`'s layout.
+    pub fn forward(&mut self, col: &Tensor, bias: Option<&[f32]>, ep: Epilogue, out: &mut [f32]) {
+        let (k, m) = (col.shape()[0], col.shape()[1]);
+        let geom = ConvGeometry::new(1, 1, 0);
+        let oc = out.len() / m.max(1);
+        self.forward_conv(col.as_slice(), [1, k, 1, m], 0, geom, bias, ep, out, oc);
+    }
 }
 
 fn epilogue_of(kind: ActivationKind) -> Epilogue {
@@ -126,14 +135,9 @@ enum Op {
         ep: Epilogue,
         /// One backend per group, over that group's weight row block.
         backends: Vec<Box<dyn GemmBackend>>,
-    },
-    Linear {
-        span: String,
-        in_features: usize,
-        out_features: usize,
-        bias: Option<Vec<f32>>,
-        ep: Epilogue,
-        backend: Box<dyn GemmBackend>,
+        /// A lowered `Linear`: reads `[N, F]` as `[N, F, 1, 1]` and writes
+        /// `[N, OUT]`.
+        flat: bool,
     },
     Act {
         span: String,
@@ -165,9 +169,18 @@ impl Op {
     fn output_shape(&self, s: &[usize]) -> Vec<usize> {
         match self {
             Op::Conv {
-                geom, out_channels, ..
-            } => vec![s[0], *out_channels, geom.out_dim(s[2]), geom.out_dim(s[3])],
-            Op::Linear { out_features, .. } => vec![s[0], *out_features],
+                geom,
+                out_channels,
+                flat,
+                ..
+            } => match (*flat, s) {
+                (true, &[n, _]) => vec![n, *out_channels],
+                (false, &[n, _, h, w]) => vec![n, *out_channels, geom.out_dim(h), geom.out_dim(w)],
+                _ => panic!(
+                    "conv op input {s:?} is not {}",
+                    if *flat { "[N, F]" } else { "NCHW" }
+                ),
+            },
             Op::Act { .. } => s.to_vec(),
             Op::AvgPool { kernel, .. } | Op::MaxPool { kernel, .. } => {
                 vec![s[0], s[1], s[2] / kernel, s[3] / kernel]
@@ -188,8 +201,8 @@ impl Op {
 /// Collects lowered ops during [`Layer::lower`].
 ///
 /// Layers call the `push_*` methods in execution order; a standalone
-/// activation pushed right after a conv/linear op with an identity epilogue
-/// is fused into that op's GEMM kernel.
+/// activation pushed right after a conv op with an identity epilogue is
+/// fused into that op's GEMM kernel.
 pub struct GraphBuilder {
     ops: Vec<Op>,
 }
@@ -205,7 +218,9 @@ impl GraphBuilder {
     }
 
     /// Pushes a fused convolution op. `backends` holds one compiled GEMM
-    /// core per group, in group order.
+    /// core per group, in group order. A `flat` op is a lowered `Linear`:
+    /// a 1×1 conv over `[N, F]` inputs, read as `[N, F, 1, 1]`, writing
+    /// `[N, OUT]`.
     #[allow(clippy::too_many_arguments)]
     pub fn push_conv(
         &mut self,
@@ -217,6 +232,7 @@ impl GraphBuilder {
         bias: Option<Vec<f32>>,
         act: ActivationKind,
         backends: Vec<Box<dyn GemmBackend>>,
+        flat: bool,
     ) {
         assert_eq!(backends.len(), groups, "one backend per conv group");
         self.ops.push(Op::Conv {
@@ -227,41 +243,18 @@ impl GraphBuilder {
             bias,
             ep: epilogue_of(act),
             backends,
+            flat,
         });
     }
 
-    /// Pushes a fused fully-connected op.
-    pub fn push_linear(
-        &mut self,
-        label: &str,
-        in_features: usize,
-        out_features: usize,
-        bias: Option<Vec<f32>>,
-        act: ActivationKind,
-        backend: Box<dyn GemmBackend>,
-    ) {
-        self.ops.push(Op::Linear {
-            span: exec_span(label),
-            in_features,
-            out_features,
-            bias,
-            ep: epilogue_of(act),
-            backend,
-        });
-    }
-
-    /// Pushes an activation, fusing it into the preceding conv/linear op's
-    /// GEMM epilogue when that op still has an identity epilogue.
+    /// Pushes an activation, fusing it into the preceding conv op's GEMM
+    /// epilogue when that op still has an identity epilogue.
     pub fn push_activation(&mut self, kind: ActivationKind) {
         if kind == ActivationKind::Identity {
             return;
         }
         match self.ops.last_mut() {
-            Some(Op::Conv { ep, .. }) | Some(Op::Linear { ep, .. })
-                if *ep == Epilogue::Identity =>
-            {
-                *ep = epilogue_of(kind);
-            }
+            Some(Op::Conv { ep, .. }) if *ep == Epilogue::Identity => *ep = epilogue_of(kind),
             _ => self.ops.push(Op::Act {
                 span: exec_span(match kind {
                     ActivationKind::Relu => "relu",
@@ -328,18 +321,10 @@ impl Default for GraphBuilder {
 /// Per-op arena buffers for one `(model, input shape)` pair.
 ///
 /// Every tensor is allocated once at plan time and overwritten in full on
-/// every execution, so plans are reused with no per-call allocation. A conv
-/// op's plan is its output alone: its backends keep whatever scratch their
-/// lowering needs.
+/// every execution, so plans are reused with no per-call allocation. Each
+/// op's plan is its output alone: conv backends keep whatever scratch
+/// their lowering needs.
 enum OpPlan {
-    Linear {
-        /// Transposed input `[IN, N]`.
-        col: Tensor,
-        /// Fused GEMM output `[OUT, N]`.
-        gemm: Tensor,
-        /// Row-major output `[N, OUT]`.
-        out: Tensor,
-    },
     Simple {
         out: Tensor,
     },
@@ -353,16 +338,13 @@ enum OpPlan {
 impl OpPlan {
     fn out(&self) -> &Tensor {
         match self {
-            OpPlan::Linear { out, .. } | OpPlan::Simple { out } | OpPlan::Residual { out, .. } => {
-                out
-            }
+            OpPlan::Simple { out } | OpPlan::Residual { out, .. } => out,
         }
     }
 
-    /// Total arena bytes held by this plan node (scratch + outputs).
+    /// Total arena bytes held by this plan node's outputs.
     fn bytes(&self) -> usize {
         match self {
-            OpPlan::Linear { col, gemm, out } => (col.len() + gemm.len() + out.len()) * 4,
             OpPlan::Simple { out } => out.len() * 4,
             OpPlan::Residual {
                 main,
@@ -381,19 +363,6 @@ impl OpPlan {
 
 fn plan_op(op: &Op, s: &[usize]) -> OpPlan {
     match op {
-        Op::Linear {
-            in_features,
-            out_features,
-            ..
-        } => {
-            let n = s[0];
-            assert_eq!(s[1], *in_features, "linear input feature mismatch");
-            OpPlan::Linear {
-                col: Tensor::zeros(&[*in_features, n]),
-                gemm: Tensor::zeros(&[*out_features, n]),
-                out: Tensor::zeros(&[n, *out_features]),
-            }
-        }
         Op::Residual { main, shortcut, .. } => OpPlan::Residual {
             main: plan_seq(main, s),
             shortcut: shortcut.as_ref().map(|ops| plan_seq(ops, s)),
@@ -436,25 +405,30 @@ fn exec_op(op: &mut Op, x: &Tensor, plan: &mut OpPlan) {
                 bias,
                 ep,
                 backends,
+                ..
             },
             OpPlan::Simple { out },
         ) => {
             let _s = axnn_obs::span(span);
-            assert_eq!(
-                x.shape(),
-                &[x.shape()[0], *in_channels, x.shape()[2], x.shape()[3]],
-                "conv input channel mismatch"
-            );
+            // Planning checked the rank: a flat `[N, F]` input is
+            // `[N, F, 1, 1]`, and its `[N, OUT]` output `[N, OUT, 1, 1]`.
+            let dims = match *x.shape() {
+                [n, c] => [n, c, 1, 1],
+                [n, c, h, w] => [n, c, h, w],
+                _ => unreachable!("planned conv input is [N, F] or NCHW"),
+            };
+            assert_eq!(dims[1], *in_channels, "conv input channel mismatch");
             // Every backend reads its group's channels in place and writes
             // its epilogued NCHW rows at the group's channel offset.
             let cg = *in_channels / backends.len();
             let ocg = *out_channels / backends.len();
-            let ohw = out.shape()[2] * out.shape()[3];
+            let ohw = geom.out_dim(dims[2]) * geom.out_dim(dims[3]);
             let os = out.as_mut_slice();
             for (g, backend) in backends.iter_mut().enumerate() {
                 let bias_g = bias.as_ref().map(|b| &b[g * ocg..(g + 1) * ocg]);
                 backend.forward_conv(
-                    x,
+                    x.as_slice(),
+                    dims,
                     g * cg,
                     *geom,
                     bias_g,
@@ -463,23 +437,6 @@ fn exec_op(op: &mut Op, x: &Tensor, plan: &mut OpPlan) {
                     *out_channels,
                 );
             }
-        }
-        (
-            Op::Linear {
-                span,
-                in_features,
-                bias,
-                ep,
-                backend,
-                ..
-            },
-            OpPlan::Linear { col, gemm, out },
-        ) => {
-            let _s = axnn_obs::span(span);
-            assert_eq!(x.shape(), &[x.shape()[0], *in_features]);
-            x.transpose2_into(col);
-            backend.forward(col, bias.as_deref(), *ep, gemm.as_mut_slice());
-            gemm.transpose2_into(out);
         }
         (Op::Act { span, kind }, OpPlan::Simple { out }) => {
             let _s = axnn_obs::span(span);
@@ -753,8 +710,8 @@ mod tests {
 
     #[test]
     fn conv_plans_hold_only_their_output() {
-        // The arena is every op's output plus the linear op's two
-        // transposes: conv backends keep their own scratch.
+        // The arena is every op's output: conv backends, the linear's
+        // among them, keep their own scratch.
         let mut rng = Rng::seed(45);
         let mut net = small_cnn(&mut rng, false);
         let mut exec = GraphExecutor::compile(&mut net).expect("cnn lowers");
@@ -762,9 +719,9 @@ mod tests {
         exec.forward(&x);
         // Batch 2: the stem conv, the two residual convs and the residual
         // sum at [2, 8, 8, 8]; max pool [2, 8, 4, 4]; avg pool [2, 8, 2, 2];
-        // global pool and flatten [2, 8]; the linear op's [8, 2] input,
-        // [10, 2] GEMM output and [2, 10] output. Dropout lowers to nothing.
-        let floats = 4 * 1024 + 256 + 64 + 2 * 16 + 16 + 20 + 20;
+        // global pool and flatten [2, 8]; the linear's [2, 10]. Dropout
+        // lowers to nothing.
+        let floats = 4 * 1024 + 256 + 64 + 2 * 16 + 20;
         assert_eq!(exec.arena_bytes(), 4 * floats);
     }
 
@@ -853,13 +810,26 @@ mod tests {
         assert!(
             matches!(
                 exec.ops.as_slice(),
-                [Op::Linear {
+                [Op::Conv {
                     ep: Epilogue::Relu,
+                    flat: true,
                     ..
                 }]
             ),
-            "relu fused into the linear op"
+            "relu fused into the linear's conv op"
         );
+    }
+
+    /// A lowered `Linear` takes `[N, F]` only, as its layer does.
+    #[test]
+    #[should_panic(expected = "is not [N, F]")]
+    fn lowered_linear_rejects_nchw_input() {
+        let mut rng = Rng::seed(48);
+        let mut net = Sequential::new(vec![
+            Box::new(Linear::new(4, 2, true, &mut rng)) as Box<dyn Layer>
+        ]);
+        let mut exec = GraphExecutor::compile(&mut net).expect("mlp lowers");
+        exec.forward(&Tensor::ones(&[2, 4, 1, 1]));
     }
 
     #[test]

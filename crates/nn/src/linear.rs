@@ -1,15 +1,18 @@
-//! Fully-connected layer, lowered to the same executor GEMM as convolutions.
+//! Fully-connected layer: a 1×1 convolution over `[N, F, 1, 1]`.
 
+use crate::conv::Conv2d;
 use crate::layer::{GemmCore, Layer, Mode};
 use crate::param::Param;
 use axnn_rng::Rng;
-use axnn_tensor::{gemm, init, Tensor};
+use axnn_tensor::{init, Tensor};
 
 /// A fully-connected (dense) layer `y = x · Wᵀ + b`.
 ///
-/// Weight layout is `[OUT, IN]`; the forward product is computed as
-/// `W · xᵀ` through the layer's [`LayerExecutor`](crate::LayerExecutor), so
-/// the same quantized/approximate arithmetic used for convolutions applies.
+/// Weight layout is `[OUT, IN]`. The layer is a 1×1, stride-1, unpadded
+/// [`Conv2d`](crate::Conv2d) over its `[N, IN]` input read as
+/// `[N, IN, 1, 1]`: the same lowering, [`LayerExecutor`](crate::LayerExecutor)
+/// product and backward as every conv, so the quantized/approximate
+/// arithmetic applies unchanged, and it compiles to the graph's conv op.
 ///
 /// # Example
 ///
@@ -25,10 +28,9 @@ use axnn_tensor::{gemm, init, Tensor};
 /// ```
 #[derive(Debug)]
 pub struct Linear {
-    core: GemmCore,
+    conv: Conv2d,
     in_features: usize,
     out_features: usize,
-    cache: Option<crate::executor::ExecOutput>,
 }
 
 impl Linear {
@@ -36,87 +38,66 @@ impl Linear {
     pub fn new(in_features: usize, out_features: usize, bias: bool, rng: &mut Rng) -> Self {
         let weight = init::kaiming_normal(&[out_features, in_features], rng);
         let bias = bias.then(|| Tensor::zeros(&[out_features]));
+        let label = format!("fc({in_features}->{out_features})");
         Self {
-            core: GemmCore::new(weight, bias, format!("fc({in_features}->{out_features})")),
+            conv: Conv2d::fc(GemmCore::new(weight, bias, label)),
             in_features,
             out_features,
-            cache: None,
         }
     }
 
     /// Shared GEMM-layer state (weights, bias, executor).
     pub fn core(&self) -> &GemmCore {
-        &self.core
+        self.conv.core()
     }
 
     /// Mutable access to the shared GEMM-layer state.
     pub fn core_mut(&mut self) -> &mut GemmCore {
-        &mut self.core
+        self.conv.core_mut()
     }
+}
+
+/// `t`'s data under `shape`: `[N, F]` and `[N, F, 1, 1]` share a layout.
+fn reshaped(t: Tensor, shape: &[usize]) -> Tensor {
+    Tensor::from_vec(t.into_vec(), shape).expect("same element count")
+}
+
+/// The `[N, F, 1, 1]` conv operand of a `[N, F]` tensor.
+fn nchw(t: &Tensor) -> Tensor {
+    reshaped(t.clone(), &[t.shape()[0], t.shape()[1], 1, 1])
 }
 
 impl Layer for Linear {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        assert_eq!(input.shape().len(), 2, "Linear expects [N, F] input");
-        assert_eq!(input.shape()[1], self.in_features);
-        let _span = axnn_obs::span(&self.core.fwd_span);
-        let col = input.transpose2(); // [IN, N]
-        let exec = self
-            .core
-            .executor
-            .forward(&self.core.weight.value, &col, mode);
-        let mut out = exec.y.transpose2(); // [N, OUT]
-        if let Some(b) = &self.core.bias {
-            out.add_row_bias(&b.value);
-        }
-        if mode == Mode::Train {
-            self.cache = Some(exec);
-        } else {
-            self.cache = None;
-        }
-        out
+        let n = input.shape()[0];
+        assert_eq!(
+            input.shape(),
+            &[n, self.in_features],
+            "Linear expects [N, F] input"
+        );
+        let y = self.conv.forward(&nchw(input), mode);
+        reshaped(y, &[n, self.out_features])
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let exec = self
-            .cache
-            .take()
-            .expect("Linear::backward called without a Train-mode forward");
-        let _span = axnn_obs::span(&self.core.bwd_span);
-        if let Some(b) = &mut self.core.bias {
-            b.accumulate(&grad_out.sum_rows());
-        }
-        let mut dy = grad_out.transpose2(); // [OUT, N]
-        if let Some(scale) = &exec.grad_scale {
-            dy = dy.zip_map(scale, |d, s| d * s);
-        }
-        if axnn_obs::enabled() {
-            // Two exact GEMMs (dW and dx) of out·in·n MACs each.
-            let n = dy.shape()[1];
-            axnn_obs::count(
-                axnn_obs::Counter::GemmMacs,
-                2 * (self.out_features * self.in_features * n) as u64,
-            );
-        }
-        let dw = exec.weight_grad(&dy); // [OUT, IN]
-        self.core.weight.accumulate(&dw);
-        let dcol = gemm::matmul_tn(&exec.wmat_eff, &dy); // [IN, N]
-        dcol.transpose2()
+        let dx = self.conv.backward(&nchw(grad_out));
+        reshaped(dx, &[grad_out.shape()[0], self.in_features])
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.conv.backward_params(&nchw(grad_out));
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.core.weight);
-        if let Some(b) = &mut self.core.bias {
-            f(b);
-        }
+        self.conv.visit_params(f);
     }
 
     fn visit_gemm_cores(&mut self, f: &mut dyn FnMut(&mut GemmCore)) {
-        f(&mut self.core);
+        self.conv.visit_gemm_cores(f);
     }
 
     fn describe(&self) -> String {
-        self.core.label.clone()
+        self.conv.describe()
     }
 
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
@@ -128,25 +109,7 @@ impl Layer for Linear {
     }
 
     fn lower(&self, builder: &mut crate::GraphBuilder) -> Result<(), crate::Unsupported> {
-        let backend = self
-            .core
-            .executor
-            .compile_backend(&self.core.weight.value)
-            .ok_or_else(|| {
-                crate::Unsupported::new(format!(
-                    "executor of {} has no compiled backend",
-                    self.core.label
-                ))
-            })?;
-        builder.push_linear(
-            &self.core.label,
-            self.in_features,
-            self.out_features,
-            self.core.bias.as_ref().map(|b| b.value.as_slice().to_vec()),
-            crate::ActivationKind::Identity,
-            backend,
-        );
-        Ok(())
+        self.conv.lower(builder)
     }
 }
 
@@ -154,6 +117,7 @@ impl Layer for Linear {
 mod tests {
     use super::*;
     use axnn_rng::Rng;
+    use axnn_tensor::gemm;
 
     #[test]
     fn forward_matches_manual_gemm() {
@@ -163,10 +127,9 @@ mod tests {
             Tensor::from_vec(vec![0.5, -0.5], &[2]).unwrap();
         let x = init::uniform(&[4, 3], -1.0, 1.0, &mut rng);
         let y = fc.forward(&x, Mode::Eval);
-        let mut want = gemm::matmul_nt(&x, &fc.core().weight.value);
-        want.add_row_bias(&fc.core().bias.as_ref().unwrap().value);
-        for (a, b) in y.as_slice().iter().zip(want.as_slice()) {
-            assert!((a - b).abs() < 1e-5);
+        let want = gemm::matmul_nt(&x, &fc.core().weight.value);
+        for (i, (a, b)) in y.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert!((a - (b + [0.5, -0.5][i % 2])).abs() < 1e-5);
         }
     }
 

@@ -99,38 +99,44 @@ fn lut_offsets(xq: &Quantizer, col: &[f32], xi: &mut Vec<u8>) {
     xq.map_codes(col, xi, |c| (c + 128) as u8);
 }
 
-/// Each image's input channels `[c0, c0 + cg)` of the NCHW `input`: one
-/// contiguous span per image.
-fn group_spans(input: &Tensor, c0: usize, cg: usize) -> impl Iterator<Item = &[f32]> {
-    let plane = input.shape()[2] * input.shape()[3];
-    let image = (input.shape()[1] * plane).max(1);
-    let spans = input.as_slice().chunks_exact(image);
+/// Each image's input channels `[c0, c0 + cg)` of the row-major
+/// `[N, C, H, W]` `input`: one contiguous span per image.
+fn group_spans(
+    input: &[f32],
+    [_, c, h, w]: [usize; 4],
+    c0: usize,
+    cg: usize,
+) -> impl Iterator<Item = &[f32]> {
+    let plane = h * w;
+    let spans = input.chunks_exact((c * plane).max(1));
     spans.map(move |img| &img[c0 * plane..][..cg * plane])
 }
 
 /// The quantize-once lowering of a calibrated approximate conv, run by
 /// both engines' conv entries: quantizes input channels `[c0, c0 + CG)` of
-/// the NCHW `input` once by `xq` into the thread's `XIN`, then lowers those
-/// offsets into the `[k, M]` `xi` (`k = CG·KH·KW`), padding with offset 128
-/// (code 0). They are the offsets [`lut_offsets`] quantizes from the
-/// group's `f32` columns, so the product's bits are the same, and a 3×3
-/// conv quantizes each pixel once instead of up to nine times. Returns `M`.
+/// the row-major `dims` `input` once by `xq` into the thread's `XIN`, then
+/// lowers those offsets into the `[k, M]` `xi` (`k = CG·KH·KW`), padding
+/// with offset 128 (code 0). They are the offsets [`lut_offsets`]
+/// quantizes from the group's `f32` columns, so the product's bits are the
+/// same, and a 3×3 conv quantizes each pixel once instead of up to nine
+/// times. Returns `M`.
 fn lower_offsets(
     xq: &Quantizer,
-    input: &Tensor,
+    input: &[f32],
+    dims: [usize; 4],
     c0: usize,
     k: usize,
     geom: ConvGeometry,
     xi: &mut Vec<u8>,
 ) -> usize {
-    let [n, h, w] = [input.shape()[0], input.shape()[2], input.shape()[3]];
+    let [n, _, h, w] = dims;
     let cg = k / (geom.kernel * geom.kernel);
     let m = n * geom.out_dim(h) * geom.out_dim(w);
     resize_exact(xi, k * m);
     XIN.with_borrow_mut(|xin| {
         resize_exact(xin, n * cg * h * w);
         let images = xin.chunks_exact_mut((cg * h * w).max(1));
-        for (src, dst) in group_spans(input, c0, cg).zip(images) {
+        for (src, dst) in group_spans(input, dims, c0, cg).zip(images) {
             xq.map_codes(src, dst, |c| (c + 128) as u8);
         }
         im2col_slice_into(xin, [n, cg, h, w], 0..cg, geom, 128, xi);
@@ -689,14 +695,16 @@ impl LayerExecutor for QuantExecutor {
             unreachable!("an executor with a product builds the LUT core")
         };
         let k = wmat.shape()[1];
+        let dims: [usize; 4] = input.shape().try_into().expect("conv input is NCHW");
+        let [_, _, h, w] = dims;
         let mut xi = XI.take();
-        let m = lower_offsets(&xq, input, c0, k, geom, &mut xi);
+        let m = lower_offsets(&xq, input.as_slice(), dims, c0, k, geom, &mut xi);
         let sat_x = || {
-            let (h, w) = (input.shape()[2], input.shape()[3]);
             let (rows, cols) = (geom.tap_counts(h), geom.tap_counts(w));
             let limit = xq.clip_limit();
             let mut sat = 0;
-            for span in group_spans(input, c0, k / (geom.kernel * geom.kernel)) {
+            let cg = k / (geom.kernel * geom.kernel);
+            for span in group_spans(input.as_slice(), dims, c0, cg) {
                 for (i, &x) in span.iter().enumerate() {
                     if x.abs() >= limit {
                         sat += rows[i / w % h] * cols[i % w];
@@ -740,8 +748,8 @@ impl LayerExecutor for QuantExecutor {
 
 /// Compiled-graph GEMM core of a [`QuantExecutor`]: the [`Core`] built once
 /// over the frozen weights, run with the epilogue fused. Bit-identical to
-/// [`QuantExecutor::forward`] and [`QuantExecutor::forward_conv`] followed
-/// by the bias and activation passes.
+/// [`QuantExecutor::forward_conv`] followed by the bias and activation
+/// passes.
 #[derive(Debug)]
 struct CompiledQuant {
     x_quantizer: Option<Quantizer>,
@@ -750,19 +758,16 @@ struct CompiledQuant {
 }
 
 impl axnn_nn::GemmBackend for CompiledQuant {
-    fn forward(&mut self, col: &Tensor, bias: Option<&[f32]>, ep: Epilogue, out: &mut [f32]) {
-        let xq = batch_x_quantizer(self.x_quantizer, col, self.x_spec);
-        self.core.forward(&xq, col, bias, ep, out);
-    }
-
     /// The interpreter's conv lowering: the LUT core with a frozen step
     /// lowers the group's offsets ([`lower_offsets`]); otherwise the
-    /// group's `f32` columns run [`forward`](Self::forward). Both go
-    /// through per-thread buffers, and the `[OCG, M]` product is then
-    /// written into the group's NCHW channels.
+    /// group's `f32` columns, quantized as the interpreter's `forward`
+    /// quantizes them, run the core. Both go through per-thread buffers,
+    /// and the `[OCG, M]` product is then written into the group's NCHW
+    /// channels.
     fn forward_conv(
         &mut self,
-        input: &Tensor,
+        input: &[f32],
+        dims: [usize; 4],
         c0: usize,
         geom: ConvGeometry,
         bias: Option<&[f32]>,
@@ -770,7 +775,7 @@ impl axnn_nn::GemmBackend for CompiledQuant {
         out: &mut [f32],
         out_channels: usize,
     ) {
-        let (n, h, w) = (input.shape()[0], input.shape()[2], input.shape()[3]);
+        let [n, _, h, w] = dims;
         let (oh, ow) = (geom.out_dim(h), geom.out_dim(w));
         let [oc, k] = self.core.dims();
         let m = n * oh * ow;
@@ -785,14 +790,15 @@ impl axnn_nn::GemmBackend for CompiledQuant {
                     },
                     Some(xq),
                 ) => XI.with_borrow_mut(|xi| {
-                    lower_offsets(&xq, input, c0, k, geom, xi);
+                    lower_offsets(&xq, input, dims, c0, k, geom, xi);
                     let y = y.as_mut_slice();
                     product.matmul(w_codes, xi, [oc, k, m], *w_step * xq.step(), y);
                     gemm::apply_epilogue(y, bias, ep, m);
                 }),
                 _ => with_scratch(&XCOL, &[k, m], |col| {
-                    lower_columns(input, c0, geom, col);
-                    self.forward(col, bias, ep, y.as_mut_slice());
+                    lower_columns(input, dims, c0, geom, col);
+                    let xq = batch_x_quantizer(self.x_quantizer, col, self.x_spec);
+                    self.core.forward(&xq, col, bias, ep, y.as_mut_slice());
                 }),
             }
             gemm_out_to_nchw_into(y, n, out_channels, oh, ow, out);

@@ -14,12 +14,15 @@
 //! # How it stays fast without im2col
 //!
 //! Per image, the group's channels are copied once into a small
-//! zero-padded `[CG, H+2P, W+2P]` scratch (for paper-scale layers a few
-//! KB, L1-resident — roughly `K·K` times less data movement than the
-//! column gather). With the borders materialised, every kernel tap reads a
-//! plain contiguous row segment, so the inner tiles have no bounds logic
-//! at all: `CR×{16,8,4}` accumulator blocks stay in registers across
-//! the whole tap loop, exactly like the GEMM micro-kernels.
+//! zero-padded `[CG, H+2P, W+2P]` scratch, one buffer per thread reused
+//! across images and calls (for paper-scale layers a few KB, L1-resident —
+//! roughly `K·K` times less data movement than the column gather). An
+//! unpadded conv (every 1×1 conv, a lowered `Linear` among them) reads the
+//! group's contiguous `[CG, H, W]` span in place instead. With the borders
+//! materialised, every kernel tap reads a plain contiguous row segment, so
+//! the inner tiles have no bounds logic at all: `CR×{16,8,4}` accumulator
+//! blocks stay in registers across the whole tap loop, exactly like the
+//! GEMM micro-kernels.
 //!
 //! # Bit-identity to the im2col lowering
 //!
@@ -44,6 +47,7 @@
 use crate::gemm::Epilogue;
 use crate::im2col::ConvGeometry;
 use crate::Tensor;
+use std::cell::RefCell;
 
 /// Output-channel rows per accumulator block.
 const CR: usize = 4;
@@ -57,12 +61,9 @@ struct Geom {
     k: usize,
     s: usize,
     p: usize,
-    /// Input: total channels, spatial size, first channel of this group,
-    /// channels in this group.
-    c: usize,
+    /// Input: spatial size, channels in this group.
     h: usize,
     w: usize,
-    c0: usize,
     cg: usize,
     /// Output: rows (group-local out channels), spatial size, taps per row.
     ocg: usize,
@@ -78,9 +79,9 @@ struct Geom {
 /// NCHW output block `out`, overwriting every element this group owns.
 ///
 /// * `w` — `[OCG, CG·K·K]` weight rows of one group (`CG` inferred).
-/// * `input` — the full `[N, C, H, W]` activation; the kernel reads
-///   channels `[c0, c0 + CG)`, so grouped convolutions need no
-///   channel-slice copy.
+/// * `input` — the full activation, row-major `dims = [N, C, H, W]`; the
+///   kernel reads channels `[c0, c0 + CG)`, so grouped convolutions need
+///   no channel-slice copy.
 /// * `out` — the full NCHW output buffer *offset to this group's first
 ///   channel row* (`&mut full[g·OCG·OH·OW..]`), with `out_channels` total
 ///   channels per image. Output element `(n, r, oy, ox)` lands at
@@ -95,7 +96,8 @@ struct Geom {
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_bias_act_into(
     w: &Tensor,
-    input: &Tensor,
+    input: &[f32],
+    dims: [usize; 4],
     c0: usize,
     geom: ConvGeometry,
     bias: Option<&[f32]>,
@@ -104,14 +106,9 @@ pub fn conv2d_bias_act_into(
     out_channels: usize,
 ) {
     assert_eq!(w.shape().len(), 2, "conv2d weight must be [OCG, CG*K*K]");
-    assert_eq!(input.shape().len(), 4, "conv2d input must be NCHW");
     let (ocg, kpg) = (w.shape()[0], w.shape()[1]);
-    let (n, c, h, wd) = (
-        input.shape()[0],
-        input.shape()[1],
-        input.shape()[2],
-        input.shape()[3],
-    );
+    let [n, c, h, wd] = dims;
+    assert_eq!(input.len(), n * c * h * wd, "conv2d input is not NCHW dims");
     let k = geom.kernel;
     assert!(k > 0 && kpg % (k * k) == 0, "weight columns not CG*K*K");
     let cg = kpg / (k * k);
@@ -134,10 +131,8 @@ pub fn conv2d_bias_act_into(
         k,
         s: geom.stride,
         p: geom.pad,
-        c,
         h,
         w: wd,
-        c0,
         cg,
         ocg,
         oh,
@@ -147,43 +142,55 @@ pub fn conv2d_bias_act_into(
         pw: wd + 2 * geom.pad,
     };
     let wv = w.as_slice();
-    let src = input.as_slice();
     // One chunk per image; each output element has exactly one writer.
     axnn_par::par_chunks_mut(out, n_stride, |ni, img| {
-        dispatch_image(wv, src, bias, ep, img, ni, g);
+        let span = &input[(ni * c + c0) * h * wd..][..cg * h * wd];
+        dispatch_image(wv, span, bias, ep, img, g);
     });
 }
 
-/// Routes one image to the widest kernel the CPU supports.
+thread_local! {
+    /// The border-padded `[CG, H+2P, W+2P]` copy of one image's group
+    /// channels, one buffer per thread, grown to the largest conv once.
+    static PADDED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Routes one image's group channels `span` (`[CG, H, W]`; `[CG, PH, PW]`
+/// once padded) to the widest kernel the CPU supports, through the
+/// thread's padded copy when the conv pads.
 fn dispatch_image(
     wv: &[f32],
-    src: &[f32],
+    span: &[f32],
     bias: Option<&[f32]>,
     ep: Epilogue,
     img: &mut [f32],
-    ni: usize,
     g: Geom,
 ) {
-    // Border-padded copy of this image's group channels: every tap below
-    // reads a plain in-bounds row segment, and padding taps multiply
-    // explicit zeros exactly as the column matrix holds them.
-    let mut pad = vec![0.0f32; g.cg * g.ph * g.pw];
-    for ci in 0..g.cg {
-        let s0 = (ni * g.c + g.c0 + ci) * g.h * g.w;
-        let d0 = ci * g.ph * g.pw + g.p * g.pw + g.p;
-        for ih in 0..g.h {
-            pad[d0 + ih * g.pw..d0 + ih * g.pw + g.w]
-                .copy_from_slice(&src[s0 + ih * g.w..s0 + (ih + 1) * g.w]);
-        }
+    if g.p > 0 {
+        // Border-padded copy of the span, which has no padding left to
+        // add: every tap below reads a plain in-bounds row segment, and
+        // padding taps multiply explicit zeros exactly as the column
+        // matrix holds them.
+        return PADDED.with_borrow_mut(|pad| {
+            pad.clear();
+            pad.resize(g.cg * g.ph * g.pw, 0.0);
+            for ci in 0..g.cg {
+                let d0 = ci * g.ph * g.pw + g.p * g.pw + g.p;
+                for ih in 0..g.h {
+                    let row = &span[(ci * g.h + ih) * g.w..][..g.w];
+                    pad[d0 + ih * g.pw..][..g.w].copy_from_slice(row);
+                }
+            }
+            dispatch_image(wv, pad, bias, ep, img, Geom { p: 0, ..g });
+        });
     }
-
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: guarded by the runtime AVX2 check above.
-        unsafe { conv_image_avx2(wv, &pad, bias, ep, img, g) };
+        unsafe { conv_image_avx2(wv, span, bias, ep, img, g) };
         return;
     }
-    conv_image(wv, &pad, bias, ep, img, g);
+    conv_image(wv, span, bias, ep, img, g);
 }
 
 /// The scalar body recompiled with AVX2 enabled — same operation sequence,
@@ -376,6 +383,10 @@ mod tests {
         out
     }
 
+    fn dims(t: &Tensor) -> [usize; 4] {
+        t.shape().try_into().expect("NCHW")
+    }
+
     fn bits(t: &[f32]) -> Vec<u32> {
         t.iter().map(|v| v.to_bits()).collect()
     }
@@ -403,7 +414,8 @@ mod tests {
                 for b in [None, Some(&bias[..])] {
                     let want = reference(&wm, &input, geom, b, ep);
                     let mut got = vec![0.0f32; want.len()];
-                    conv2d_bias_act_into(&wm, &input, 0, geom, b, ep, &mut got, oc);
+                    let (x, d) = (input.as_slice(), dims(&input));
+                    conv2d_bias_act_into(&wm, x, d, 0, geom, b, ep, &mut got, oc);
                     assert_eq!(
                         bits(want.as_slice()),
                         bits(&got),
@@ -417,12 +429,20 @@ mod tests {
 
     #[test]
     fn grouped_slices_read_and_write_the_right_channels() {
+        // A padded 3×3 copies each image; an unpadded 1×1 reads it in place.
+        for k in [3, 1] {
+            grouped_case(k);
+        }
+    }
+
+    fn grouped_case(k: usize) {
+        let taps = k * k;
         let mut rng = Rng::seed(11);
         let (c, oc, groups, h, w) = (6, 8, 2, 7, 7);
         let (cg, ocg) = (c / groups, oc / groups);
-        let geom = ConvGeometry::new(3, 1, 1);
+        let geom = ConvGeometry::new(k, 1, k / 2);
         let input = init::uniform(&[3, c, h, w], -1.0, 1.0, &mut rng);
-        let wm = init::uniform(&[oc, cg * 9], -1.0, 1.0, &mut rng);
+        let wm = init::uniform(&[oc, cg * taps], -1.0, 1.0, &mut rng);
         let bias: Vec<f32> = (0..oc).map(|i| 0.05 * i as f32).collect();
 
         // Reference: slice channels per group, run the full-kernel path.
@@ -438,8 +458,8 @@ mod tests {
                 }
             }
             let wg = Tensor::from_vec(
-                wm.as_slice()[g * ocg * cg * 9..(g + 1) * ocg * cg * 9].to_vec(),
-                &[ocg, cg * 9],
+                wm.as_slice()[g * ocg * cg * taps..(g + 1) * ocg * cg * taps].to_vec(),
+                &[ocg, cg * taps],
             )
             .unwrap();
             let got_g = reference(
@@ -462,13 +482,14 @@ mod tests {
         let mut got = vec![0.0f32; want.len()];
         for g in 0..groups {
             let wg = Tensor::from_vec(
-                wm.as_slice()[g * ocg * cg * 9..(g + 1) * ocg * cg * 9].to_vec(),
-                &[ocg, cg * 9],
+                wm.as_slice()[g * ocg * cg * taps..(g + 1) * ocg * cg * taps].to_vec(),
+                &[ocg, cg * taps],
             )
             .unwrap();
             conv2d_bias_act_into(
                 &wg,
-                &input,
+                input.as_slice(),
+                dims(&input),
                 g * cg,
                 geom,
                 Some(&bias[g * ocg..(g + 1) * ocg]),
@@ -490,7 +511,18 @@ mod tests {
         for threads in [1, 3, 8] {
             axnn_par::set_threads(threads);
             let mut got = vec![0.0f32; 4 * 5 * 8 * 8];
-            conv2d_bias_act_into(&wm, &input, 0, geom, None, Epilogue::Relu, &mut got, 5);
+            let x = input.as_slice();
+            conv2d_bias_act_into(
+                &wm,
+                x,
+                dims(&input),
+                0,
+                geom,
+                None,
+                Epilogue::Relu,
+                &mut got,
+                5,
+            );
             runs.push(bits(&got));
         }
         axnn_par::set_threads(0);

@@ -106,23 +106,6 @@ impl Tensor {
         }
     }
 
-    /// Adds a bias row to every row of a 2-D `[N, F]` tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not 2-D or `bias.len() != F`.
-    pub fn add_row_bias(&mut self, bias: &Tensor) {
-        assert_eq!(self.shape().len(), 2, "add_row_bias requires a 2-D tensor");
-        let cols = self.shape()[1];
-        assert_eq!(bias.len(), cols);
-        let b = bias.as_slice();
-        for row in self.as_mut_slice().chunks_mut(cols) {
-            for (x, &bi) in row.iter_mut().zip(b) {
-                *x += bi;
-            }
-        }
-    }
-
     /// Sums an `[N, C, H, W]` tensor over `N`, `H` and `W`, producing the
     /// per-channel totals — the bias-gradient reduction for conv layers.
     ///
@@ -145,25 +128,6 @@ impl Tensor {
             for (ch, acc) in o.iter_mut().enumerate() {
                 let base = (img * c + ch) * hw;
                 *acc += data[base..base + hw].iter().sum::<f32>();
-            }
-        }
-        out
-    }
-
-    /// Sums a 2-D `[N, F]` tensor over rows, producing per-column totals —
-    /// the bias-gradient reduction for fully-connected layers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not 2-D.
-    pub fn sum_rows(&self) -> Tensor {
-        assert_eq!(self.shape().len(), 2, "sum_rows requires a 2-D tensor");
-        let cols = self.shape()[1];
-        let mut out = Tensor::zeros(&[cols]);
-        let o = out.as_mut_slice();
-        for row in self.as_slice().chunks(cols) {
-            for (acc, &x) in o.iter_mut().zip(row) {
-                *acc += x;
             }
         }
         out
@@ -225,13 +189,6 @@ mod tests {
         // Each channel plane of 4 pixels across 2 images.
         let sums = x.sum_channels();
         assert_eq!(sums.as_slice(), &[8.0, 16.0, 24.0]);
-    }
-
-    #[test]
-    fn row_bias_and_sum_rows() {
-        let mut x = Tensor::zeros(&[3, 2]);
-        x.add_row_bias(&t(&[1.0, -1.0]));
-        assert_eq!(x.sum_rows().as_slice(), &[3.0, -3.0]);
     }
 
     #[test]

@@ -184,26 +184,14 @@ impl Tensor {
     /// Panics if the tensor is not 2-D.
     pub fn transpose2(&self) -> Self {
         assert_eq!(self.shape.len(), 2, "transpose2 requires a 2-D tensor");
-        let mut out = Self::zeros(&[self.shape[1], self.shape[0]]);
-        self.transpose2_into(&mut out);
-        out
-    }
-
-    /// Transposes a 2-D tensor into `out` (`[cols, rows]`), overwriting
-    /// every element — the allocation-free form of [`Self::transpose2`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not 2-D or `out` has the wrong shape.
-    pub fn transpose2_into(&self, out: &mut Self) {
-        assert_eq!(self.shape.len(), 2, "transpose2 requires a 2-D tensor");
         let (rows, cols) = (self.shape[0], self.shape[1]);
-        assert_eq!(out.shape, [cols, rows], "transpose2 output shape");
+        let mut out = Self::zeros(&[cols, rows]);
         for r in 0..rows {
             for c in 0..cols {
                 out.data[c * rows + r] = self.data[r * cols + c];
             }
         }
+        out
     }
 
     /// Applies `f` to every element, returning a new tensor.

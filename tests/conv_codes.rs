@@ -8,14 +8,15 @@
 //! each check runs the same executor both ways and compares the output,
 //! the STE operands, GE's gradient scale, the weight gradient and the
 //! `sat_x`/ε health records. Geometries: 3×3 s1 p1, 3×3 s2 p1, 1×1 s2 p0,
-//! 5×5 s1 p2 and 3×3 s1 p0, each dense, grouped and depthwise.
+//! 5×5 s1 p2 and 3×3 s1 p0, each dense, grouped and depthwise, and the
+//! approximate `Linear`, a 1×1 s1 p0 conv over `[N, F, 1, 1]`.
 //!
 //! The obs registries are process-global, so every test takes [`serial`].
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use approxnn::axmul::TruncatedMul;
-use approxnn::nn::{Conv2d, ExecOutput, ExecutorKind, Layer, LayerExecutor, Mode};
+use approxnn::nn::{Conv2d, ExecOutput, ExecutorKind, Layer, LayerExecutor, Linear, Mode};
 use approxnn::obs;
 use approxnn::proxsim::{LutProduct, PiecewiseLinearError, SignedLut};
 use approxnn::quant::QuantExecutor;
@@ -201,4 +202,76 @@ fn conv_layers_match_the_column_path_grouped_and_depthwise() {
             assert_eq!(grads(&mut fast), grads(&mut slow), "backward_params {what}");
         }
     }
+}
+
+/// The approximate `Linear`: its executor call on `[N, F, 1, 1]` under the
+/// 1×1 s1 p0 geometry, both ways, then whole layers, forward and both
+/// backward entry points.
+#[test]
+fn linear_matches_the_column_path() {
+    let _g = serial();
+    let (n, f, out) = (6, 12, 5);
+    let geom = ConvGeometry::new(1, 1, 0);
+    let mut rng = Rng::seed(90);
+    let wmat = init::uniform(&[out, f], -0.5, 0.5, &mut rng);
+    let mut fast = executor();
+    let mut slow = Columns(executor());
+    for _ in 0..2 {
+        let calib = init::uniform(&[n, f, 1, 1], -1.0, 1.0, &mut rng);
+        fast.forward_conv(&wmat, &calib, 0, geom, Mode::Calibrate, &mut None);
+        slow.forward_conv(&wmat, &calib, 0, geom, Mode::Calibrate, &mut None);
+    }
+    let x = input(&[n, f, 1, 1], &mut rng);
+    let dy = init::uniform(&[out, n], -1.0, 1.0, &mut rng);
+    obs::reset();
+    obs::set_health_enabled(true);
+    fast.set_obs_label("fast");
+    slow.set_obs_label("slow");
+    for mode in [Mode::Train, Mode::Eval, Mode::Train] {
+        let a = fast.forward_conv(&wmat, &x, 0, geom, mode, &mut None);
+        let b = slow.forward_conv(&wmat, &x, 0, geom, mode, &mut None);
+        assert_same(&a, &b, &dy, &format!("linear {mode:?}"));
+    }
+    obs::set_health_enabled(false);
+    let profile = obs::RunProfile::capture("conv_codes");
+    obs::reset();
+    let (a, b) = (health(&profile, "fast"), health(&profile, "slow"));
+    assert!(
+        a.iter().any(|(name, c)| name == "sat_x" && c[0] > 0),
+        "{a:?}"
+    );
+    assert!(a.iter().any(|(name, _)| name == "eps"), "no ε sample");
+    assert_eq!(a, b, "health records");
+
+    let layer = |ex: Box<dyn LayerExecutor>| {
+        let mut fc = Linear::new(f, out, true, &mut Rng::seed(91));
+        fc.core_mut().set_executor(ex);
+        fc
+    };
+    let mut fast = layer(Box::new(executor()));
+    let mut slow = layer(Box::new(Columns(executor())));
+    for _ in 0..2 {
+        let calib = init::uniform(&[n, f], -1.0, 1.0, &mut rng);
+        fast.forward(&calib, Mode::Calibrate);
+        slow.forward(&calib, Mode::Calibrate);
+    }
+    let x = input(&[n, f], &mut rng);
+    let (ya, yb) = (fast.forward(&x, Mode::Eval), slow.forward(&x, Mode::Eval));
+    assert_eq!(bits(&ya), bits(&yb), "linear eval");
+    let (ya, yb) = (fast.forward(&x, Mode::Train), slow.forward(&x, Mode::Train));
+    assert_eq!(bits(&ya), bits(&yb), "linear train");
+    let dy = init::uniform(ya.shape(), -1.0, 1.0, &mut rng);
+    let (dxa, dxb) = (fast.backward(&dy), slow.backward(&dy));
+    assert_eq!(bits(&dxa), bits(&dxb), "linear dx");
+    let grads = |fc: &mut Linear| {
+        let mut g = Vec::new();
+        fc.visit_params(&mut |p| g.extend(bits(&p.grad)));
+        g
+    };
+    assert_eq!(grads(&mut fast), grads(&mut slow), "linear dW");
+    fast.forward(&x, Mode::Train);
+    fast.backward_params(&dy);
+    slow.forward(&x, Mode::Train);
+    slow.backward(&dy);
+    assert_eq!(grads(&mut fast), grads(&mut slow), "linear backward_params");
 }

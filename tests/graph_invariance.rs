@@ -90,21 +90,26 @@ fn model(rng: &mut Rng) -> Sequential {
 /// quantized, approximate, and approximate with a sloped GE error model.
 fn build(seed: u64, family: usize) -> Sequential {
     let mut net = model(&mut Rng::seed(seed));
+    install(&mut net, family);
+    net
+}
+
+/// Swaps executor family `family` (see [`build`]) into every GEMM layer.
+fn install(net: &mut Sequential, family: usize) {
     match family {
         1 => quantize_network(
-            &mut net,
+            net,
             QuantSpec::activations_8bit(),
             QuantSpec::weights_4bit(),
         ),
-        2 => approximate_network(&mut net, &TruncatedMul::new(5), None),
+        2 => approximate_network(net, &TruncatedMul::new(5), None),
         3 => approximate_network(
-            &mut net,
+            net,
             &TruncatedMul::new(5),
             Some(PiecewiseLinearError::new(-0.05, 0.0, -10.0, 10.0)),
         ),
         _ => {}
     }
-    net
 }
 
 /// Freezes every 8A4W layer's activation step on one seeded batch, as
@@ -192,6 +197,45 @@ fn conv_plans_hold_no_scratch_in_any_family() {
     for family in 1..4 {
         assert_eq!(arena(family), exact, "family {family}");
     }
+}
+
+/// A rank-2 graph: an MLP (`Linear → ReLU → Linear`) on `[N, F]` inputs,
+/// whose linears lower to 1×1 conv ops, matches the interpreter bit for bit
+/// in every family, calibrated or on the dynamic abs-max step, at batches
+/// 1–4, on one thread and on several.
+#[test]
+fn mlp_on_rank_two_inputs_is_bit_identical_to_interpreter() {
+    let _g = serial();
+    for family in 0..4 {
+        for calibrated in [false, true] {
+            let mut rng = Rng::seed(90 + family as u64);
+            let mut net = Sequential::new(vec![
+                Box::new(Linear::new(12, 16, true, &mut rng)) as Box<dyn Layer>,
+                Box::new(approxnn::nn::Activation::new(ActivationKind::Relu)),
+                Box::new(Linear::new(16, 5, true, &mut rng)),
+            ]);
+            install(&mut net, family);
+            if calibrated {
+                net.forward(
+                    &init::uniform(&[4, 12], -1.0, 1.0, &mut rng),
+                    Mode::Calibrate,
+                );
+            }
+            let mut exec = GraphExecutor::compile(&mut net).expect("mlp lowers");
+            for n in 1..=4 {
+                let x = init::uniform(&[n, 12], -1.5, 1.5, &mut rng);
+                let want = net.forward(&x, Mode::Eval);
+                for threads in [1, 3] {
+                    par::set_threads(threads);
+                    let got = exec.forward(&x);
+                    let what = format!("family {family} calibrated {calibrated} batch {n}");
+                    assert_eq!(got.shape(), &[n, 5], "{what}");
+                    assert_eq!(bits(&want), bits(&got), "{what} threads {threads}");
+                }
+            }
+        }
+    }
+    par::set_threads(0);
 }
 
 /// Compiling must leave the source network inference-equivalent: the
